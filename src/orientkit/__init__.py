@@ -21,7 +21,7 @@ from .recognize import (BlockCutTree, ChordalCheck, CographCheck, CotreeJoin,
                         CotreeLeaf, CotreeUnion, SplitPartition,
                         StripDecomposition, block_cut_tree, chordal_peo,
                         clique_number_chordal, cograph_cotree,
-                        cotree_vertices, evaluate_cotree,
+                        cotree_postorder, cotree_vertices, evaluate_cotree,
                         find_chordless_cycle, find_induced_p4, is_claw_free,
                         is_k_uniform, max_cut_vertices_per_block,
                         outerplanar_strip, quasi_threshold_cotree,

@@ -12,6 +12,7 @@ The ORIENTKIT_SEED environment variable overrides --seed for generators.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -22,8 +23,9 @@ from .errors import BudgetExceeded, OrientkitError
 from .exact import (SearchConfig, decide_k_orientation,
                     proper_orientation_number)
 from .graph import read_graph, write_graph
-from .orientation import (CompensationSpec, is_compensated_proper, is_proper,
-                          max_indegree, read_orientation, write_orientation)
+from .orientation import (CompensationSpec, PartialOrientation,
+                          is_compensated_proper, is_proper, max_indegree,
+                          read_orientation, write_orientation)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -51,13 +53,14 @@ class Report:
         return exit_code
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and then reused: building it
+    costs about as much as a small solve."""
     top = argparse.ArgumentParser(
         prog="orientkit",
         description="proper orientations: exact solving, class constructors, "
                     "verification, and instance generation")
-    top.add_argument("--threads", type=int, default=1,
-                     help="reserved; the current search is single-threaded")
     sub = top.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("solve", help="exact decision or optimization")
@@ -190,23 +193,16 @@ def cograph_upper(cotree):
 
 
 def _cograph_orient(g, cotree):
-    """Orientation from the cotree by recursive union/join composition."""
-    from .orientation import PartialOrientation
-    from .recognize import CotreeJoin, CotreeLeaf, cotree_vertices
-
+    """Orientation from the cotree by union/join composition, children first."""
+    leaves, nodes = recognize.cotree_postorder(cotree)
     p = PartialOrientation(g)
-
-    def walk(node):
-        if isinstance(node, CotreeLeaf):
-            return
-        for ch in node.children:
-            walk(ch)
-        if not isinstance(node, CotreeJoin):
-            return
+    for node, bounds in nodes:
+        if not isinstance(node, recognize.CotreeJoin):
+            continue
         # realize the join as a chain of one-sided cross orientations
-        accum = sorted(cotree_vertices(node.children[0]))
-        for ch in node.children[1:]:
-            incoming = sorted(cotree_vertices(ch))
+        start = bounds[0]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            accum, incoming = leaves[start:lo], leaves[lo:hi]
             side_a = max((p.indegree[v] for v in accum), default=0)
             side_b = max((p.indegree[v] for v in incoming), default=0)
             if max(side_a, side_b + len(accum)) <= max(side_b, side_a + len(incoming)):
@@ -217,9 +213,6 @@ def _cograph_orient(g, cotree):
                 for a in accum:
                     for b in incoming:
                         p.orient(a, b, a)
-            accum = sorted(accum + incoming)
-
-    walk(cotree)
     return p.to_orientation()
 
 
@@ -391,11 +384,7 @@ def _cmd_reduce(args, report):
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error=--threads must be at least 1")
-        return EXIT_PRECONDITION
+    args = _parser().parse_args(argv)
     report = Report(["orientkit"] + list(argv))
     handler = {"solve": _cmd_solve, "orient": _cmd_orient,
                "verify": _cmd_verify, "recognize": _cmd_recognize,

@@ -39,7 +39,7 @@ from .orientation import (CompensationSpec, Orientation, PartialOrientation,
                           is_compensated_proper, is_proper, max_indegree)
 from .recognize import (BlockCutTree, CotreeJoin, CotreeLeaf, CotreeUnion,
                         SplitPartition, block_cut_tree, chordal_peo,
-                        clique_number_chordal, cotree_vertices,
+                        clique_number_chordal, cotree_postorder,
                         evaluate_cotree, is_claw_free, is_k_uniform,
                         outerplanar_strip)
 
@@ -133,27 +133,17 @@ def low_degree_orient(g: Graph, c: int) -> Orientation:
 
 def quasi_threshold_orient(cotree) -> Orientation:
     """Optimal (omega-1)-orientation from a quasi-threshold cotree."""
-    verts = cotree_vertices(cotree)
-    n = max(verts) + 1 if verts else 0
+    leaves, nodes = cotree_postorder(cotree)
+    n = max(leaves) + 1 if leaves else 0
     g = evaluate_cotree(cotree, n)
     p = PartialOrientation(g)
-
-    def walk(node):
-        if isinstance(node, CotreeLeaf):
-            return
-        if isinstance(node, CotreeUnion):
-            for ch in node.children:
-                walk(ch)
-            return
-        assert isinstance(node, CotreeJoin)
-        head, rest = node.children
-        assert isinstance(head, CotreeLeaf), "join must add a single vertex"
-        walk(rest)
-        v = head.vertex
-        for u in sorted(cotree_vertices(rest)):
-            p.orient(v, u, u)
-
-    walk(cotree)
+    for node, bounds in nodes:
+        if isinstance(node, CotreeJoin):
+            head = node.children[0]
+            assert len(bounds) == 3 and isinstance(head, CotreeLeaf), \
+                "join must add a single vertex"
+            for u in leaves[bounds[1]:bounds[2]]:
+                p.orient(head.vertex, u, u)
     d = p.to_orientation()
     assert is_proper(d)
     return d
@@ -1060,20 +1050,6 @@ def outerplanar_strip_orient(g: Graph, strip=None) -> Orientation:
 # -- cographs ---------------------------------------------------------------
 
 
-def _cotree_stats(node):
-    """(vertex count, edge count) of the graph a cotree denotes."""
-    if isinstance(node, CotreeLeaf):
-        return 1, 0
-    stats = [_cotree_stats(ch) for ch in node.children]
-    n = sum(s[0] for s in stats)
-    m = sum(s[1] for s in stats)
-    if isinstance(node, CotreeJoin):
-        for i in range(len(stats)):
-            for j in range(i + 1, len(stats)):
-                m += stats[i][0] * stats[j][0]
-    return n, m
-
-
 def cograph_bounds(cotree):
     """(lower, upper) sandwich on the orientation number of a cograph.
 
@@ -1081,30 +1057,37 @@ def cograph_bounds(cotree):
     at joins; the upper bound folds the one-sided cross orientation over
     the join children.  Lower is an exact rational, upper an integer.
     """
-    if isinstance(cotree, CotreeLeaf):
-        return Fraction(0), 0
-    if isinstance(cotree, CotreeUnion):
-        if not cotree.children:
-            return Fraction(0), 0
-        subs = [cograph_bounds(ch) for ch in cotree.children]
-        return max(s[0] for s in subs), max(s[1] for s in subs)
-    assert isinstance(cotree, CotreeJoin)
-    stats = [_cotree_stats(ch) for ch in cotree.children]
-    subs = [cograph_bounds(ch) for ch in cotree.children]
-    total_n = sum(s[0] for s in stats)
-    total_m = _cotree_stats(cotree)[1]
-    lower = Fraction(0)
-    for i, (ni, mi) in enumerate(stats):
-        rest_n = total_n - ni
-        rest_m = total_m - mi - ni * rest_n
-        ad_i = Fraction(mi, ni)
-        ad_rest = Fraction(rest_m, rest_n)
-        lower = max(lower, min(ad_i + Fraction(rest_n, 2),
-                               ad_rest + Fraction(ni, 2)))
-    upper, seen_n = subs[0][1], stats[0][0]
-    for (ni, _), (_, upper_ch) in zip(stats[1:], subs[1:]):
-        upper = min(upper + ni, upper_ch + seen_n)
-        seen_n += ni
+    _, nodes = cotree_postorder(cotree)
+    folded = {}   # id(node) -> (edge count, lower, upper)
+    for node, bounds in nodes:
+        if isinstance(node, CotreeLeaf):
+            folded[id(node)] = (0, Fraction(0), 0)
+            continue
+        subs = [folded[id(ch)] for ch in node.children]
+        if isinstance(node, CotreeUnion):
+            folded[id(node)] = (sum(s[0] for s in subs),
+                                max((s[1] for s in subs), default=Fraction(0)),
+                                max((s[2] for s in subs), default=0))
+            continue
+        assert isinstance(node, CotreeJoin)
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        total_n = bounds[-1] - bounds[0]
+        total_m = (sum(s[0] for s in subs)
+                   + (total_n * total_n - sum(ni * ni for ni in sizes)) // 2)
+        lower = Fraction(0)
+        for ni, (mi, _, _) in zip(sizes, subs):
+            rest_n = total_n - ni
+            rest_m = total_m - mi - ni * rest_n
+            ad_i = Fraction(mi, ni)
+            ad_rest = Fraction(rest_m, rest_n)
+            lower = max(lower, min(ad_i + Fraction(rest_n, 2),
+                                   ad_rest + Fraction(ni, 2)))
+        upper, seen_n = subs[0][2], sizes[0]
+        for ni, (_, _, upper_ch) in zip(sizes[1:], subs[1:]):
+            upper = min(upper + ni, upper_ch + seen_n)
+            seen_n += ni
+        folded[id(node)] = (total_m, lower, upper)
+    _, lower, upper = folded[id(cotree)]
     return lower, upper
 
 

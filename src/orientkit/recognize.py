@@ -8,6 +8,7 @@ extract.  All functions are pure and deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -200,64 +201,226 @@ class CotreeJoin:
     children: tuple
 
 
+def cotree_postorder(root):
+    """Leaf order plus every node with its child spans, children first.
+
+    Returns (leaves, nodes).  leaves lists the vertices left to right, and
+    nodes holds a (node, bounds) pair per node in post-order: the vertices
+    under the node's i-th child are leaves[bounds[i]:bounds[i + 1]], so the
+    node itself covers leaves[bounds[0]:bounds[-1]].  The walk keeps its own
+    stack, so cotrees of any depth are fine.
+    """
+    leaves, nodes = [], []
+    stack = [(root, None)]
+    while stack:
+        node, bounds = stack.pop()
+        if node is None:              # a child of the bounds' owner ended
+            bounds.append(len(leaves))
+        elif bounds is not None:      # every child of node ended
+            nodes.append((node, bounds))
+        elif isinstance(node, CotreeLeaf):
+            nodes.append((node, [len(leaves), len(leaves) + 1]))
+            leaves.append(node.vertex)
+        else:
+            bounds = [len(leaves)]
+            stack.append((node, bounds))
+            for child in reversed(node.children):
+                stack.append((None, bounds))
+                stack.append((child, None))
+    return leaves, nodes
+
+
 def cotree_vertices(node) -> frozenset:
-    if isinstance(node, CotreeLeaf):
-        return frozenset((node.vertex,))
-    out = frozenset()
-    for ch in node.children:
-        out |= cotree_vertices(ch)
-    return out
+    return frozenset(cotree_postorder(node)[0])
 
 
 def evaluate_cotree(node, n=None) -> Graph:
     """Rebuild the graph a cotree denotes; leaves name the vertex ids."""
-    verts = cotree_vertices(node)
+    leaves, nodes = cotree_postorder(node)
     if n is None:
-        n = max(verts) + 1 if verts else 0
+        n = max(leaves) + 1 if leaves else 0
     edges = []
-
-    def walk(nd):
-        if isinstance(nd, CotreeLeaf):
-            return [nd.vertex]
-        sets = [walk(ch) for ch in nd.children]
+    for nd, bounds in nodes:
         if isinstance(nd, CotreeJoin):
-            for i in range(len(sets)):
-                for j in range(i + 1, len(sets)):
-                    edges.extend((a, b) for a in sets[i] for b in sets[j])
-        return [v for s in sets for v in s]
-
-    walk(node)
+            # each child meets every later sibling
+            for lo, hi in zip(bounds, bounds[1:-1]):
+                later = leaves[hi:bounds[-1]]
+                edges.extend((u, w) for u in leaves[lo:hi] for w in later)
     return Graph(n, edges)
 
 
-def quasi_threshold_cotree(g: Graph):
-    """Cotree with union nodes and single-vertex joins, or None."""
+def _insert_cotree(g: Graph):
+    """Cotree of g by vertex insertion, or None when g has an induced P4.
 
-    def build(verts):
-        if len(verts) == 1:
-            return CotreeLeaf(verts[0])
-        sub, old = g.induced(verts)
-        comps = sub.connected_components()
-        if len(comps) > 1:
-            children = []
-            for comp in comps:
-                ch = build([old[v] for v in comp])
-                if ch is None:
+    Corneil, Perl & Stewart (1985).  Vertices are added in id order.  For
+    the new vertex x, a node is full when x is adjacent to all its leaves,
+    partial when to some.  G + x is a cograph exactly when the partial
+    nodes form a path from the root on which no union has a full child
+    beside the next partial node and no join has an empty one.  x then
+    goes in at the end of the path.  On that path every join has a full
+    child, so a cograph has at most 2 deg(x) partial nodes; marking stops
+    past that bound, and each insertion costs O(1 + deg x).
+
+    Returns (root, kids, is_join).  Node ids 0..n-1 are the leaves, with
+    kids None; internal nodes have a set of children and alternate between
+    union and join, each with at least two children.
+    """
+    n = g.n
+    kids = [None] * n
+    is_join = [False] * n
+    parent = [-1] * n
+
+    def make(join, children):
+        node = len(kids)
+        kids.append(set(children))
+        is_join.append(join)
+        parent.append(-1)
+        for c in children:
+            parent[c] = node
+        return node
+
+    def adopt(node, child):
+        kids[node].add(child)
+        parent[child] = node
+
+    def swap(old, new):
+        """Hang new where old hangs, leaving old detached."""
+        nonlocal root
+        above = parent[old]
+        if above < 0:
+            root = new
+        else:
+            kids[above].discard(old)
+            adopt(above, new)
+
+    def attach(node, join, x):
+        """Give x and node a common parent of the given kind: node itself
+        when it already is one, else a new node in node's place."""
+        if kids[node] is not None and is_join[node] == join:
+            adopt(node, x)
+        else:
+            up = make(join, (x,))
+            swap(node, up)
+            adopt(up, node)
+
+    root = 0
+    for x in range(1, n):
+        nb = g.adj[x]
+        nbrs = nb[:bisect_left(nb, x)]
+        # full nodes, bottom-up
+        full_count = {}
+        full = list(nbrs)
+        for c in full:
+            p = parent[c]
+            if p >= 0:
+                full_count[p] = full_count.get(p, 0) + 1
+                if full_count[p] == len(kids[p]):
+                    full.append(p)
+        if not nbrs or full[-1] == root:   # a full root is marked last
+            attach(root, bool(nbrs), x)
+            continue
+        # partial nodes: the non-full ancestors of full nodes
+        full_kids, partial_kids, partial = {}, {}, set()
+        limit = 2 * len(nbrs)
+        for c in full:
+            u = parent[c]
+            if full_count.get(u, 0) == len(kids[u]):
+                continue
+            full_kids.setdefault(u, []).append(c)
+            while u >= 0 and u not in partial:
+                partial.add(u)
+                if len(partial) > limit:
                     return None
-                children.append(ch)
-            return CotreeUnion(tuple(children))
-        universal = [old[v] for v in range(sub.n) if sub.degree(v) == sub.n - 1]
-        if not universal:
-            return None
-        v = min(universal)
-        rest = build([w for w in verts if w != v])
-        if rest is None:
-            return None
-        return CotreeJoin((CotreeLeaf(v), rest))
+                above = parent[u]
+                if above >= 0:
+                    partial_kids.setdefault(above, []).append(u)
+                u = above
+        # descend the partial path and insert x at its end
+        u = root
+        while True:
+            pk = partial_kids.get(u, ())
+            fk = full_kids.get(u, ())
+            if len(pk) > 1:
+                return None
+            if is_join[u]:
+                if pk:
+                    if len(kids[u]) > len(fk) + 1:   # an empty child too
+                        return None
+                    u = pk[0]
+                    continue
+                empty = kids[u].difference(fk)
+                if len(empty) == 1:
+                    attach(empty.pop(), False, x)
+                else:
+                    # u keeps the empty children under a union with x;
+                    # a new join over that and the full children takes
+                    # u's place
+                    kids[u].difference_update(fk)
+                    top = make(True, fk)
+                    swap(u, top)
+                    adopt(top, make(False, (u, x)))
+            else:
+                if pk:
+                    if fk:
+                        return None
+                    u = pk[0]
+                    continue
+                if len(fk) == 1:
+                    attach(fk[0], True, x)
+                else:
+                    kids[u].difference_update(fk)
+                    adopt(u, make(True, (x, make(False, fk))))
+            break
+    return root, kids, is_join
 
+
+def _assemble(tree, quasi_threshold=False):
+    """Dataclass cotree with children ordered by their smallest vertex.
+
+    With quasi_threshold, each join is instead nested over its leaf
+    children, smallest first, as Join((Leaf(v), rest)); the result is None
+    when some join has two children that are not leaves.
+    """
+    root, kids, is_join = tree
+    order = [root]
+    for u in order:
+        if kids[u] is not None:
+            order.extend(kids[u])
+    low = {}
+    built = {}
+    for u in reversed(order):
+        if kids[u] is None:
+            low[u] = u
+            built[u] = CotreeLeaf(u)
+            continue
+        ch = sorted(kids[u], key=low.__getitem__)
+        low[u] = low[ch[0]]
+        if not is_join[u]:
+            built[u] = CotreeUnion(tuple(built[c] for c in ch))
+        elif not quasi_threshold:
+            built[u] = CotreeJoin(tuple(built[c] for c in ch))
+        else:
+            inner = [c for c in ch if kids[c] is not None]
+            if len(inner) > 1:
+                return None
+            heads = [c for c in ch if kids[c] is None]
+            node = built[inner[0] if inner else heads.pop()]
+            for v in reversed(heads):
+                node = CotreeJoin((built[v], node))
+            built[u] = node
+    return built[root]
+
+
+def quasi_threshold_cotree(g: Graph):
+    """Cotree with union nodes and single-vertex joins, or None.
+
+    Quasi-threshold graphs are the cographs whose canonical cotree has at
+    most one non-leaf child per join; O(n + m) time.
+    """
     if g.n == 0:
         return CotreeUnion(())
-    return build(list(range(g.n)))
+    tree = _insert_cotree(g)
+    return None if tree is None else _assemble(tree, quasi_threshold=True)
 
 
 class CographCheck(NamedTuple):
@@ -281,38 +444,16 @@ def find_induced_p4(g: Graph):
 
 
 def cograph_cotree(g: Graph) -> CographCheck:
-    """Union/join cotree for a cograph, or an induced-P4 witness."""
+    """Union/join cotree for a cograph, or an induced-P4 witness.
 
-    def build(verts):
-        if len(verts) == 1:
-            return CotreeLeaf(verts[0])
-        sub, old = g.induced(verts)
-        comps = sub.connected_components()
-        if len(comps) > 1:
-            children = []
-            for comp in comps:
-                ch = build([old[v] for v in comp])
-                if ch is None:
-                    return None
-                children.append(ch)
-            return CotreeUnion(tuple(children))
-        co = sub.complement()
-        cocomps = co.connected_components()
-        if len(cocomps) > 1:
-            children = []
-            for comp in cocomps:
-                ch = build([old[v] for v in comp])
-                if ch is None:
-                    return None
-                children.append(ch)
-            return CotreeJoin(tuple(children))
-        return None
-
+    The cotree is canonical: unions and joins alternate and children are
+    ordered by their smallest vertex.  O(n + m) time for the cotree.
+    """
     if g.n == 0:
         return CographCheck(CotreeUnion(()), None)
-    tree = build(list(range(g.n)))
+    tree = _insert_cotree(g)
     if tree is not None:
-        return CographCheck(tree, None)
+        return CographCheck(_assemble(tree), None)
     p4 = find_induced_p4(g)
     assert p4 is not None
     return CographCheck(None, p4)

@@ -4,6 +4,7 @@ search and recognizer code paths.  Only feasible for tiny inputs."""
 import itertools
 
 from orientkit.graph import Graph
+from orientkit.recognize import CotreeJoin, CotreeLeaf, CotreeUnion
 
 
 def all_orientation_indegrees(g):
@@ -98,6 +99,65 @@ def brute_is_quasi_threshold(g, verts=None):
                                             if w != v]):
                 return True
     return False
+
+
+def quasi_threshold_cotree_oracle(g):
+    """Reference quasi-threshold cotree: recursive split into components
+    and the smallest universal vertex, over induced copies."""
+
+    def build(verts):
+        if len(verts) == 1:
+            return CotreeLeaf(verts[0])
+        sub, old = g.induced(verts)
+        comps = sub.connected_components()
+        if len(comps) > 1:
+            children = []
+            for comp in comps:
+                ch = build([old[v] for v in comp])
+                if ch is None:
+                    return None
+                children.append(ch)
+            return CotreeUnion(tuple(children))
+        universal = [old[v] for v in range(sub.n) if sub.degree(v) == sub.n - 1]
+        if not universal:
+            return None
+        v = min(universal)
+        rest = build([w for w in verts if w != v])
+        if rest is None:
+            return None
+        return CotreeJoin((CotreeLeaf(v), rest))
+
+    if g.n == 0:
+        return CotreeUnion(())
+    return build(list(range(g.n)))
+
+
+def cograph_cotree_oracle(g):
+    """Reference cograph cotree, or None: recursive split into components,
+    then into co-components of the complement, over induced copies."""
+
+    def build(verts):
+        if len(verts) == 1:
+            return CotreeLeaf(verts[0])
+        sub, old = g.induced(verts)
+        comps = sub.connected_components()
+        kind = CotreeUnion
+        if len(comps) == 1:
+            comps = sub.complement().connected_components()
+            kind = CotreeJoin
+            if len(comps) == 1:
+                return None
+        children = []
+        for comp in comps:
+            ch = build([old[v] for v in comp])
+            if ch is None:
+                return None
+            children.append(ch)
+        return kind(tuple(children))
+
+    if g.n == 0:
+        return CotreeUnion(())
+    return build(list(range(g.n)))
 
 
 def random_gnp(rng, n, p):
