@@ -11,20 +11,27 @@ whose maximum indegree meets the class bound:
     outerplane strip         13
     cograph join             min over the two cross directions
 
-The block-graph machinery works by repeatedly detaching hanging path
-pieces or crossroad structures around a deepest reducible cut vertex,
-orienting the rest recursively, and re-attaching each piece with a
+The k-uniform block construction detaches the hanging path pieces or
+crossroad structures around a deepest reducible cut vertex, again and
+again, until the remaining core has max degree <= 3k-2 and is oriented
+greedily.  It then re-attaches the pieces in reverse order, each with a
 compensated orientation: the piece carries a prescribed indegree at the
 attachment vertex and is proper when that vertex wears a prescribed color
-equal to the vertex's eventual global indegree.  Local extensions are
-found by a small deterministic assignment search over clique positions,
-colors, and per-piece indegree splits; the verifier re-checks every
-output.
+equal to the vertex's eventual global indegree.  The block-cut tree is
+built once; the reductions form an explicit stack over one undo log, so a
+failed re-attachment backtracks to its level's next candidate without
+recursion.  Local extensions are found by a small deterministic
+assignment search over clique positions, colors, and per-piece indegree
+splits.  Explicit checks, which also run under ``python -O``, re-verify
+each piece and the final orientation.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -101,18 +108,35 @@ def extend_partial(g: Graph, s, ds) -> Orientation:
         if u not in sset and v not in sset:
             pending[u] += 1
             pending[v] += 1
-    live = [v for v in range(g.n) if pending[v]]
-    while live:
-        pick = max(live, key=lambda v: (p.indegree[v] + pending[v], -v))
-        for w in g.adj[pick]:
-            if w not in sset and not p.is_oriented(pick, w):
-                p.orient(pick, w, pick)
-                pending[w] -= 1
-        pending[pick] = 0
-        live = [v for v in live if pending[v]]
+    _greedy_inward(p, pending)
     d = p.to_orientation()
     assert is_proper(d)
     return d
+
+
+def _greedy_inward(p: PartialOrientation, pending):
+    """Orient every edge joining two vertices with pending edges.
+
+    pending[v] counts v's unoriented edges to other vertices with pending
+    edges, and is 0 for every other vertex.  The vertex maximizing
+    indegree + pending (ties to the smallest id) takes all its pending
+    edges inward, until none is left.  Keys only fall, so a heap with lazy
+    deletion finds each pick.
+    """
+    adj, indeg = p.graph.adj, p.indegree
+    heap = [(-(indeg[v] + c), v) for v, c in enumerate(pending) if c]
+    heapq.heapify(heap)
+    while heap:
+        key, v = heapq.heappop(heap)
+        if not pending[v] or -key != indeg[v] + pending[v]:
+            continue   # v was picked, or its key fell since this entry
+        for w in adj[v]:
+            if pending[w]:
+                p.orient(v, w, v)
+                pending[w] -= 1
+                if pending[w]:
+                    heapq.heappush(heap, (-(indeg[w] + pending[w]), w))
+        pending[v] = 0
 
 
 def low_degree_orient(g: Graph, c: int) -> Orientation:
@@ -356,7 +380,8 @@ def _piece_shape(g: Graph, verts, target) -> PieceShape:
         if any(len(s) > 2 for s in incidence.values()):
             raise BadShape("piece is not a path of cliques")
         ends = sorted(i for i, s in incidence.items() if len(s) == 1)
-        assert len(ends) == 2
+        if len(ends) != 2:
+            raise ConstructionError("piece's blocks do not form a path")
         ordered, seen = [ends[0]], {ends[0]}
         while len(ordered) < len(blocks):
             nxt = [x for x in incidence[ordered[-1]] if x not in seen]
@@ -387,10 +412,8 @@ def _orient_compensated(shape: PieceShape, c, d) -> Orientation:
     if shape.is_end():
         if shape.target_index == 0:
             blocks = list(reversed(blocks))
-        out = _orient_end(g, k, blocks, shape.target, c, d)
-        assert is_compensated_proper(out, CompensationSpec(shape.target, c, d))
-        assert max_indegree(out) <= max(c, 2 * k - 2)
-        return out
+        return _checked_compensated(
+            shape, c, d, _orient_end(g, k, blocks, shape.target, c, d))
     ql, qr = shape.side_sizes()
     choice = next(_mid_choices(k, ql, qr, c, d), None)
     if choice is None:
@@ -415,9 +438,18 @@ def _orient_compensated(shape: PieceShape, c, d) -> Orientation:
         d_side = _orient_end(sub, k, loc_blocks, pos[tgt], cc, dd)
         for e, (lu, lv) in enumerate(sub.edges):
             p.orient(old[lu], old[lv], old[d_side.head(e)])
-    out = p.to_orientation()
-    assert is_compensated_proper(out, CompensationSpec(shape.target, c, d))
-    assert max_indegree(out) <= max(c, 2 * k - 2)
+    return _checked_compensated(shape, c, d, p.to_orientation())
+
+
+def _checked_compensated(shape: PieceShape, c, d, out: Orientation):
+    """out, once verified: indegree d at the target, proper when the target
+    is recolored c, and max indegree at most max(c, 2k-2)."""
+    if not is_compensated_proper(out, CompensationSpec(shape.target, c, d)):
+        raise ConstructionError(f"piece orientation is not compensated-proper "
+                                f"for (c={c}, d={d})")
+    if max_indegree(out) > max(c, 2 * shape.k - 2):
+        raise ConstructionError(f"piece orientation exceeds indegree "
+                                f"{max(c, 2 * shape.k - 2)}")
     return out
 
 
@@ -483,33 +515,6 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
 def _copy_arcs(p: PartialOrientation, sub: Graph, old_ids, d_sub: Orientation):
     for e, (lu, lv) in enumerate(sub.edges):
         p.orient(old_ids[lu], old_ids[lv], old_ids[d_sub.head(e)])
-
-
-def _children_map(rooted):
-    """cut vertex -> list of (child block id, subtree vertex set minus cut)."""
-    out = {}
-    for v, kids in rooted.cut_children_blocks.items():
-        out[v] = [(bi, rooted.subtree_vertices(bi) - {v}) for bi in kids]
-    return out
-
-
-def _is_path_subtree(rooted, block_id):
-    """Subtree rooted at this block has the shape of a path of cliques,
-    attached at its parent cut vertex (possibly in a middle clique)."""
-    if len(rooted.block_children_cuts[block_id]) > 2:
-        return False
-    stack = [(block_id, True)]
-    while stack:
-        bi, is_root = stack.pop()
-        kids = rooted.block_children_cuts[bi]
-        if len(kids) > (2 if is_root else 1):
-            return False
-        for v in kids:
-            blocks_below = rooted.cut_children_blocks[v]
-            if len(blocks_below) > 1:
-                return False
-            stack.extend((b, False) for b in blocks_below)
-    return True
 
 
 def _assign_crosspoint(p: PartialOrientation, g: Graph, k, u, block_verts,
@@ -582,171 +587,364 @@ def _feasible_split(shapes, k, c, total):
     return None
 
 
-def _crosspoint_shaped(rooted, block_id):
-    """All hanging structures below the block's cuts are paths of cliques."""
-    return all(all(_is_path_subtree(rooted, bb)
-                   for bb in rooted.cut_children_blocks[w])
-               for w in rooted.block_children_cuts[block_id])
+class _LoggedOrientation(PartialOrientation):
+    """A PartialOrientation that records each arc on an undo log."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, graph: Graph, log: list):
+        super().__init__(graph)
+        self.log = log
+
+    def orient(self, u, v, head):
+        super().orient(u, v, head)
+        self.log.append((None, self.graph.edge_id(u, v), head))
 
 
-def _uniform(g: Graph, k) -> Orientation:
-    if g.max_degree() <= 3 * k - 2:
-        return extend_partial(g, frozenset(), {})
-    bct = block_cut_tree(g)
-    root = min(range(len(bct.blocks)), key=lambda i: bct.blocks[i])
-    rooted = bct.rooted(root)
-    kids_of = _children_map(rooted)
-    path_child = {v: [_is_path_subtree(rooted, bi) for bi, _ in kids]
-                  for v, kids in kids_of.items()}
-    path_connector = {v: all(flags) for v, flags in path_child.items()}
-
-    def depth_key(v):
-        return (-rooted.cut_depth[v], v)
-
-    def qualifies(v):
-        return all(flag or _crosspoint_shaped(rooted, bi)
-                   for (bi, _), flag in zip(kids_of[v], path_child[v]))
-
-    # reduction priority: deepest path connectors with >= 3 hanging paths
-    # (so later crossroad reductions meet only small connectors), then
-    # deepest crossroad cut vertices, then any other reducible cut; local
-    # extension failures fall through to the next candidate, whose removal
-    # induces a different remainder orientation
-    rule_a = sorted((v for v in kids_of
-                     if path_connector[v] and len(kids_of[v]) >= 3),
-                    key=depth_key)
-    rule_b = sorted((v for v in kids_of
-                     if not path_connector[v] and qualifies(v)),
-                    key=depth_key)
-    seen = set(rule_a) | set(rule_b)
-    rest = sorted((v for v in kids_of if v not in seen and qualifies(v)),
-                  key=depth_key)
-    failure = None
-    for u in rule_a + rule_b + rest:
-        try:
-            return _reduce_at_cut(g, k, rooted, kids_of, path_child, u)
-        except ConstructionError as exc:
-            failure = exc
-    raise ConstructionError(f"no reducible cut vertex admits an extension "
-                            f"({failure})")
+# candidate classes of a cut vertex, in the order reductions try them:
+# path connectors with >= 3 hanging paths (so later crossroad reductions
+# meet only small connectors), crossroad cut vertices, other reducible cuts
+_RULE_A, _RULE_B, _REST, _IRREDUCIBLE, _NOT_CUT = range(5)
 
 
-def _core_orientation(g: Graph, k, removed):
-    """Recursively orient g minus the removed vertex set, into a partial."""
-    keep = sorted(set(range(g.n)) - removed)
-    core, old = g.induced(keep)
-    d_core = _uniform(core, k)
-    p = PartialOrientation(g)
-    _copy_arcs(p, core, old, d_core)
-    return p
+@dataclass
+class _Detached:
+    """The hanging structure removed at cut vertex u, kept for re-attachment."""
+
+    u: int
+    kids: list      # (child block, its subtree's vertices minus u), in order
+    flags: list     # per child: its subtree is a path of cliques
+    cross: dict     # non-path child block -> {child cut: [piece vertex sets]}
+    shapes: list = None
 
 
-def _parent_block_values(p: PartialOrientation, rooted, u):
-    bi = rooted.cut_parent_block[u]
-    return {p.indegree[w] for w in rooted.bct.blocks[bi] if w != u}
+@dataclass
+class _Frame:
+    """One reduction level: its undo-log mark and its candidate cursor."""
+
+    mark: int
+    cursor: tuple = (_RULE_A, -1)   # (class, rank of the last candidate)
+    detached: _Detached = None
+    failure: Exception = None
 
 
-def _crosspoint_pieces(g, rooted, kids_of, block_id):
-    """Hanging path pieces per child cut vertex of a crossroad block."""
-    out = {}
-    for w in rooted.block_children_cuts[block_id]:
-        out[w] = [_piece_shape(g, verts | {w}, w) for _, verts in kids_of[w]]
-    return out
+class _UniformReducer:
+    """The 3k-2 construction on one connected k-uniform block graph.
 
-
-def _reduce_at_cut(g, k, rooted, kids_of, path_child, u):
-    """Detach every hanging structure at u, orient the rest, re-attach.
-
-    u's final indegree becomes a + (gains from the re-attached blocks) for
-    the first admissible value not colliding with its parent clique; the
-    gains are split across the children by a feasibility-guided search.
+    The block-cut tree is built and rooted once.  Reducing at a cut vertex
+    u detaches all of u's child subtrees: their vertices die, u and the cut
+    vertices below it stop being cut vertices, and the other blocks, the
+    root, the depths and the child orders stay as they were.  Only the
+    flags of u's ancestors can change, so only they are recomputed.  Every
+    state change and every arc goes on one undo log; a failed attempt is
+    taken back by unwinding the log to the attempt's mark.
     """
-    kids = kids_of[u]
-    flags = path_child[u]
-    removed = set().union(*(verts for _, verts in kids))
-    p = _core_orientation(g, k, removed)
-    a = p.indegree[u]
-    assert a <= k - 1  # only the parent clique survives around u
-    if a == 0:
-        if all(flags):
-            # hanging paths only: make u a source of each piece
-            for _, verts in kids:
-                shape = _piece_shape(g, verts | {u}, u)
-                pos = {v: i for i, v in enumerate(shape.old_ids)}
-                d_piece = extend_partial(shape.graph, {pos[u]}, {})
-                _copy_arcs(p, shape.graph, shape.old_ids, d_piece)
-            return p.to_orientation()
-        if len(kids) <= 3:
-            # the whole hanging star has max degree <= 3k-3
-            star_verts = sorted(removed | {u})
-            sub, old = g.induced(star_verts)
-            pos = {v: i for i, v in enumerate(old)}
-            d_star = extend_partial(sub, {pos[u]}, {})
-            _copy_arcs(p, sub, old, d_star)
-            return p.to_orientation()
-    forbidden = _parent_block_values(p, rooted, u)
-    cap = min(a + len(kids) * (k - 1), 3 * k - 2)
-    for f in range(a, cap + 1):
-        if f in forbidden:
-            continue
-        if _try_cluster_promotion(p, g, k, rooted, kids_of, path_child,
-                                  u, f, f - a):
-            return p.to_orientation()
-    raise ConstructionError(f"no admissible extension at cut vertex {u}")
 
+    def __init__(self, g: Graph, bct: BlockCutTree, k: int):
+        self.g, self.k, self.bound = g, k, 3 * k - 2
+        self.blocks = bct.blocks
+        root = min(range(len(bct.blocks)), key=lambda i: bct.blocks[i])
+        rooted = bct.rooted(root)
+        self.child_cuts = rooted.block_children_cuts
+        self.child_blocks = rooted.cut_children_blocks
+        self.parent_block = rooted.cut_parent_block
+        self.parent_cut = rooted.block_parent_cut
+        self.log = []
+        self.p = _LoggedOrientation(g, self.log)
+        self.deg = g.degrees()   # degree among live vertices, 0 when dead
+        self.over = [sum(d > self.bound for d in self.deg)]
+        self.is_cut = [False] * g.n
+        for v in bct.cut_vertices:
+            self.is_cut[v] = True
+        # per block: its subtree is a chain of single-child cliques, a path
+        # of cliques (chain with up to two ends at the root), and path or
+        # crossroad-shaped (all hanging structures below are paths)
+        nb = len(self.blocks)
+        self.chain, self.path, self.ok = [True] * nb, [True] * nb, [True] * nb
+        # per cut vertex: children whose subtree is not a path / not ok
+        self.npath, self.nbad = [0] * g.n, [0] * g.n
+        for bi in sorted(range(nb), key=lambda b: -rooted.block_depth[b]):
+            for w in self.child_cuts[bi]:
+                kids = self.child_blocks[w]
+                self.npath[w] = sum(not self.path[c] for c in kids)
+                self.nbad[w] = sum(not self.ok[c] for c in kids)
+            self.chain[bi], self.path[bi], self.ok[bi] = self._block_flags(bi)
+        # one sorted list of ranks per candidate class; deepest cuts first
+        self.order = sorted(bct.cut_vertices,
+                            key=lambda v: (-rooted.cut_depth[v], v))
+        self.rank = {v: r for r, v in enumerate(self.order)}
+        self.cls = [_NOT_CUT] * g.n
+        self.lists = ([], [], [])
+        for r, v in enumerate(self.order):
+            self.cls[v] = self._class_of(v)
+            if self.cls[v] < _IRREDUCIBLE:
+                self.lists[self.cls[v]].append(r)
 
-def _try_cluster_promotion(p, g, k, rooted, kids_of, path_child, u, c, total):
-    """Give u indegree gains b_i summing to `total` across all child blocks."""
-    kids = kids_of[u]
-    flags = path_child[u]
-    if not 0 <= total <= (k - 1) * len(kids):
-        return False
-    shapes = []
-    for (bi, verts), is_path in zip(kids, flags):
-        shapes.append(_piece_shape(g, verts | {u}, u) if is_path else bi)
+    # -- state with undo ------------------------------------------------
 
-    def assignments(i, remaining):
-        if i == len(kids):
-            if remaining == 0:
-                yield []
-            return
-        tail = (k - 1) * (len(kids) - i - 1)
-        for b in range(min(k - 1, remaining), -1, -1):
-            if remaining - b > tail:
+    def _set(self, arr, i, value):
+        if arr[i] != value:
+            self.log.append((arr, i, arr[i]))
+            arr[i] = value
+
+    def _move(self, v, new):
+        old, r = self.cls[v], self.rank[v]
+        if old < _IRREDUCIBLE:
+            lst = self.lists[old]
+            del lst[bisect.bisect_left(lst, r)]
+        if new < _IRREDUCIBLE:
+            bisect.insort(self.lists[new], r)
+        self.cls[v] = new
+
+    def _reclassify(self, v):
+        new = self._class_of(v) if self.is_cut[v] else _NOT_CUT
+        if new != self.cls[v]:
+            self.log.append((self.cls, v, self.cls[v]))
+            self._move(v, new)
+
+    def _undo_to(self, mark):
+        log, p = self.log, self.p
+        while len(log) > mark:
+            arr, i, old = log.pop()
+            if arr is None:            # an arc: i is the edge, old its head
+                p.heads[i] = -1
+                p.indegree[old] -= 1
+                p.unoriented += 1
+            elif arr is self.cls:
+                self._move(i, old)
+            else:
+                arr[i] = old
+
+    # -- flags ----------------------------------------------------------
+
+    def _block_flags(self, bi):
+        """(chain, path, ok) of the subtree rooted at block bi."""
+        chain = path = cross = True
+        live = 0
+        for w in self.child_cuts[bi]:
+            if not self.is_cut[w]:
                 continue
-            if flags[i] and not _piece_feasible(shapes[i], c, b):
-                continue
-            for rest in assignments(i + 1, remaining - b):
-                yield [b] + rest
+            live += 1
+            kids = self.child_blocks[w]
+            if len(kids) > 1 or not self.chain[kids[0]]:
+                chain = path = False
+            if self.npath[w]:
+                cross = False
+        path = path and live <= 2
+        return chain and live <= 1, path, path or cross
 
-    for attempt, assignment in enumerate(assignments(0, total)):
-        if attempt >= 500:
-            break
-        trial = p.copy()
-        ok = True
-        for (bi, verts), is_path, shape, b in zip(kids, flags, shapes,
-                                                  assignment):
-            if is_path:
-                _copy_arcs(trial, shape.graph, shape.old_ids,
-                           _orient_compensated(shape, c, b))
-            elif not _extend_crosspoint_at(trial, g, k, rooted, kids_of, u,
-                                           bi, u_pos=b, u_final=c):
-                ok = False
+    def _class_of(self, v):
+        if not self.npath[v]:
+            return _RULE_A if len(self.child_blocks[v]) >= 3 else _REST
+        return _RULE_B if not self.nbad[v] else _IRREDUCIBLE
+
+    def _subtree(self, bi):
+        """Live vertices in blocks of the subtree rooted at block bi."""
+        out, stack = set(), [bi]
+        while stack:
+            b = stack.pop()
+            out.update(self.blocks[b])
+            for w in self.child_cuts[b]:
+                if self.is_cut[w]:
+                    stack.extend(self.child_blocks[w])
+        return out
+
+    # -- one reduction ----------------------------------------------------
+
+    def _next_candidate(self, frame):
+        """The frame's next cut vertex in rule order, or None."""
+        cls, last = frame.cursor
+        while cls < _IRREDUCIBLE:
+            lst = self.lists[cls]
+            i = bisect.bisect_right(lst, last)
+            if i < len(lst):
+                frame.cursor = (cls, lst[i])
+                return self.order[lst[i]]
+            cls, last = cls + 1, -1
+        frame.cursor = (cls, last)
+        return None
+
+    def _detach(self, u):
+        """Remove u's hanging subtrees; recompute flags up u's ancestors."""
+        kids, flags, cross = [], [], {}
+        for bi in self.child_blocks[u]:
+            verts = self._subtree(bi)
+            verts.discard(u)
+            kids.append((bi, verts))
+            flags.append(self.path[bi])
+            if not self.path[bi]:
+                cross[bi] = {w: [self._subtree(bb)
+                                 for bb in self.child_blocks[w]]
+                             for w in self.child_cuts[bi] if self.is_cut[w]}
+        deg, over = self.deg, self.over
+        for _, verts in kids:
+            for x in verts:
+                if self.is_cut[x]:
+                    self._set(self.is_cut, x, False)
+                    self._reclassify(x)
+                if deg[x] > self.bound:
+                    self._set(over, 0, over[0] - 1)
+                self._set(deg, x, 0)
+        self._set(self.is_cut, u, False)
+        self._reclassify(u)
+        left = deg[u] - (self.k - 1) * len(kids)
+        if deg[u] > self.bound >= left:
+            self._set(over, 0, over[0] - 1)
+        self._set(deg, u, left)
+        b = self.parent_block[u]
+        while True:
+            chain, path, ok = self._block_flags(b)
+            was_path, was_ok = self.path[b], self.ok[b]
+            if (chain, path, ok) == (self.chain[b], was_path, was_ok):
                 break
-        if ok:
-            p.heads[:] = trial.heads
-            p.indegree[:] = trial.indegree
-            p.unoriented = trial.unoriented
-            return True
-    return False
+            self._set(self.chain, b, chain)
+            self._set(self.path, b, path)
+            self._set(self.ok, b, ok)
+            c = self.parent_cut.get(b)
+            if c is None:
+                break
+            self._set(self.npath, c, self.npath[c] + was_path - path)
+            self._set(self.nbad, c, self.nbad[c] + was_ok - ok)
+            self._reclassify(c)
+            b = self.parent_block[c]
+        return _Detached(u, kids, flags, cross)
+
+    def _shapes(self, det):
+        """Per child: its PieceShape if a path, else cut -> [PieceShape]."""
+        if det.shapes is None:
+            g, u = self.g, det.u
+            det.shapes = [
+                _piece_shape(g, verts | {u}, u) if is_path else
+                {w: [_piece_shape(g, vs, w) for vs in pieces]
+                 for w, pieces in det.cross[bi].items()}
+                for (bi, verts), is_path in zip(det.kids, det.flags)]
+        return det.shapes
+
+    def _reattach(self, det):
+        """Orient u's detached structure around the oriented core.
+
+        u's final indegree becomes a + (gains from the re-attached blocks)
+        for the first admissible value not colliding with its parent
+        clique; the gains are split across the children by a
+        feasibility-guided search.
+        """
+        p, k, u, g = self.p, self.k, det.u, self.g
+        a = p.indegree[u]
+        if a > k - 1:   # only the parent clique survives around u
+            raise ConstructionError(f"cut vertex {u} has core indegree {a}")
+        if a == 0:
+            if all(det.flags):
+                # hanging paths only: make u a source of each piece
+                for shape in self._shapes(det):
+                    _copy_arcs(p, shape.graph, shape.old_ids,
+                               extend_partial(shape.graph, {shape.target}, {}))
+                return
+            if len(det.kids) <= 3:
+                # the whole hanging star has max degree <= 3k-3
+                sub, old = g.induced(set().union(*(verts for _, verts
+                                                   in det.kids)) | {u})
+                _copy_arcs(p, sub, old,
+                           extend_partial(sub, {old.index(u)}, {}))
+                return
+        forbidden = {p.indegree[w] for w in self.blocks[self.parent_block[u]]
+                     if w != u}
+        cap = min(a + len(det.kids) * (k - 1), self.bound)
+        for f in range(a, cap + 1):
+            if f not in forbidden and self._promote(det, f, f - a):
+                return
+        raise ConstructionError(f"no admissible extension at cut vertex {u}")
+
+    def _promote(self, det, c, total):
+        """Give u indegree gains summing to `total` across all child blocks."""
+        k, flags = self.k, det.flags
+        n_kids = len(det.kids)
+        if not 0 <= total <= (k - 1) * n_kids:
+            return False
+        shapes = self._shapes(det)
+
+        def assignments(i, remaining):
+            if i == n_kids:
+                if remaining == 0:
+                    yield []
+                return
+            tail = (k - 1) * (n_kids - i - 1)
+            for b in range(min(k - 1, remaining), -1, -1):
+                if remaining - b > tail:
+                    continue
+                if flags[i] and not _piece_feasible(shapes[i], c, b):
+                    continue
+                for rest in assignments(i + 1, remaining - b):
+                    yield [b] + rest
+
+        p = self.p
+        for attempt, assignment in enumerate(assignments(0, total)):
+            if attempt >= 500:
+                break
+            mark = len(self.log)
+            for (bi, _), is_path, shape, b in zip(det.kids, flags, shapes,
+                                                  assignment):
+                if is_path:
+                    _copy_arcs(p, shape.graph, shape.old_ids,
+                               _orient_compensated(shape, c, b))
+                elif not _assign_crosspoint(p, self.g, k, det.u,
+                                            self.blocks[bi], shape, b, c):
+                    self._undo_to(mark)
+                    break
+            else:
+                return True
+        return False
+
+    # -- the whole construction -----------------------------------------
+
+    def _advance(self, frame):
+        """Detach the frame's next candidate; False when none is left."""
+        u = self._next_candidate(frame)
+        if u is None:
+            return False
+        frame.detached = self._detach(u)
+        return True
+
+    def run(self) -> Orientation:
+        """Descend to a core of max degree <= 3k-2, orient it greedily,
+        then re-attach the detached structures in reverse order.  A failed
+        re-attachment restores its frame and tries the frame's next
+        candidate; a frame out of candidates fails its parent's attempt."""
+        frames, error = [], None
+        while True:
+            while self.over[0] and error is None:
+                frame = _Frame(len(self.log))
+                if self._advance(frame):
+                    frames.append(frame)
+                else:
+                    error = _exhausted(frame)
+            if error is None:
+                _greedy_inward(self.p, list(self.deg))
+            while frames:
+                frame = frames[-1]
+                if error is None:
+                    try:
+                        self._reattach(frame.detached)
+                    except ConstructionError as exc:
+                        error = exc
+                    else:
+                        frames.pop()
+                        continue
+                frame.failure = error
+                self._undo_to(frame.mark)
+                if self._advance(frame):
+                    error = None
+                    break
+                frames.pop()
+                error = _exhausted(frame)
+            else:
+                if error is not None:
+                    raise error
+                return self.p.to_orientation()
 
 
-def _extend_crosspoint_at(p, g, k, rooted, kids_of, u, block_id, u_pos,
-                          u_final):
-    block_verts = rooted.bct.blocks[block_id]
-    cut_pieces = _crosspoint_pieces(g, rooted, kids_of, block_id)
-    return _assign_crosspoint(p, g, k, u, block_verts, cut_pieces,
-                              u_pos, u_final)
+def _exhausted(frame):
+    return ConstructionError(f"no reducible cut vertex admits an extension "
+                             f"({frame.failure})")
 
 
 def uniform_block_orient(g: Graph, bct: BlockCutTree = None,
@@ -763,8 +961,11 @@ def uniform_block_orient(g: Graph, bct: BlockCutTree = None,
         raise NotUniformBlock("graph must be connected")
     if not is_k_uniform(bct, k):
         raise NotUniformBlock(f"not every block is a {k}-clique")
-    d = _uniform(g, k)
-    assert is_proper(d) and max_indegree(d) <= 3 * k - 2
+    d = _UniformReducer(g, bct, k).run()
+    if not is_proper(d) or max_indegree(d) > 3 * k - 2:
+        raise ConstructionError(f"the {k}-uniform block construction "
+                                f"returned an orientation that is improper "
+                                f"or exceeds {3 * k - 2}")
     return d
 
 
@@ -808,9 +1009,9 @@ def two_cut_block_orient(g: Graph, bct: BlockCutTree = None,
             pos_in[(bi, v)] = i
 
     orient_block(leaf, {r: 0})
-    queue = [leaf]
+    queue = deque([leaf])
     while queue:
-        bi = queue.pop(0)
+        bi = queue.popleft()
         for x in rooted.block_children_cuts[bi]:
             t = pos_in[(bi, x)]
             children = rooted.cut_children_blocks[x]

@@ -125,10 +125,15 @@ class Graph:
     # -- derived graphs -----------------------------------------------
 
     def induced(self, vertices):
-        """Induced subgraph plus the list mapping new ids to old ids."""
+        """Induced subgraph plus the list mapping new ids to old ids.
+
+        Walks only the chosen vertices' neighbor lists, so the cost is their
+        total degree, not the size of the whole graph.
+        """
         old = sorted(set(vertices))
         pos = {v: i for i, v in enumerate(old)}
-        es = [(pos[u], pos[v]) for (u, v) in self.edges if u in pos and v in pos]
+        es = [(i, pos[w]) for i, v in enumerate(old)
+              for w in self.adj[v] if w > v and w in pos]
         return Graph(len(old), es), old
 
     def relabeled(self, perm):

@@ -190,3 +190,193 @@ def random_tree(rng, n, no_adjacent_degree_at_least=None):
         else:
             raise AssertionError("tree growth got stuck")
     return Graph(n, edges)
+
+
+# -- the recursive 3k-2 construction for k-uniform block graphs ---------------
+
+
+def extend_partial_oracle(g, s):
+    """Reference greedy extension from an edgeless set S (ds = {}): a
+    linear scan for the vertex maximizing indegree + unoriented edges."""
+    from orientkit.orientation import PartialOrientation
+
+    sset = frozenset(s)
+    p = PartialOrientation(g)
+    for v in sorted(sset):
+        for w in g.adj[v]:
+            if w not in sset:
+                p.orient(v, w, w)
+    pending = [0] * g.n
+    for (u, v) in g.edges:
+        if u not in sset and v not in sset:
+            pending[u] += 1
+            pending[v] += 1
+    live = [v for v in range(g.n) if pending[v]]
+    while live:
+        pick = max(live, key=lambda v: (p.indegree[v] + pending[v], -v))
+        for w in g.adj[pick]:
+            if w not in sset and not p.is_oriented(pick, w):
+                p.orient(pick, w, pick)
+                pending[w] -= 1
+        pending[pick] = 0
+        live = [v for v in live if pending[v]]
+    return p.to_orientation()
+
+
+def uniform_block_orient_oracle(g, k):
+    """Reference 3k-2 construction: one recursion level per reduction, each
+    rebuilding the induced core, its block-cut tree and every flag, and
+    each promotion attempt trying a copy of the partial orientation."""
+    from orientkit.construct import (_assign_crosspoint, _copy_arcs,
+                                     _orient_compensated, _piece_feasible,
+                                     _piece_shape)
+    from orientkit.errors import ConstructionError
+    from orientkit.orientation import PartialOrientation
+    from orientkit.recognize import block_cut_tree
+
+    def children_map(rooted):
+        out = {}
+        for v, kids in rooted.cut_children_blocks.items():
+            out[v] = [(bi, rooted.subtree_vertices(bi) - {v}) for bi in kids]
+        return out
+
+    def is_path_subtree(rooted, block_id):
+        if len(rooted.block_children_cuts[block_id]) > 2:
+            return False
+        stack = [(block_id, True)]
+        while stack:
+            bi, is_root = stack.pop()
+            kids = rooted.block_children_cuts[bi]
+            if len(kids) > (2 if is_root else 1):
+                return False
+            for v in kids:
+                blocks_below = rooted.cut_children_blocks[v]
+                if len(blocks_below) > 1:
+                    return False
+                stack.extend((b, False) for b in blocks_below)
+        return True
+
+    def crosspoint_shaped(rooted, block_id):
+        return all(all(is_path_subtree(rooted, bb)
+                       for bb in rooted.cut_children_blocks[w])
+                   for w in rooted.block_children_cuts[block_id])
+
+    def uniform(g):
+        if g.max_degree() <= 3 * k - 2:
+            return extend_partial_oracle(g, ())
+        bct = block_cut_tree(g)
+        root = min(range(len(bct.blocks)), key=lambda i: bct.blocks[i])
+        rooted = bct.rooted(root)
+        kids_of = children_map(rooted)
+        path_child = {v: [is_path_subtree(rooted, bi) for bi, _ in kids]
+                      for v, kids in kids_of.items()}
+        path_connector = {v: all(flags) for v, flags in path_child.items()}
+
+        def depth_key(v):
+            return (-rooted.cut_depth[v], v)
+
+        def qualifies(v):
+            return all(flag or crosspoint_shaped(rooted, bi)
+                       for (bi, _), flag in zip(kids_of[v], path_child[v]))
+
+        rule_a = sorted((v for v in kids_of
+                         if path_connector[v] and len(kids_of[v]) >= 3),
+                        key=depth_key)
+        rule_b = sorted((v for v in kids_of
+                         if not path_connector[v] and qualifies(v)),
+                        key=depth_key)
+        seen = set(rule_a) | set(rule_b)
+        rest = sorted((v for v in kids_of if v not in seen and qualifies(v)),
+                      key=depth_key)
+        failure = None
+        for u in rule_a + rule_b + rest:
+            try:
+                return reduce_at_cut(g, rooted, kids_of, path_child, u)
+            except ConstructionError as exc:
+                failure = exc
+        raise ConstructionError(f"no reducible cut vertex admits an "
+                                f"extension ({failure})")
+
+    def reduce_at_cut(g, rooted, kids_of, path_child, u):
+        kids = kids_of[u]
+        flags = path_child[u]
+        removed = set().union(*(verts for _, verts in kids))
+        core, old = g.induced(sorted(set(range(g.n)) - removed))
+        p = PartialOrientation(g)
+        _copy_arcs(p, core, old, uniform(core))
+        a = p.indegree[u]
+        if a > k - 1:
+            raise ConstructionError(f"cut vertex {u} has core indegree {a}")
+        if a == 0:
+            if all(flags):
+                for _, verts in kids:
+                    shape = _piece_shape(g, verts | {u}, u)
+                    _copy_arcs(p, shape.graph, shape.old_ids,
+                               extend_partial_oracle(shape.graph,
+                                                     {shape.target}))
+                return p.to_orientation()
+            if len(kids) <= 3:
+                sub, old = g.induced(sorted(removed | {u}))
+                _copy_arcs(p, sub, old,
+                           extend_partial_oracle(sub, {old.index(u)}))
+                return p.to_orientation()
+        forbidden = {p.indegree[w]
+                     for w in rooted.bct.blocks[rooted.cut_parent_block[u]]
+                     if w != u}
+        cap = min(a + len(kids) * (k - 1), 3 * k - 2)
+        for f in range(a, cap + 1):
+            if f in forbidden:
+                continue
+            if try_cluster_promotion(p, g, rooted, kids_of, path_child,
+                                     u, f, f - a):
+                return p.to_orientation()
+        raise ConstructionError(f"no admissible extension at cut vertex {u}")
+
+    def try_cluster_promotion(p, g, rooted, kids_of, path_child, u, c, total):
+        kids = kids_of[u]
+        flags = path_child[u]
+        if not 0 <= total <= (k - 1) * len(kids):
+            return False
+        shapes = [_piece_shape(g, verts | {u}, u) if is_path else bi
+                  for (bi, verts), is_path in zip(kids, flags)]
+
+        def assignments(i, remaining):
+            if i == len(kids):
+                if remaining == 0:
+                    yield []
+                return
+            tail = (k - 1) * (len(kids) - i - 1)
+            for b in range(min(k - 1, remaining), -1, -1):
+                if remaining - b > tail:
+                    continue
+                if flags[i] and not _piece_feasible(shapes[i], c, b):
+                    continue
+                for rest in assignments(i + 1, remaining - b):
+                    yield [b] + rest
+
+        for attempt, assignment in enumerate(assignments(0, total)):
+            if attempt >= 500:
+                break
+            trial = p.copy()
+            ok = True
+            for (bi, verts), is_path, shape, b in zip(kids, flags, shapes,
+                                                      assignment):
+                if is_path:
+                    _copy_arcs(trial, shape.graph, shape.old_ids,
+                               _orient_compensated(shape, c, b))
+                    continue
+                cut_pieces = {
+                    w: [_piece_shape(g, vs | {w}, w) for _, vs in kids_of[w]]
+                    for w in rooted.block_children_cuts[bi]}
+                if not _assign_crosspoint(trial, g, k, u, rooted.bct.blocks[bi],
+                                          cut_pieces, b, c):
+                    ok = False
+                    break
+            if ok:
+                p.heads[:] = trial.heads
+                p.indegree[:] = trial.indegree
+                p.unoriented = trial.unoriented
+                return True
+        return False
+
+    return uniform(g)

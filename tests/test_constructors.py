@@ -26,7 +26,7 @@ from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  clique_number_chordal, cograph_cotree,
                                  is_claw_free, outerplanar_strip,
                                  quasi_threshold_cotree, split_partition)
-from oracles import random_tree
+from oracles import extend_partial_oracle, random_tree
 
 
 def fan(n):
@@ -73,6 +73,21 @@ def test_extend_partial_never_exceeds_degree():
         d = extend_partial(g, frozenset(), {})
         assert is_proper(d)
         assert all(d.indegree[v] <= g.degree(v) for v in range(n))
+
+
+def test_extend_partial_matches_scan_greedy():
+    # the heap picks the same vertex as a linear scan at every step
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < rng.choice((0.1, 0.3, 0.7))])
+        s = set()
+        for v in rng.sample(range(n), rng.randint(0, n)):
+            if not any(w in s for w in g.adj[v]):
+                s.add(v)
+        assert (extend_partial(g, s, {}).toward_max
+                == extend_partial_oracle(g, s).toward_max)
 
 
 # -- low degree --------------------------------------------------------------

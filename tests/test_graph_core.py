@@ -126,6 +126,19 @@ def test_handshake_and_relabel_invariance(data):
     assert max_indegree(d) == max_indegree(d2)
 
 
+def test_induced_subgraph_keeps_exactly_the_inner_edges():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(0, 12)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < 0.4])
+        verts = rng.sample(range(n), rng.randint(0, n))
+        sub, old = g.induced(verts)
+        assert old == sorted(verts)
+        inner = [(u, v) for u, v in g.edges if u in verts and v in verts]
+        assert [(old[a], old[b]) for a, b in sub.edges] == inner
+
+
 def test_reversal_indegree_formula_and_nonproperty():
     rng = random.Random(3)
     for _ in range(25):

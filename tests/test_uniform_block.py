@@ -1,0 +1,149 @@
+"""The 3k-2 construction for k-uniform block graphs.
+
+Its output is compared with the recursive reference in oracles.py,
+arc for arc.  Further tests cover a graph too deep for recursion, the
+absence of whole-graph rebuilds, and the explicit output checks, which must
+hold under ``python -O`` as well.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from orientkit import construct
+from orientkit.errors import ConstructionError
+from orientkit.graph import Graph
+from orientkit.instances import block_tight_example, random_class_instance
+from orientkit.orientation import (PartialOrientation, is_proper,
+                                   max_indegree)
+from orientkit.recognize import BlockCutTree
+from oracles import uniform_block_orient_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def assert_matches_oracle(g, k):
+    d = construct.uniform_block_orient(g, None, k)
+    assert d.toward_max == uniform_block_orient_oracle(g, k).toward_max
+    assert is_proper(d) and max_indegree(d) <= 3 * k - 2
+
+
+def relabeled(g, seed):
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
+
+
+def test_acceptance_corpora_match_oracle():
+    for k in (3, 4):
+        for seed in range(30):
+            assert_matches_oracle(random_class_instance(
+                "uniform-block", 2 + seed % 11, 1000 * k + seed, k), k)
+        for seed in range(20):
+            assert_matches_oracle(random_class_instance(
+                "two-cut-block", 2 + seed % 11, 2000 * k + seed, k), k)
+        assert_matches_oracle(block_tight_example(k), k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_random_instances_match_oracle(k):
+    for size in (2, 5, 13, 40, 100, 200):
+        for seed in range(3):
+            assert_matches_oracle(
+                random_class_instance("uniform-block", size, seed, k), k)
+
+
+@pytest.mark.parametrize("seed", [14, 20, 21, 31, 39])
+def test_backtracking_relabelings_match_oracle(seed):
+    # each of these labelings makes 9-29 re-attachments fail and backtrack
+    g = random_class_instance("uniform-block", 200, 1)
+    assert_matches_oracle(relabeled(g, seed), 3)
+
+
+def test_deep_graph_has_no_recursion_limit():
+    # 2,400 blocks and 4,801 vertices: the recursive construction overflowed
+    g = random_class_instance("uniform-block", 2400, 1)
+    d = construct.uniform_block_orient(g, None, 3)
+    assert is_proper(d) and max_indegree(d) <= 7
+
+
+def test_reductions_do_not_rebuild_the_graph(monkeypatch):
+    g = random_class_instance("uniform-block", 800, 1)
+    sizes, rooted = [], []
+    real_induced, real_bct = Graph.induced, construct.block_cut_tree
+    real_rooted = BlockCutTree.rooted
+
+    def induced(self, vertices):
+        sub, old = real_induced(self, vertices)
+        sizes.append(sub.n)
+        return sub, old
+
+    def block_cut_tree(h):
+        sizes.append(h.n)
+        return real_bct(h)
+
+    def counted_rooted(self, root_block):
+        rooted.append(root_block)
+        return real_rooted(self, root_block)
+
+    def no_copy(self):
+        raise AssertionError("PartialOrientation.copy called")
+
+    monkeypatch.setattr(Graph, "induced", induced)
+    monkeypatch.setattr(construct, "block_cut_tree", block_cut_tree)
+    monkeypatch.setattr(BlockCutTree, "rooted", counted_rooted)
+    monkeypatch.setattr(PartialOrientation, "copy", no_copy)
+    construct.uniform_block_orient(g, None, 3)
+    assert sizes[0] == g.n and len(rooted) == 1
+    # every later subgraph or decomposition is one detached piece
+    assert all(n < 50 for n in sizes[1:])
+
+
+# -- explicit checks that survive python -O ------------------------------------
+
+
+def _reversed_result(fn):
+    return lambda *args: fn(*args).reversed()
+
+
+def check_improper_pieces_raise():
+    """Feed the construction improper piece orientations; it must raise
+    ConstructionError.  Uses no assert, so it also checks under -O."""
+    cases = [
+        # the piece check in _orient_compensated rejects the piece
+        ("_orient_end", random_class_instance("uniform-block", 6, 2)),
+        # the final check of uniform_block_orient rejects the whole
+        ("_orient_compensated", random_class_instance("uniform-block", 11, 7)),
+    ]
+    for name, g in cases:
+        construct.uniform_block_orient(g, None, 3)   # fine unpatched
+        real = getattr(construct, name)
+        setattr(construct, name, _reversed_result(real))
+        try:
+            construct.uniform_block_orient(g, None, 3)
+        except ConstructionError:
+            pass
+        else:
+            raise RuntimeError(f"improper {name} result was accepted")
+        finally:
+            setattr(construct, name, real)
+
+
+def test_improper_pieces_raise():
+    check_improper_pieces_raise()
+
+
+def test_improper_pieces_raise_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    code = ("import test_uniform_block as t\n"
+            "if __debug__: raise SystemExit('asserts are on')\n"
+            "t.check_improper_pieces_raise()\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
