@@ -1,12 +1,25 @@
 """Exact decision, optimization, and enumeration of proper k-orientations.
 
 The search branches on edges in a static order (edges with the most
-constrained, i.e. highest-degree, endpoints first).  After each assignment
-an endpoint is pruned when its indegree interval [current, current+pending]
-admits no value distinct from all fully-decided neighbors, or its current
-indegree already exceeds k.  Optional symmetry breaking forces, within each
-class of mutually non-adjacent vertices with identical neighborhoods, a
-non-increasing indegree order by vertex id.
+constrained, i.e. highest-degree, endpoints first), trying the second
+endpoint as the head first.  After each assignment an endpoint is pruned
+when its indegree interval [current, min(current + pending, k)] admits no
+value distinct from all fully-decided neighbors, or its current indegree
+already exceeds k.  A global capacity bound prunes too: the final indegrees
+sum to m and each is at most min(current + pending, k).  Optional symmetry
+breaking forces, within each class of mutually non-adjacent vertices with
+identical neighborhoods, a non-increasing indegree order by vertex id.
+
+The search state is incremental, so a node costs O(1) plus the degree of
+an endpoint whose last edge it orients:
+- only the tail's capacity term can change, and it drops by at most one;
+- each vertex keeps a bitmask of its decided neighbors' indegrees, backed
+  by per-value counts so it can be taken back, and the interval test is
+  one mask operation.  When a vertex is decided, only the neighbors whose
+  mask gained a value are rechecked: every other undecided vertex passed
+  the test before and its state has not changed;
+- one undo step takes back a depth, whether its head was rejected, led to
+  a complete orientation, or was exhausted further down.
 
 Everything is deterministic: no randomization, fixed tie-breaks, and the
 optimizer climbs k upward from the clique lower bound, so No answers at
@@ -17,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, NotChordal
+from .errors import BudgetExceeded, ConstructionError, NotChordal
 from .graph import Graph
 from .orientation import Orientation, is_proper, max_indegree
 
@@ -25,16 +38,11 @@ from .orientation import Orientation, is_proper, max_indegree
 @dataclass
 class SearchConfig:
     node_budget: int | None = None
-    edge_order: str = "most-constrained"
     symmetry_breaking: bool = True
 
 
-def _edge_order(g: Graph, heuristic):
-    ids = list(range(g.m))
-    if heuristic == "input":
-        return ids
-    if heuristic != "most-constrained":
-        raise ValueError(f"unknown edge order heuristic: {heuristic}")
+def _edge_order(g: Graph):
+    """Edge ids, those with the highest-degree endpoints first."""
     deg = g.degrees()
 
     def key(e):
@@ -43,8 +51,7 @@ def _edge_order(g: Graph, heuristic):
         hi, lo = (a, b) if a >= b else (b, a)
         return (-hi, -lo, u, v)
 
-    ids.sort(key=key)
-    return ids
+    return sorted(range(g.m), key=key)
 
 
 def _stable_twin_pairs(g: Graph):
@@ -59,13 +66,19 @@ def _stable_twin_pairs(g: Graph):
     return pairs
 
 
-def _search(g: Graph, k, budget, symmetry_breaking, edge_order="most-constrained"):
+# an unlimited search counts nodes down from here and refills at zero, so
+# the counter stays a small int
+_REFILL = (1 << 30) - 1
+
+
+def _search(g: Graph, k, budget, symmetry_breaking):
     """Yield every proper k-orientation of g as a heads list (edge-id indexed).
 
-    budget is a one-element list holding the remaining node allowance, or
-    None for unlimited; it is decremented across yields and raises
-    BudgetExceeded at zero.  With symmetry_breaking the yielded set is a
-    complete system of representatives for the decision problem only.
+    budget is a box [remaining, allowance], or None for unlimited.  Its
+    first entry is decremented once per node tried, is current at every
+    yield and exit, and reads -1 when BudgetExceeded is raised.
+    With symmetry_breaking the yielded set is a complete system of
+    representatives for the decision problem only.
     """
     n, m = g.n, g.m
     if k < 0:
@@ -73,128 +86,150 @@ def _search(g: Graph, k, budget, symmetry_breaking, edge_order="most-constrained
     if m == 0:
         yield []
         return
-    order = _edge_order(g, edge_order)
+    order = _edge_order(g)
     eu = [g.edges[e][0] for e in order]
     ev = [g.edges[e][1] for e in order]
     adj = g.adj
     indeg = [0] * n
     rem = g.degrees()
-    heads = [-1] * m  # indexed by canonical edge id
     # global pigeonhole: final indegrees sum to m, each capped at
-    # min(indeg + pending, k); maintained incrementally
+    # min(indeg + pending, k); only the tail's term can drop, by one
     capacity = sum(min(d, k) for d in rem)
     if capacity < m:
         return
+    # values of decided neighbours: cnt[y*w + d] counts y's decided
+    # neighbours of indegree d; bit d of fmask[y] is set while it is positive
+    w = min(k, max(rem)) + 1
+    cnt = [0] * (n * w)
+    fmask = [0] * n
+    # twin order (a, b): indeg[a] + rem[a] >= indeg[b].  Twins are never
+    # adjacent, so a pair can only break when a is the tail or b the head.
+    twin_next = [-1] * n
+    twin_prev = [-1] * n
+    if symmetry_breaking:
+        for a, b in _stable_twin_pairs(g):
+            twin_next[a] = b
+            twin_prev[b] = a
 
-    pairs = _stable_twin_pairs(g) if symmetry_breaking else []
-    pairs_at = [[] for _ in range(n)]
-    for i, (a, b) in enumerate(pairs):
-        pairs_at[a].append(i)
-        pairs_at[b].append(i)
-
-    mark = [0] * (k + 2)
-    stamp = 0
-
-    def vertex_ok(x):
-        nonlocal stamp
-        lo = indeg[x]
-        if lo > k:
-            return False
-        hi = lo + rem[x]
-        if hi > k:
-            hi = k
-        span = hi - lo + 1
-        stamp += 1
-        hit = 0
+    def decide(x):
+        """Publish decided x's indegree to its neighbours; False when an
+        undecided neighbour that gained a value has no free value left.
+        Publishing both ends of an edge in turn decides the same: a mask
+        only grows, and a neighbour of both is rechecked on each new value."""
+        d = indeg[x]
+        bit = 1 << d
+        ok = True
         for y in adj[x]:
-            if rem[y] == 0:
-                d = indeg[y]
-                if lo <= d <= hi and mark[d] != stamp:
-                    mark[d] = stamp
-                    hit += 1
-                    if hit == span:
-                        return False
-        return True
+            i = y * w + d
+            c = cnt[i]
+            cnt[i] = c + 1
+            if not c:
+                f = fmask[y] | bit
+                fmask[y] = f
+                r = rem[y]
+                if r and ok:
+                    lo = indeg[y]
+                    hi = lo + r
+                    if hi > k:
+                        hi = k
+                    if not ((2 << hi) - (1 << lo)) & ~f:
+                        ok = False
+        return ok
 
-    def pair_ok(i):
-        a, b = pairs[i]
-        return indeg[a] + rem[a] >= indeg[b]
-
-    def state_ok(u, v):
-        if not (vertex_ok(u) and vertex_ok(v)):
-            return False
-        for x in (u, v):
-            for i in pairs_at[x]:
-                if not pair_ok(i):
-                    return False
-            if rem[x] == 0:
-                for y in adj[x]:
-                    if rem[y] and not vertex_ok(y):
-                        return False
-        return True
-
-    def cap(x):
-        s = indeg[x] + rem[x]
-        return s if s < k else k
-
-    # tried[pos]: how many head choices were attempted at this depth
-    tried = [0] * m
+    at = [0] * m  # at[e]: the depth at which edge e is oriented
+    for p, e in enumerate(order):
+        at[e] = p
+    hd = [-1] * m  # hd[pos]: the head chosen at depth pos
+    # tried[pos]: head choices tried at depth pos, v first, then u.  A depth
+    # reading 2 is finished: the loop steps back and undoes the depth above
+    # it.  tried[m] stays 2, so a complete orientation is undone the same way.
+    tried = [0] * m + [2]
+    left = budget[0] if budget is not None else _REFILL
     pos = 0
     while True:
-        if pos == m:
-            yield list(heads)
+        t = tried[pos]
+        if t == 2:
+            # the one undo step: take back the head chosen at depth pos - 1
             pos -= 1
-            # fall through to undo/advance at the last depth
-            u, v = eu[pos], ev[pos]
-            h = heads[order[pos]]
-            capacity -= cap(u) + cap(v)
-            indeg[h] -= 1
-            rem[u] += 1
-            rem[v] += 1
-            capacity += cap(u) + cap(v)
-            heads[order[pos]] = -1
-            continue
-        advanced = False
-        while tried[pos] < 2:
-            head = ev[pos] if tried[pos] == 0 else eu[pos]
-            tried[pos] += 1
-            if budget is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    raise BudgetExceeded(_spent(budget))
-            u, v = eu[pos], ev[pos]
-            heads[order[pos]] = head
-            capacity -= cap(u) + cap(v)
-            indeg[head] += 1
-            rem[u] -= 1
-            rem[v] -= 1
-            capacity += cap(u) + cap(v)
-            if capacity >= m and state_ok(u, v):
-                pos += 1
-                advanced = True
+            if pos < 0:
                 break
-            capacity -= cap(u) + cap(v)
+            head = hd[pos]
+            tail = eu[pos] + ev[pos] - head
+            for x in (head, tail):
+                if not rem[x]:
+                    d = indeg[x]
+                    bit = 1 << d
+                    for y in adj[x]:
+                        i = y * w + d
+                        c = cnt[i] - 1
+                        cnt[i] = c
+                        if not c:
+                            fmask[y] ^= bit
             indeg[head] -= 1
-            rem[u] += 1
-            rem[v] += 1
-            capacity += cap(u) + cap(v)
-            heads[order[pos]] = -1
-        if advanced:
-            if pos < m:
-                tried[pos] = 0
+            rem[head] += 1
+            r = rem[tail]
+            rem[tail] = r + 1
+            if indeg[tail] + r < k:
+                capacity += 1
             continue
-        # both choices exhausted here: backtrack
-        pos -= 1
-        if pos < 0:
-            return
-        u, v = eu[pos], ev[pos]
-        h = heads[order[pos]]
-        capacity -= cap(u) + cap(v)
-        indeg[h] -= 1
-        rem[u] += 1
-        rem[v] += 1
-        capacity += cap(u) + cap(v)
-        heads[order[pos]] = -1
+        tried[pos] = t + 1
+        left -= 1
+        if left < 0:
+            if budget is None:
+                left = _REFILL
+            else:
+                budget[0] = left
+                raise BudgetExceeded(_spent(budget))
+        if t:
+            head, tail = eu[pos], ev[pos]
+        else:
+            head, tail = ev[pos], eu[pos]
+        dh = indeg[head] + 1
+        dt = indeg[tail]
+        rt = rem[tail] - 1
+        if dh > k:
+            continue
+        if dt + rt < k:  # the tail's min(indeg + rem, k) drops by one
+            if capacity == m:
+                continue
+            capacity -= 1
+        indeg[head] = dh
+        rh = rem[head] - 1
+        rem[head] = rh
+        rem[tail] = rt
+        hd[pos] = head
+        ok = decide(head) if not rh else True
+        if not rt:
+            ok = decide(tail) and ok
+        if ok:
+            # a free value at both ends, then the twin order at both ends
+            hi = dh + rh
+            if hi > k:
+                hi = k
+            ok = ((2 << hi) - (1 << dh)) & ~fmask[head]
+            if ok:
+                hi = dt + rt
+                if hi > k:
+                    hi = k
+                ok = ((2 << hi) - (1 << dt)) & ~fmask[tail]
+            if ok:
+                b = twin_next[tail]
+                a = twin_prev[head]
+                ok = ((b < 0 or dt + rt >= indeg[b])
+                      and (a < 0 or indeg[a] + rem[a] >= dh))
+        pos += 1
+        if not ok:
+            tried[pos] = 2  # rejected: undone on the next pass
+        elif pos < m:
+            tried[pos] = 0
+        else:
+            if budget is not None:
+                budget[0] = left
+            yield [hd[p] for p in at]
+            if budget is not None:
+                left = budget[0]
+    if budget is not None:
+        budget[0] = left
 
 
 def _spent(budget):
@@ -222,9 +257,11 @@ def decide_k_orientation(g: Graph, k: int, cfg: SearchConfig | None = None,
     if k < clique_number(g) - 1:
         return None
     budget = _budget if _budget is not None else _budget_box(cfg)
-    for heads in _search(g, k, budget, cfg.symmetry_breaking, cfg.edge_order):
+    for heads in _search(g, k, budget, cfg.symmetry_breaking):
         d = Orientation.from_heads(g, heads)
-        assert is_proper(d) and max_indegree(d) <= k
+        if not is_proper(d) or max_indegree(d) > k:
+            raise ConstructionError(f"the search returned an orientation that "
+                                    f"is not a proper {k}-orientation")
         return d
     return None
 
@@ -287,7 +324,13 @@ def fpt_chordal(g: Graph, k: int, cfg: SearchConfig | None = None):
 
 
 def clique_number(g: Graph) -> int:
-    """Exact max clique size via branch and bound with a coloring bound."""
+    """Exact max clique size via branch and bound with a coloring bound.
+
+    Depth-first over candidate bitsets with an explicit stack, so the depth
+    of the search (the clique size) is not limited by Python's recursion.
+    The coloring stops as soon as it cannot prune, and a candidate set
+    that is a clique is taken whole, so a large clique costs one pass.
+    """
     n = g.n
     if n == 0:
         return 0
@@ -300,41 +343,58 @@ def clique_number(g: Graph) -> int:
     order = sorted(range(n), key=lambda v: (len(g.adj[v]), v))
     best = 1
 
-    def color_bound(cand):
-        # greedy coloring of the candidate set; class count bounds the clique
+    def colors_exceed(cand, limit):
+        # greedy coloring of the candidate set; its class count bounds the
+        # clique, and only whether it exceeds limit matters
         classes = []
         rest = cand
         while rest:
             v = rest & -rest
             rest ^= v
-            placed = False
+            nbrs = bits[v.bit_length() - 1]
             for i, cls in enumerate(classes):
-                vid = v.bit_length() - 1
-                if not (cls & bits[vid]):
+                if not (cls & nbrs):
                     classes[i] |= v
-                    placed = True
                     break
-            if not placed:
+            else:
                 classes.append(v)
-        return len(classes)
+                if len(classes) > limit:
+                    return True
+        return False
 
-    def expand(size, cand):
-        nonlocal best
+    def is_clique(cand):
+        rest = cand
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if cand & ~bits[v.bit_length() - 1] != v:
+                return False
+        return True
+
+    # frames (size, cand, i): a clique of `size` vertices, the candidates
+    # that extend it, and the next position in `order`; i == 0 on entry
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        size, cand, i = stack.pop()
         if not cand:
             best = max(best, size)
-            return
-        if size + bin(cand).count("1") <= best:
-            return
-        if size + color_bound(cand) <= best:
-            return
-        for v in order:
-            bit = 1 << v
-            if not (cand & bit):
+            continue
+        if size + cand.bit_count() <= best:
+            continue
+        if i == 0:
+            # a branch whose candidates already form a clique ends here
+            if is_clique(cand):
+                best = max(best, size + cand.bit_count())
                 continue
-            cand &= ~bit
-            expand(size + 1, (cand | bit) & bits[v] & ~bit)
-            if size + bin(cand).count("1") <= best:
-                return
-
-    expand(0, (1 << n) - 1)
+            if not colors_exceed(cand, best - size):
+                continue
+        while i < n:
+            v = order[i]
+            i += 1
+            bit = 1 << v
+            if cand & bit:
+                cand ^= bit
+                stack.append((size, cand, i))
+                stack.append((size + 1, cand & bits[v], 0))
+                break
     return best

@@ -2,7 +2,9 @@
 search and recognizer code paths.  Only feasible for tiny inputs."""
 
 import itertools
+import random
 
+from orientkit.errors import BudgetExceeded
 from orientkit.graph import Graph
 from orientkit.recognize import CotreeJoin, CotreeLeaf, CotreeUnion
 
@@ -164,6 +166,14 @@ def random_gnp(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+def relabeled(g, seed):
+    """An isomorphic copy of g under a seeded random vertex permutation."""
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabeled(perm)
 
 
 def random_tree(rng, n, no_adjacent_degree_at_least=None):
@@ -380,3 +390,142 @@ def uniform_block_orient_oracle(g, k):
         return False
 
     return uniform(g)
+
+
+# -- the exact search as it was before the incremental rewrite ----------------
+
+
+def search_oracle(g, k, budget, symmetry_breaking):
+    """Reference branch and bound: every proper k-orientation of g as a
+    heads list, recomputing capacities and scanning decided neighbours at
+    every node.  Same contract as ``exact._search``, including the budget
+    box (decremented per node tried, -1 after BudgetExceeded)."""
+    n, m = g.n, g.m
+    if k < 0:
+        return
+    if m == 0:
+        yield []
+        return
+    deg = g.degrees()
+
+    def edge_key(e):
+        u, v = g.edges[e]
+        a, b = deg[u], deg[v]
+        hi, lo = (a, b) if a >= b else (b, a)
+        return (-hi, -lo, u, v)
+
+    order = sorted(range(m), key=edge_key)
+    eu = [g.edges[e][0] for e in order]
+    ev = [g.edges[e][1] for e in order]
+    adj = g.adj
+    indeg = [0] * n
+    rem = g.degrees()
+    heads = [-1] * m
+    capacity = sum(min(d, k) for d in rem)
+    if capacity < m:
+        return
+
+    pairs = []
+    if symmetry_breaking:
+        classes = {}
+        for v in range(n):
+            classes.setdefault(tuple(adj[v]), []).append(v)
+        for members in classes.values():
+            pairs.extend(zip(members, members[1:]))
+    pairs_at = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(pairs):
+        pairs_at[a].append(i)
+        pairs_at[b].append(i)
+
+    mark = [0] * (k + 2)
+    stamp = 0
+
+    def vertex_ok(x):
+        nonlocal stamp
+        lo = indeg[x]
+        if lo > k:
+            return False
+        hi = min(lo + rem[x], k)
+        span = hi - lo + 1
+        stamp += 1
+        hit = 0
+        for y in adj[x]:
+            if rem[y] == 0:
+                d = indeg[y]
+                if lo <= d <= hi and mark[d] != stamp:
+                    mark[d] = stamp
+                    hit += 1
+                    if hit == span:
+                        return False
+        return True
+
+    def pair_ok(i):
+        a, b = pairs[i]
+        return indeg[a] + rem[a] >= indeg[b]
+
+    def state_ok(u, v):
+        if not (vertex_ok(u) and vertex_ok(v)):
+            return False
+        for x in (u, v):
+            for i in pairs_at[x]:
+                if not pair_ok(i):
+                    return False
+            if rem[x] == 0:
+                for y in adj[x]:
+                    if rem[y] and not vertex_ok(y):
+                        return False
+        return True
+
+    def cap(x):
+        return min(indeg[x] + rem[x], k)
+
+    def assign(pos, head):
+        nonlocal capacity
+        u, v = eu[pos], ev[pos]
+        heads[order[pos]] = head
+        capacity -= cap(u) + cap(v)
+        indeg[head] += 1
+        rem[u] -= 1
+        rem[v] -= 1
+        capacity += cap(u) + cap(v)
+
+    def undo(pos):
+        nonlocal capacity
+        u, v = eu[pos], ev[pos]
+        capacity -= cap(u) + cap(v)
+        indeg[heads[order[pos]]] -= 1
+        rem[u] += 1
+        rem[v] += 1
+        capacity += cap(u) + cap(v)
+        heads[order[pos]] = -1
+
+    tried = [0] * m
+    pos = 0
+    while True:
+        if pos == m:
+            yield list(heads)
+            pos -= 1
+            undo(pos)
+            continue
+        advanced = False
+        while tried[pos] < 2:
+            head = ev[pos] if tried[pos] == 0 else eu[pos]
+            tried[pos] += 1
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    raise BudgetExceeded(budget[1])
+            assign(pos, head)
+            if capacity >= m and state_ok(eu[pos], ev[pos]):
+                pos += 1
+                advanced = True
+                break
+            undo(pos)
+        if advanced:
+            if pos < m:
+                tried[pos] = 0
+            continue
+        pos -= 1
+        if pos < 0:
+            return
+        undo(pos)

@@ -1,0 +1,176 @@
+"""The exact search against the reference in oracles.py, node for node.
+
+``search_oracle`` is the branch and bound as it was before the search kept
+its state incrementally (capacity, decided-neighbour masks, one undo step).
+Both must explore the same tree: the same stream of heads lists, and the
+same budget-box value after every yield and at every exit, including a
+``BudgetExceeded`` exit, with symmetry breaking on and off.  Further tests
+cover the explicit witness check, which must hold under ``python -O``, and
+``clique_number`` on cliques deeper than the recursion limit.
+"""
+
+import inspect
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from orientkit import exact
+from orientkit.errors import BudgetExceeded, ConstructionError
+from orientkit.exact import clique_number, decide_k_orientation
+from orientkit.graph import Graph
+from orientkit.instances import ladder_gadget, random_class_instance
+from oracles import random_gnp, relabeled, search_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
+BUDGET = 20000
+
+
+def stream(search, g, k, budget, symmetry_breaking):
+    """Every yielded heads list with the box value at that yield, then how
+    the search ended and the box value at the end."""
+    box = None if budget is None else [budget, budget]
+    events = []
+    try:
+        for heads in search(g, k, box, symmetry_breaking):
+            events.append((heads, None if box is None else box[0]))
+        events.append(("done", None if box is None else box[0]))
+    except BudgetExceeded as exc:
+        events.append(("budget", str(exc), box[0]))
+    return events
+
+
+def assert_same_search(g, k, budget=BUDGET):
+    for sym in (True, False):
+        got = stream(exact._search, g, k, budget, sym)
+        assert got == stream(search_oracle, g, k, budget, sym), (g.edges, k, sym)
+
+
+def test_same_search_on_small_random_graphs():
+    rng = random.Random(51)
+    for _ in range(120):
+        g = random_gnp(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
+        for k in range(-1, g.max_degree() + 2):
+            assert_same_search(g, k, budget=3000)
+            assert_same_search(g, k, budget=rng.randint(0, 40))
+        if g.m <= 10:
+            assert_same_search(g, g.max_degree(), budget=None)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_same_search_on_criterion_3_split_graphs(seed):
+    checked = 0
+    for s in range(200):
+        n = 6 + (s * 7) % 35
+        if n > 14:
+            continue
+        g = relabeled(random_class_instance("split", n, s), seed)
+        assert_same_search(g, clique_number(g) - 1)
+        checked += 1
+    assert checked == 80
+
+
+def test_same_search_on_criterion_8_cobipartite_graphs():
+    rng = random.Random(808)
+    for seed in range(50):
+        k = 2 + seed % 3
+        a, b = rng.randint(1, k + 3), rng.randint(1, k + 3)
+        cross = [(u, a + v) for u in range(a) for v in range(b)
+                 if rng.random() < 0.5]
+        g = Graph(a + b, [(u, v) for u in range(a) for v in range(u + 1, a)]
+                  + [(a + u, a + v) for u in range(b) for v in range(u + 1, b)]
+                  + cross)
+        assert_same_search(g, k)
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_same_search_on_ladder_gadgets(j):
+    g, _ = ladder_gadget(j)
+    for k in (j - 1, j, j + 1):
+        assert_same_search(g, k)
+
+
+def climb(search, g, box):
+    """The --opt climb over one shared box: the first k with a witness."""
+    try:
+        for k in range(clique_number(g) - 1, g.max_degree() + 1):
+            heads = next(search(g, k, box, True), None)
+            if heads is not None:
+                return k, heads, box[0]
+    except BudgetExceeded as exc:
+        return str(exc), box[0]
+
+
+def test_same_climb_over_a_shared_budget():
+    # 40 split graphs: some climbs pass the clique floor, some run out
+    for s in range(0, 200, 5):
+        g = random_class_instance("split", 6 + s % 9, s)
+        got = climb(exact._search, g, [BUDGET, BUDGET])
+        assert got == climb(search_oracle, g, [BUDGET, BUDGET])
+
+
+# -- the witness check survives python -O -------------------------------------
+
+
+def check_improper_witness_raises():
+    """Make the search yield an improper heads list; decide_k_orientation
+    must raise ConstructionError.  Uses no assert, so it also checks
+    under -O."""
+    g = Graph.complete(3)
+    real = exact._search
+
+    def improper(g, k, budget, symmetry_breaking):
+        # the directed triangle 0 -> 1 -> 2 -> 0: every indegree is 1
+        yield [{(0, 1): 1, (1, 2): 2, (0, 2): 0}[e] for e in g.edges]
+    exact._search = improper
+    try:
+        decide_k_orientation(g, 2)
+    except ConstructionError:
+        pass
+    else:
+        raise RuntimeError("an improper witness was accepted")
+    finally:
+        exact._search = real
+    if decide_k_orientation(g, 2) is None:
+        raise RuntimeError("K3 has a proper 2-orientation")
+
+
+def test_improper_witness_raises():
+    check_improper_witness_raises()
+
+
+def test_improper_witness_raises_under_optimize():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    code = ("import test_search as t\n"
+            "if __debug__: raise SystemExit('asserts are on')\n"
+            "t.check_improper_witness_raises()\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+# -- clique_number needs no recursion -----------------------------------------
+
+
+def _threshold_graph(n):
+    # vertex v is isolated on arrival when v is even, dominating when odd
+    return Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
+
+
+@pytest.mark.parametrize("build, omega", [
+    (lambda: Graph.complete(300), 300),
+    (lambda: _threshold_graph(400), 201),
+], ids=["K300", "threshold-400"])
+def test_clique_number_deeper_than_recursion_limit(build, omega):
+    g = build()
+    limit = sys.getrecursionlimit()
+    depth = len(inspect.stack())
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert clique_number(g) == omega
+    finally:
+        sys.setrecursionlimit(limit)

@@ -7,7 +7,6 @@ hold under ``python -O`` as well.
 """
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from orientkit.instances import block_tight_example, random_class_instance
 from orientkit.orientation import (PartialOrientation, is_proper,
                                    max_indegree)
 from orientkit.recognize import BlockCutTree
-from oracles import uniform_block_orient_oracle
+from oracles import relabeled, uniform_block_orient_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,13 +29,6 @@ def assert_matches_oracle(g, k):
     d = construct.uniform_block_orient(g, None, k)
     assert d.toward_max == uniform_block_orient_oracle(g, k).toward_max
     assert is_proper(d) and max_indegree(d) <= 3 * k - 2
-
-
-def relabeled(g, seed):
-    rng = random.Random(seed)
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return g.relabeled(perm)
 
 
 def test_acceptance_corpora_match_oracle():
