@@ -21,6 +21,14 @@ an endpoint whose last edge it orients:
 - one undo step takes back a depth, whether its head was rejected, led to
   a complete orientation, or was exhausted further down.
 
+A split graph with an edge between its clique K and its independent side
+I is decided by a DP instead.  It fixes a target indegree for each clique
+vertex, folds over I keeping the arcs each clique vertex has received so
+far, and accepts when the rest is the score sequence of a tournament on K
+(Landau 1953).  One DP state counts as one node against the budget.
+Cliques, with or without isolated vertices, stay on the edge search,
+which decides them in about m nodes.
+
 Everything is deterministic: no randomization, fixed tie-breaks, and the
 optimizer climbs k upward from the clique lower bound, so No answers at
 cheap small k are settled first.
@@ -29,10 +37,13 @@ cheap small k are settled first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import inf
 
 from .errors import BudgetExceeded, ConstructionError, NotChordal
 from .graph import Graph
 from .orientation import Orientation, is_proper, max_indegree
+from .recognize import chordal_peo, clique_number_chordal, split_partition
 
 
 @dataclass
@@ -243,42 +254,268 @@ def _budget_box(cfg):
     return [cfg.node_budget, cfg.node_budget]
 
 
+# -- split graphs: a DP over the independent side --------------------------
+
+
+def _targets(top, twin_prev):
+    """Injective t with t[p] <= top[p], in lexicographic order, where
+    t[p] > t[twin_prev[p]] whenever twin_prev[p] >= 0.  Yields one list,
+    updated in place between yields."""
+    w = len(top)
+    t = [-1] * w
+    used = 0  # bit v is set while some position holds value v
+    p = 0
+    while p >= 0:
+        v = t[p]
+        if v >= 0:
+            used ^= 1 << v
+        v += 1
+        q = twin_prev[p]
+        if q >= 0 and v <= t[q]:
+            v = t[q] + 1
+        while v <= top[p] and used >> v & 1:
+            v += 1
+        if v > top[p]:
+            t[p] = -1
+            p -= 1
+            continue
+        t[p] = v
+        used |= 1 << v
+        if p + 1 == w:
+            yield t
+        else:
+            p += 1
+
+
+def _is_score_sequence(scores):
+    """Landau (1953): the indegrees of some tournament on len(scores)
+    vertices, iff the j smallest sum to at least C(j, 2) for every j, and
+    all of them to exactly C(len, 2)."""
+    total = 0
+    for j, s in enumerate(sorted(scores)):
+        total += s
+        if total < j * (j + 1) // 2:
+            return False
+    return total == len(scores) * (len(scores) - 1) // 2
+
+
+def _split_witness(g: Graph, clique, into, scores):
+    """Heads list (edge-id indexed) of the DP's orientation.
+
+    clique lists K; into maps each independent vertex with a neighbour to
+    the set of its neighbours it sends an arc to, and the rest send an arc
+    to it; scores[p] is the indegree clique[p] still needs inside K.  The
+    tournament on K is built Havel-Hakimi style: the vertex needing the
+    fewest arcs takes them from the others needing the fewest, and sends
+    an arc to each of the rest, which then need one fewer.
+    """
+    heads = [-1] * g.m
+    for i, cs in into.items():
+        for c in g.adj[i]:
+            heads[g.edge_id(i, c)] = c if c in cs else i
+    need = list(scores)
+    alive = list(range(len(clique)))
+    while alive:
+        alive.sort(key=lambda q: (need[q], q))
+        p = alive.pop(0)
+        for j, q in enumerate(alive):
+            e = g.edge_id(clique[p], clique[q])
+            if j < need[p]:
+                heads[e] = clique[p]
+            else:
+                heads[e] = clique[q]
+                need[q] -= 1
+    return heads
+
+
+def _split_decide(g: Graph, k, part, budget):
+    """Heads list of a proper k-orientation of split g, or None.
+
+    part is a split partition (K, I) of g in which some vertex of I has a
+    neighbour.  For each injective target t: K -> {0..k} (t[c] <= deg c;
+    clique vertices with the same neighbours in I are interchangeable, so
+    their targets increase with their position), fold over the vertices of
+    I that have neighbours, fewest neighbours first.  A state is the number
+    of arcs each clique vertex has received from I so far.  Vertex i sends
+    its arcs to some of its neighbours and receives from the rest; its
+    indegree r needs r <= k and r != t[c] for every neighbour c.  Clique
+    vertex c keeps t[c] - (|K| - 1) - (neighbours in I still to come) <=
+    arcs received <= t[c], so that a tournament on K can make up the rest,
+    and the arcs into K must total sum(t) - C(|K|, 2).  A final state is
+    accepted when t - state is a tournament's score sequence.  budget is a
+    box as for _search; every state created, the empty state of each
+    target included, costs one unit.
+    """
+    clique = sorted(part.clique)
+    w = len(clique)
+    at = {c: p for p, c in enumerate(clique)}
+    ind = sorted((v for v in part.independent if g.adj[v]),
+                 key=lambda v: (len(g.adj[v]), v))
+    nbrs = [[at[c] for c in g.adj[i]] for i in ind]
+    deg = [len(g.adj[c]) for c in clique]
+    top = [min(k, d) for d in deg]
+    twin_prev = [-1] * w
+    last = {}
+    for p, c in enumerate(clique):
+        key = tuple(x for x in g.adj[c] if x not in at)
+        twin_prev[p] = last.get(key, -1)
+        last[key] = p
+    # a state packs one field of b bits per clique position, and above
+    # them the total number of arcs into K so far
+    b = max(top).bit_length() or 1
+    field = (1 << b) - 1
+    shift = [p * b for p in range(w)]
+    above = w * b
+    units = [[(1 << shift[p]) + (1 << above) for p in ps] for ps in nbrs]
+    pairs = w * (w - 1) // 2
+    left = budget[0] if budget is not None else inf
+    for t in _targets(top, twin_prev):
+        left -= 1
+        if left < 0:
+            _exhausted(budget)
+        # the tournament takes C(w, 2) of the sum of t, and I the rest, so
+        # the arcs I sends into K must add up to `want`
+        want = sum(t) - pairs
+        # sizes[j]: how many arcs the j-th vertex of I may send into K,
+        # ascending; never empty, as its d <= |K| - 1 <= k neighbours take
+        # at most d of the d + 1 indegrees 0..d
+        sizes = []
+        for ps in nbrs:
+            taken = 0
+            for p in ps:
+                taken |= 1 << t[p]
+            d = len(ps)
+            sizes.append([d - r for r in range(min(k, d), -1, -1)
+                          if not taken >> r & 1])
+        least, most = [0], [0]  # over the layers still to come
+        for sz in reversed(sizes):
+            least.append(least[-1] + sz[0])
+            most.append(most[-1] + sz[-1])
+        least.reverse()
+        most.reverse()
+        if not least[0] <= want <= most[0]:
+            continue
+        # deg c = |K| - 1 + (neighbours in I), all of them still to come
+        lo = [t[p] - deg[p] for p in range(w)]
+        layer = {0: None}
+        back = []
+        for j, (ps, us) in enumerate(zip(nbrs, units)):
+            nxt = {}
+            for state in layer:
+                # arcs i -> c: forced when c cannot keep its count, barred
+                # when c cannot take one more, free otherwise
+                base = state
+                forced = 0
+                free = []
+                for p, u in zip(ps, us):
+                    a = state >> shift[p] & field
+                    if a < t[p]:
+                        if a > lo[p]:
+                            free.append(u)
+                        else:
+                            base += u
+                            forced += 1
+                    elif a <= lo[p]:
+                        break
+                else:
+                    rest = want - (state >> above)
+                    for size in sizes[j]:
+                        if not most[j + 1] >= rest - size >= least[j + 1]:
+                            continue
+                        size -= forced
+                        if 0 <= size <= len(free):
+                            for arcs in combinations(free, size):
+                                new = base + sum(arcs)
+                                if new not in nxt:
+                                    nxt[new] = state
+                                    left -= 1
+                                    if left < 0:
+                                        _exhausted(budget)
+            for p in ps:
+                lo[p] += 1
+            back.append(nxt)
+            layer = nxt
+            if not layer:
+                break
+        else:
+            for state in layer:
+                scores = [t[p] - (state >> shift[p] & field)
+                          for p in range(w)]
+                if _is_score_sequence(scores):
+                    break
+            else:
+                continue
+            if budget is not None:
+                budget[0] = left
+            # follow the back-pointers: the clique vertices each i sends to
+            into = {}
+            for j in range(len(ind) - 1, -1, -1):
+                prev = back[j][state]
+                into[ind[j]] = {clique[p] for p in nbrs[j]
+                                if (state - prev) >> shift[p] & field}
+                state = prev
+            return _split_witness(g, clique, into, scores)
+    if budget is not None:
+        budget[0] = left
+    return None
+
+
+def _exhausted(budget):
+    # the DP's allowance just ran out: the box reads -1, as _search leaves it
+    budget[0] = -1
+    raise BudgetExceeded(_spent(budget))
+
+
 def decide_k_orientation(g: Graph, k: int, cfg: SearchConfig | None = None,
-                         _budget=None):
+                         _budget=None, _omega=None):
     """A verified proper k-orientation of g, or None if none exists.
 
     Answers No outright below the clique floor (any clique of size w needs
-    indegrees 0..w-1); otherwise searches.  Raises BudgetExceeded when
-    cfg.node_budget runs out before an answer.
+    indegrees 0..w-1).  A split graph with an edge between its sides goes
+    to the split DP, any other graph to the edge search.  Raises
+    BudgetExceeded when cfg.node_budget (search nodes, or DP states) runs
+    out before an answer.  _omega, when given, is g's clique number.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     cfg = cfg or SearchConfig()
-    if k < clique_number(g) - 1:
+    part = split_partition(g)
+    if _omega is None:
+        _omega = _clique_floor(g, part)
+    if k < _omega - 1:
         return None
     budget = _budget if _budget is not None else _budget_box(cfg)
-    for heads in _search(g, k, budget, cfg.symmetry_breaking):
-        d = Orientation.from_heads(g, heads)
-        if not is_proper(d) or max_indegree(d) > k:
-            raise ConstructionError(f"the search returned an orientation that "
-                                    f"is not a proper {k}-orientation")
-        return d
-    return None
+    if part is not None and any(g.adj[v] for v in part.independent):
+        heads = _split_decide(g, k, part, budget)
+    else:
+        heads = next(_search(g, k, budget, cfg.symmetry_breaking), None)
+    if heads is None:
+        return None
+    d = Orientation.from_heads(g, heads)
+    if not is_proper(d) or max_indegree(d) > k:
+        raise ConstructionError(f"the search returned an orientation that "
+                                f"is not a proper {k}-orientation")
+    return d
+
+
+def _clique_floor(g: Graph, part):
+    """The clique number: |K| for a split partition, else branch and bound."""
+    return len(part.clique) if part is not None else clique_number(g)
 
 
 def proper_orientation_number(g: Graph, cfg: SearchConfig | None = None):
     """Exact minimum k admitting a proper k-orientation, with a witness.
 
-    Climbs k from omega-1 (omega computed exactly) up to the max degree;
-    the first Yes is optimal.  The node budget, when set, is shared across
-    the whole climb.
+    Climbs k from omega-1 (omega computed exactly, once) up to the max
+    degree; the first Yes is optimal.  The node budget, when set, is shared
+    across the whole climb.
     """
     cfg = cfg or SearchConfig()
     budget = _budget_box(cfg)
-    lo = max(clique_number(g) - 1, 0)
-    hi = g.max_degree()
-    for k in range(lo, hi + 1):
-        witness = decide_k_orientation(g, k, cfg, _budget=budget)
+    omega = _clique_floor(g, split_partition(g))
+    for k in range(max(omega - 1, 0), g.max_degree() + 1):
+        witness = decide_k_orientation(g, k, cfg, _budget=budget,
+                                       _omega=omega)
         if witness is not None:
             return k, witness
     raise AssertionError("a proper max-degree orientation always exists")
@@ -304,20 +541,20 @@ def disjoint_union_rule(values):
 
 
 def fpt_chordal(g: Graph, k: int, cfg: SearchConfig | None = None):
-    """Decision for chordal g: immediate No when omega >= k+2, else search.
+    """Decision for chordal g: immediate No when omega >= k+2, else
+    decide_k_orientation, which hands a split graph with an edge between
+    its sides to the split DP and any other graph to the edge search.
 
     Returns a witness Orientation or None, like decide_k_orientation.
     Raises NotChordal for non-chordal input.
     """
-    from .recognize import chordal_peo, clique_number_chordal
-
     check = chordal_peo(g)
     if check.peo is None:
         raise NotChordal(f"input has chordless cycle {check.chordless_cycle}")
     omega = clique_number_chordal(g, check.peo)
     if omega >= k + 2:
         return None
-    return decide_k_orientation(g, k, cfg)
+    return decide_k_orientation(g, k, cfg, _omega=omega)
 
 
 # -- exact clique number (plumbing for the optimizer's lower bound) -----
