@@ -29,9 +29,18 @@ far, and accepts when the rest is the score sequence of a tournament on K
 Cliques, with or without isolated vertices, stay on the edge search,
 which decides them in about m nodes.
 
+Both engines sit behind a capacity floor.  The vertices of a clique take
+pairwise distinct indegrees, each at most min(k, deg v), and all indegrees
+sum to m; so for a partition of V into cliques, m is at most the sum over
+the cliques of the largest sum of distinct values under those caps.  The
+floor is the least k at which a greedy clique cover passes that test,
+and at least omega - 1.  A k below it is answered No without spending
+budget; at k >= the max degree the answer is always Yes and the floor is
+not computed.
+
 Everything is deterministic: no randomization, fixed tie-breaks, and the
-optimizer climbs k upward from the clique lower bound, so No answers at
-cheap small k are settled first.
+optimizer climbs k upward from the capacity floor, so No answers at cheap
+small k are settled first.
 """
 
 from __future__ import annotations
@@ -467,22 +476,27 @@ def _exhausted(budget):
 
 
 def decide_k_orientation(g: Graph, k: int, cfg: SearchConfig | None = None,
-                         _budget=None, _omega=None):
+                         _budget=None, _floor=None):
     """A verified proper k-orientation of g, or None if none exists.
 
-    Answers No outright below the clique floor (any clique of size w needs
-    indegrees 0..w-1).  A split graph with an edge between its sides goes
-    to the split DP, any other graph to the edge search.  Raises
-    BudgetExceeded when cfg.node_budget (search nodes, or DP states) runs
-    out before an answer.  _omega, when given, is g's clique number.
+    Answers No outright, spending no budget, below the capacity floor: the
+    clique floor omega - 1 (any clique of size w needs indegrees 0..w-1),
+    raised where a clique cover cannot hold m arcs with distinct capped
+    indegrees in each clique.  The floor is not computed at k >= the max
+    degree, where the answer is always Yes.  A split graph with an edge
+    between its sides goes to the split DP, any other graph to the edge
+    search.  Raises BudgetExceeded when cfg.node_budget (search nodes, or
+    DP states) runs out before an answer.  _floor, when given, is g's
+    capacity floor.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     cfg = cfg or SearchConfig()
     part = split_partition(g)
-    if _omega is None:
-        _omega = _clique_floor(g, part)
-    if k < _omega - 1:
+    if _floor is None:
+        _floor = (0 if k >= g.max_degree()
+                  else _capacity_floor(g, _clique_floor(g, part)))
+    if k < _floor:
         return None
     budget = _budget if _budget is not None else _budget_box(cfg)
     if part is not None and any(g.adj[v] for v in part.independent):
@@ -503,19 +517,81 @@ def _clique_floor(g: Graph, part):
     return len(part.clique) if part is not None else clique_number(g)
 
 
+def _clique_cover(g: Graph):
+    """A partition of V into cliques, as lists of vertices.
+
+    Start vertices are taken in one static order, highest degree first,
+    then by id; each clique grows by the candidate with the most neighbours
+    among the remaining candidates, ties to the smallest id.
+    """
+    bits = _neighbour_bits(g)
+    free = (1 << g.n) - 1
+    cover = []
+    for s in sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v)):
+        if not free >> s & 1:
+            continue
+        free ^= 1 << s
+        clique = [s]
+        cand = bits[s] & free
+        while cand:
+            best, most = -1, -1
+            rest = cand
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                c = (bits[v] & cand).bit_count()
+                if c > most:
+                    best, most = v, c
+            free ^= 1 << best
+            clique.append(best)
+            cand &= bits[best]
+        cover.append(clique)
+    return cover
+
+
+def _capacity_floor(g: Graph, omega):
+    """The least k >= omega - 1 at which _clique_cover(g) can hold m arcs.
+
+    A clique whose degrees, in descending order, are d_0 >= d_1 >= ...
+    holds at most sum_i min(k - i, b_i) arcs, where b_0 = d_0 and
+    b_i = min(d_i, b_{i-1} - 1): the i-th value greedily takes the largest
+    value below the previous one within its cap min(k, d_i), which is the
+    largest sum of distinct values under the caps.  Every term is
+    non-negative once k >= omega - 1.
+    """
+    terms = []
+    for clique in _clique_cover(g):
+        b = inf
+        for i, d in enumerate(sorted((len(g.adj[v]) for v in clique),
+                                     reverse=True)):
+            b = min(d, b - 1)
+            terms.append((i, b))
+    # the capacity grows with k and reaches m at the max degree, where a
+    # proper orientation always exists
+    lo, hi = max(omega - 1, 0), g.max_degree()
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(min(mid - i, b) for i, b in terms) >= g.m:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def proper_orientation_number(g: Graph, cfg: SearchConfig | None = None):
     """Exact minimum k admitting a proper k-orientation, with a witness.
 
-    Climbs k from omega-1 (omega computed exactly, once) up to the max
-    degree; the first Yes is optimal.  The node budget, when set, is shared
-    across the whole climb.
+    Climbs k from the capacity floor (computed once, on the exact omega)
+    up to the max degree; the first Yes is optimal.  The node budget, when
+    set, is shared across the whole climb.
     """
     cfg = cfg or SearchConfig()
     budget = _budget_box(cfg)
-    omega = _clique_floor(g, split_partition(g))
-    for k in range(max(omega - 1, 0), g.max_degree() + 1):
+    floor = _capacity_floor(g, _clique_floor(g, split_partition(g)))
+    for k in range(floor, g.max_degree() + 1):
         witness = decide_k_orientation(g, k, cfg, _budget=budget,
-                                       _omega=omega)
+                                       _floor=floor)
         if witness is not None:
             return k, witness
     raise AssertionError("a proper max-degree orientation always exists")
@@ -542,8 +618,9 @@ def disjoint_union_rule(values):
 
 def fpt_chordal(g: Graph, k: int, cfg: SearchConfig | None = None):
     """Decision for chordal g: immediate No when omega >= k+2, else
-    decide_k_orientation, which hands a split graph with an edge between
-    its sides to the split DP and any other graph to the edge search.
+    decide_k_orientation under the capacity floor taken on the chordal
+    omega; it hands a split graph with an edge between its sides to the
+    split DP and any other graph to the edge search.
 
     Returns a witness Orientation or None, like decide_k_orientation.
     Raises NotChordal for non-chordal input.
@@ -554,10 +631,19 @@ def fpt_chordal(g: Graph, k: int, cfg: SearchConfig | None = None):
     omega = clique_number_chordal(g, check.peo)
     if omega >= k + 2:
         return None
-    return decide_k_orientation(g, k, cfg, _omega=omega)
+    return decide_k_orientation(g, k, cfg, _floor=_capacity_floor(g, omega))
 
 
 # -- exact clique number (plumbing for the optimizer's lower bound) -----
+
+
+def _neighbour_bits(g: Graph):
+    """bits[v]: the neighbours of v as a bitset."""
+    bits = [0] * g.n
+    for u, v in g.edges:
+        bits[u] |= 1 << v
+        bits[v] |= 1 << u
+    return bits
 
 
 def clique_number(g: Graph) -> int:
@@ -573,10 +659,7 @@ def clique_number(g: Graph) -> int:
         return 0
     if g.m == 0:
         return 1
-    bits = [0] * n
-    for u, v in g.edges:
-        bits[u] |= 1 << v
-        bits[v] |= 1 << u
+    bits = _neighbour_bits(g)
     order = sorted(range(n), key=lambda v: (len(g.adj[v]), v))
     best = 1
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .errors import BadK, BadParams, NotACover, NotCobipartite, NotCubic, NotSplit
+from .errors import (BadK, BadParams, ConstructionError, NotACover,
+                     NotCobipartite, NotCubic, NotSplit)
 from .exact import clique_number
 from .graph import Graph
 from .orientation import Orientation, is_proper, max_indegree
@@ -261,7 +263,9 @@ def build_vc_certificate(red: ReductionOutput, cover) -> Orientation:
             else:
                 arcs.append((ev, w))
     d = Orientation.from_arcs(red.graph, arcs)
-    assert is_proper(d) and max_indegree(d) <= red.k_prime
+    if not is_proper(d) or max_indegree(d) > red.k_prime:
+        raise ConstructionError(f"the certificate is not a proper "
+                                f"{red.k_prime}-orientation")
     return d
 
 
@@ -310,7 +314,10 @@ def cobipartite_kernel(g: Graph, k: int):
                     raise NotCobipartite("complement is not bipartite")
     if clique_number(g) >= k + 2:
         return Graph.complete(k + 2), k
-    assert g.n <= 2 * (k + 1)
+    # both sides are cliques of at most k + 1 vertices
+    if g.n > 2 * (k + 1):
+        raise ConstructionError(f"a cobipartite graph with clique number "
+                                f"below {k + 2} has {g.n} vertices")
     return g, k
 
 
@@ -431,29 +438,33 @@ def _random_uniform_block(rng, blocks, k, two_cut):
         raise BadParams("need k >= 2 and at least one block")
     edges = list(itertools.combinations(range(k), 2))
     nxt = k
-    block_list = [tuple(range(k))]
-    cut_count = {0: 0}
-    is_cut = set()
+    # Each new block hangs from a vertex picked uniformly from `eligible`,
+    # which stays sorted: every cut vertex, and every other vertex unless
+    # two_cut holds and its block (home[v]) already has two cut vertices.
+    eligible = list(range(k))
+    home = [0] * k
+    cuts = [0]  # cut vertices per block
+    is_cut = bytearray(k)
     for _ in range(blocks - 1):
-        candidates = []
-        for bi, blk in enumerate(block_list):
-            for v in blk:
-                if two_cut and v not in is_cut and cut_count[bi] >= 2:
-                    continue
-                candidates.append(v)
-        at = rng.choice(sorted(set(candidates)))
-        fresh = list(range(nxt, nxt + k - 1))
+        at = rng.choice(eligible)
+        fresh = range(nxt, nxt + k - 1)
+        blk = [at, *fresh]
+        edges.extend(itertools.combinations(blk, 2))
+        if not is_cut[at]:
+            is_cut[at] = 1
+            b = home[at]
+            cuts[b] += 1
+            if two_cut and cuts[b] == 2:
+                # a block's vertices other than the one it hangs from are
+                # consecutive ids; drop those that are not cut vertices
+                lo = bisect_left(eligible, k + (b - 1) * (k - 1) if b else 0)
+                hi = bisect_left(eligible, k + b * (k - 1))
+                eligible[lo:hi] = [v for v in eligible[lo:hi] if is_cut[v]]
+        eligible.extend(fresh)
+        home.extend([len(cuts)] * (k - 1))
+        cuts.append(1)
+        is_cut.extend(bytes(k - 1))
         nxt += k - 1
-        blk = tuple([at] + fresh)
-        edges.extend((min(a, b), max(a, b))
-                     for a, b in itertools.combinations(blk, 2))
-        for bi, old in enumerate(block_list):
-            if at in old and at not in is_cut:
-                cut_count[bi] += 1
-        if at not in is_cut:
-            is_cut.add(at)
-        block_list.append(blk)
-        cut_count[len(block_list) - 1] = 1
     return Graph(nxt, edges)
 
 

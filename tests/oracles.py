@@ -6,6 +6,7 @@ import random
 
 from orientkit.errors import BudgetExceeded
 from orientkit.graph import Graph
+from orientkit.instances import random_class_instance
 from orientkit.recognize import CotreeJoin, CotreeLeaf, CotreeUnion
 
 
@@ -174,6 +175,44 @@ def relabeled(g, seed):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabeled(perm)
+
+
+def criterion_3_graphs():
+    """The 80 split graphs with n <= 14 that criterion 3 solves exactly."""
+    for s in range(200):
+        n = 6 + (s * 7) % 35
+        if n <= 14:
+            yield random_class_instance("split", n, s)
+
+
+def criterion_8_cobipartite_graphs():
+    """(seed, graph, k) for the 50 cobipartite instances of criterion 8."""
+    rng = random.Random(808)
+    for seed in range(50):
+        k = 2 + seed % 3
+        a, b = rng.randint(1, k + 3), rng.randint(1, k + 3)
+        cross = [(u, a + v) for u in range(a) for v in range(b)
+                 if rng.random() < 0.5]
+        g = Graph(a + b, [(u, v) for u in range(a) for v in range(u + 1, a)]
+                  + [(a + u, a + v) for u in range(b) for v in range(u + 1, b)]
+                  + cross)
+        yield seed, g, k
+
+
+def capacity_floor_oracle(g, cover, omega):
+    """The least k >= omega - 1 at which the cliques of cover can hold m
+    arcs, each clique's largest sum of distinct indegrees under the caps
+    min(k, deg v) found by trying every injective assignment."""
+    def most(clique, k):
+        caps = [min(k, len(g.adj[v])) for v in clique]
+        return max(sum(vals) for vals in
+                   itertools.permutations(range(k + 1), len(clique))
+                   if all(x <= c for x, c in zip(vals, caps)))
+
+    k = max(omega - 1, 0)
+    while sum(most(c, k) for c in cover) < g.m:
+        k += 1
+    return k
 
 
 def random_tree(rng, n, no_adjacent_degree_at_least=None):
@@ -529,3 +568,35 @@ def search_oracle(g, k, budget, symmetry_breaking):
         if pos < 0:
             return
         undo(pos)
+
+
+def random_uniform_block_oracle(rng, blocks, k, two_cut):
+    """The quadratic uniform-block generator that instances used before
+    its eligible list became incremental: every new block rescans all
+    earlier blocks for its attachment candidates."""
+    edges = list(itertools.combinations(range(k), 2))
+    nxt = k
+    block_list = [tuple(range(k))]
+    cut_count = {0: 0}
+    is_cut = set()
+    for _ in range(blocks - 1):
+        candidates = []
+        for bi, blk in enumerate(block_list):
+            for v in blk:
+                if two_cut and v not in is_cut and cut_count[bi] >= 2:
+                    continue
+                candidates.append(v)
+        at = rng.choice(sorted(set(candidates)))
+        fresh = list(range(nxt, nxt + k - 1))
+        nxt += k - 1
+        blk = tuple([at] + fresh)
+        edges.extend((min(a, b), max(a, b))
+                     for a, b in itertools.combinations(blk, 2))
+        for bi, old in enumerate(block_list):
+            if at in old and at not in is_cut:
+                cut_count[bi] += 1
+        if at not in is_cut:
+            is_cut.add(at)
+        block_list.append(blk)
+        cut_count[len(block_list) - 1] = 1
+    return Graph(nxt, edges)

@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from orientkit.errors import BadK, BadParams, NotACover, NotCobipartite, NotCubic
+from orientkit import instances
+from orientkit.errors import (BadK, BadParams, ConstructionError, NotACover,
+                              NotCobipartite, NotCubic)
 from orientkit.exact import (decide_k_orientation,
                              enumerate_proper_k_orientations,
                              proper_orientation_number)
@@ -18,7 +24,9 @@ from orientkit.recognize import (block_cut_tree, chordal_peo, is_k_uniform,
                                  max_cut_vertices_per_block,
                                  outerplanar_strip, quasi_threshold_cotree,
                                  split_partition)
-from oracles import brute_clique_number
+from oracles import brute_clique_number, random_uniform_block_oracle
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_ladder_gadget_sizes():
@@ -213,3 +221,93 @@ def test_split_clique_number_matches_brute():
         g = random_class_instance("split", 6 + seed, seed)
         part = split_partition(g)
         assert len(part.clique) == brute_clique_number(g)
+
+
+# -- the uniform-block generator against its quadratic predecessor ------------
+
+
+@pytest.mark.parametrize("two_cut", [False, True])
+def test_uniform_block_generator_matches_oracle(two_cut):
+    # Both make one rng call per block, so the graph on b blocks is the one
+    # on 400 blocks cut down to its first k + (b - 1)(k - 1) vertices.
+    k = 3
+    for seed in range(20):
+        full = random_uniform_block_oracle(random.Random(seed), 400, k,
+                                           two_cut).edges
+        assert instances._random_uniform_block(
+            random.Random(seed), 400, k, two_cut).edges == full
+        for blocks in range(seed + 1, 400, 20):
+            n = k + (blocks - 1) * (k - 1)
+            got = instances._random_uniform_block(random.Random(seed),
+                                                  blocks, k, two_cut)
+            assert got.n == n
+            assert got.edges == [e for e in full if e[1] < n], (seed, blocks)
+    for blocks in (800, 2400):
+        want = random_uniform_block_oracle(random.Random(1), blocks, k,
+                                           two_cut)
+        got = instances._random_uniform_block(random.Random(1), blocks, k,
+                                              two_cut)
+        assert got.n == want.n and got.edges == want.edges
+
+
+# -- explicit checks that survive python -O ------------------------------------
+
+
+def check_improper_certificate_raises():
+    """Reverse the ladder gadgets' arcs in the vertex-cover certificate;
+    build_vc_certificate must raise ConstructionError.  Uses no assert, so
+    it also checks under -O."""
+    red = reduce_vertex_cover(Graph.complete(4), 3)
+    build_vc_certificate(red, {0, 1, 2})   # fine unpatched
+    real = instances._ladder_arcs
+    instances._ladder_arcs = lambda meta, extras: [
+        (b, a) for a, b in real(meta, extras)]
+    try:
+        build_vc_certificate(red, {0, 1, 2})
+    except ConstructionError:
+        pass
+    else:
+        raise RuntimeError("an improper certificate was accepted")
+    finally:
+        instances._ladder_arcs = real
+
+
+def check_oversized_cobipartite_kernel_raises():
+    """Make clique_number understate the clique number of two disjoint
+    4-cliques; at k = 2 cobipartite_kernel must then find 8 > 2(k + 1)
+    vertices and raise ConstructionError.  Uses no assert."""
+    two_k4 = Graph(8, [(u, v) for side in (range(4), range(4, 8))
+                       for u in side for v in side if u < v])
+    if cobipartite_kernel(two_k4, 2)[0] != Graph.complete(4):
+        raise RuntimeError("two 4-cliques need k >= 3")
+    real = instances.clique_number
+    instances.clique_number = lambda g: 1
+    try:
+        cobipartite_kernel(two_k4, 2)
+    except ConstructionError:
+        pass
+    else:
+        raise RuntimeError("an oversized cobipartite kernel was returned")
+    finally:
+        instances.clique_number = real
+
+
+def test_improper_certificate_raises():
+    check_improper_certificate_raises()
+
+
+def test_oversized_cobipartite_kernel_raises():
+    check_oversized_cobipartite_kernel_raises()
+
+
+@pytest.mark.parametrize("check", ["check_improper_certificate_raises",
+                                   "check_oversized_cobipartite_kernel_raises"])
+def test_checks_hold_under_optimize(check):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests")]))
+    code = ("import test_instances as t\n"
+            "if __debug__: raise SystemExit('asserts are on')\n"
+            f"t.{check}()\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -30,18 +30,10 @@ from orientkit.graph import Graph
 from orientkit.instances import random_class_instance, split_kernel
 from orientkit.orientation import is_proper, max_indegree
 from orientkit.recognize import outerplanar_strip, split_partition
-from oracles import relabeled
+from oracles import criterion_3_graphs, relabeled
 
 ROOT = Path(__file__).resolve().parent.parent
 BUDGET = 20000
-
-
-def criterion_3_graphs():
-    """The 80 split graphs with n <= 14 that criterion 3 solves exactly."""
-    for s in range(200):
-        n = 6 + (s * 7) % 35
-        if n <= 14:
-            yield random_class_instance("split", n, s)
 
 
 def goes_to_dp(g):
