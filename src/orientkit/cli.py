@@ -23,9 +23,8 @@ from .errors import BudgetExceeded, OrientkitError
 from .exact import (SearchConfig, decide_k_orientation,
                     proper_orientation_number)
 from .graph import read_graph, write_graph
-from .orientation import (CompensationSpec, PartialOrientation,
-                          is_compensated_proper, is_proper, max_indegree,
-                          read_orientation, write_orientation)
+from .orientation import (CompensationSpec, is_compensated_proper, is_proper,
+                          max_indegree, read_orientation, write_orientation)
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -74,9 +73,7 @@ def _parser():
     p = sub.add_parser("orient", help="class-specific constructor")
     p.add_argument("graph")
     p.add_argument("--class", dest="cls", default="auto",
-                   choices=["auto", "quasi-threshold", "split",
-                            "uniform-block", "two-cut-block", "low-degree",
-                            "outerplanar-strip", "cograph"])
+                   choices=["auto"] + [c.name for c in construct.ORIENT_CLASSES])
     p.add_argument("--c", type=int, help="degree threshold for low-degree")
     p.add_argument("--out", help="write the orientation here")
 
@@ -136,97 +133,18 @@ def _cmd_solve(args, report):
     return EXIT_OK
 
 
-_CLASS_ORDER = ["quasi-threshold", "split", "two-cut-block", "uniform-block",
-                "outerplanar-strip", "cograph", "low-degree"]
-
-
-def _try_class(g, cls, c_flag):
-    """(orientation, bound) for the class, or None when g is not in it."""
-    if cls == "quasi-threshold":
-        cot = recognize.quasi_threshold_cotree(g)
-        if cot is None:
-            return None
-        d = construct.quasi_threshold_orient(cot)
-        return d, max_indegree(d)
-    if cls == "split":
-        part = recognize.split_partition(g)
-        if part is None:
-            return None
-        omega = len(part.clique)
-        return construct.split_orient(g, part), max(2 * omega - 2, 0)
-    if cls in ("uniform-block", "two-cut-block"):
-        bct = recognize.block_cut_tree(g)
-        if not bct.blocks or not g.is_connected():
-            return None
-        k = len(bct.blocks[0])
-        if k < 3 or not recognize.is_k_uniform(bct, k):
-            return None
-        if cls == "two-cut-block":
-            if recognize.max_cut_vertices_per_block(bct) > 2:
-                return None
-            return construct.two_cut_block_orient(g, bct, k), k + 1
-        return construct.uniform_block_orient(g, bct, k), 3 * k - 2
-    if cls == "outerplanar-strip":
-        strip = recognize.outerplanar_strip(g)
-        if strip is None:
-            return None
-        return construct.outerplanar_strip_orient(g, strip), 13
-    if cls == "cograph":
-        check = recognize.cograph_cotree(g)
-        if check.cotree is None:
-            return None
-        d = _cograph_orient(g, check.cotree)
-        return d, cograph_upper(check.cotree)
-    if cls == "low-degree":
-        c = c_flag if c_flag is not None else _min_degree_threshold(g)
-        return construct.low_degree_orient(g, c), c
-    raise AssertionError(cls)
-
-
-def _min_degree_threshold(g):
-    worst = max((min(g.degree(u), g.degree(v)) for u, v in g.edges), default=0)
-    return max(worst, 1)
-
-
-def cograph_upper(cotree):
-    return construct.cograph_bounds(cotree)[1]
-
-
-def _cograph_orient(g, cotree):
-    """Orientation from the cotree by union/join composition, children first."""
-    leaves, nodes = recognize.cotree_postorder(cotree)
-    p = PartialOrientation(g)
-    for node, bounds in nodes:
-        if not isinstance(node, recognize.CotreeJoin):
-            continue
-        # realize the join as a chain of one-sided cross orientations
-        start = bounds[0]
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            accum, incoming = leaves[start:lo], leaves[lo:hi]
-            side_a = max((p.indegree[v] for v in accum), default=0)
-            side_b = max((p.indegree[v] for v in incoming), default=0)
-            if max(side_a, side_b + len(accum)) <= max(side_b, side_a + len(incoming)):
-                for a in accum:
-                    for b in incoming:
-                        p.orient(a, b, b)
-            else:
-                for a in accum:
-                    for b in incoming:
-                        p.orient(a, b, a)
-    return p.to_orientation()
-
-
 def _cmd_orient(args, report):
     g = read_graph(args.graph)
     report.add("input_sha256", _hash_file(args.graph))
-    classes = _CLASS_ORDER if args.cls == "auto" else [args.cls]
-    for cls in classes:
-        got = _try_class(g, cls, args.c)
-        if got is None:
+    for cls in construct.ORIENT_CLASSES:
+        if args.cls not in ("auto", cls.name):
             continue
-        d, bound = got
-        report.add("class", cls)
-        report.add("bound", bound)
+        certificate = cls.recognize(g, args.c)
+        if certificate is None:
+            continue
+        d = cls.orient(g, certificate)
+        report.add("class", cls.name)
+        report.add("bound", cls.bound(certificate, d))
         report.add("max_indegree", max_indegree(d))
         report.add("proper", str(is_proper(d)).lower())
         if args.out:

@@ -1,7 +1,7 @@
 """Polynomial-time constructors of proper orientations, one per graph class.
 
-Each public function returns an Orientation that the verifier accepts and
-whose maximum indegree meets the class bound:
+Each public function returns an Orientation whose maximum indegree meets
+the class bound:
 
     quasi-threshold         omega - 1          (optimal)
     split                   2*omega - 2
@@ -9,7 +9,13 @@ whose maximum indegree meets the class bound:
     two-cut k-uniform block  k + 1             (cut indegrees in {0, k, k+1})
     degree condition         c
     outerplane strip         13
-    cograph join             min over the two cross directions
+    cograph (cotree), join   the smaller of the two cross directions, per join
+
+Before it is returned, every result is re-checked for what its function
+promises (properness, the bound, a stated indegree); the check also runs
+under ``python -O`` and raises ConstructionError.  ORIENT_CLASSES pairs each
+class with its recognizer, its constructor and the bound ``orient``
+reports, in the order ``orient --class auto`` tries them.
 
 The k-uniform block construction detaches the hanging path pieces or
 crossroad structures around a deepest reducible cut vertex, again and
@@ -22,8 +28,7 @@ built once; the reductions form an explicit stack over one undo log, so a
 failed re-attachment backtracks to its level's next candidate without
 recursion.  Local extensions are found by a small deterministic
 assignment search over clique positions, colors, and per-piece indegree
-splits.  Explicit checks, which also run under ``python -O``, re-verify
-each piece and the final orientation.
+splits.  Each re-attached piece is re-checked in the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import (BadCompensation, BadShape, BudgetExceeded,
                      ConstructionError, DegreeConditionViolated,
@@ -46,9 +52,27 @@ from .orientation import (CompensationSpec, Orientation, PartialOrientation,
                           is_compensated_proper, is_proper, max_indegree)
 from .recognize import (BlockCutTree, CotreeJoin, CotreeLeaf, CotreeUnion,
                         SplitPartition, block_cut_tree, chordal_peo,
-                        clique_number_chordal, cotree_postorder,
-                        evaluate_cotree, is_claw_free, is_k_uniform,
-                        outerplanar_strip)
+                        clique_number_chordal, cograph_cotree,
+                        cotree_postorder, evaluate_cotree, is_claw_free,
+                        is_k_uniform, max_cut_vertices_per_block,
+                        outerplanar_strip, quasi_threshold_cotree,
+                        split_partition)
+
+
+def _verified(d: Orientation, what, bound=None, *, proper=True, holds=True):
+    """d, once an explicit check that also runs under ``python -O`` passes:
+    d is proper (skipped when proper is False), its max indegree is at most
+    bound (when given), and holds, the caller's own condition on d, is true.
+    Raises ConstructionError naming what otherwise."""
+    if proper and not is_proper(d):
+        why = "is improper"
+    elif bound is not None and max_indegree(d) > bound:
+        why = f"exceeds indegree {bound}"
+    elif not holds:
+        why = "breaks its stated property"
+    else:
+        return d
+    raise ConstructionError(f"{what} built an orientation that {why}")
 
 
 # -- greedy extension of a partial orientation ----------------------------
@@ -109,9 +133,7 @@ def extend_partial(g: Graph, s, ds) -> Orientation:
             pending[u] += 1
             pending[v] += 1
     _greedy_inward(p, pending)
-    d = p.to_orientation()
-    assert is_proper(d)
-    return d
+    return _verified(p.to_orientation(), "extend_partial")
 
 
 def _greedy_inward(p: PartialOrientation, pending):
@@ -147,9 +169,7 @@ def low_degree_orient(g: Graph, c: int) -> Orientation:
     for u, v in g.edges:
         if u in s and v in s:
             raise DegreeConditionViolated((u, v))
-    d = extend_partial(g, s, {})
-    assert max_indegree(d) <= c
-    return d
+    return _verified(extend_partial(g, s, {}), "low_degree_orient", c)
 
 
 # -- quasi-threshold graphs -----------------------------------------------
@@ -168,9 +188,7 @@ def quasi_threshold_orient(cotree) -> Orientation:
                 "join must add a single vertex"
             for u in leaves[bounds[1]:bounds[2]]:
                 p.orient(head.vertex, u, u)
-    d = p.to_orientation()
-    assert is_proper(d)
-    return d
+    return _verified(p.to_orientation(), "quasi_threshold_orient")
 
 
 # -- split graphs ----------------------------------------------------------
@@ -237,9 +255,7 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
                 p.orient(u, v, u)
             else:
                 p.orient(u, v, v if rank[v] > rank[u] else u)
-    d = p.to_orientation()
-    assert is_proper(d) and max_indegree(d) <= bound
-    return d
+    return _verified(p.to_orientation(), "split_orient", bound)
 
 
 # -- compensated orientations of path-of-cliques pieces --------------------
@@ -444,13 +460,10 @@ def _orient_compensated(shape: PieceShape, c, d) -> Orientation:
 def _checked_compensated(shape: PieceShape, c, d, out: Orientation):
     """out, once verified: indegree d at the target, proper when the target
     is recolored c, and max indegree at most max(c, 2k-2)."""
-    if not is_compensated_proper(out, CompensationSpec(shape.target, c, d)):
-        raise ConstructionError(f"piece orientation is not compensated-proper "
-                                f"for (c={c}, d={d})")
-    if max_indegree(out) > max(c, 2 * shape.k - 2):
-        raise ConstructionError(f"piece orientation exceeds indegree "
-                                f"{max(c, 2 * shape.k - 2)}")
-    return out
+    return _verified(out, f"the piece for (c={c}, d={d})",
+                     max(c, 2 * shape.k - 2), proper=False,
+                     holds=is_compensated_proper(
+                         out, CompensationSpec(shape.target, c, d)))
 
 
 def _orient_end(g: Graph, k, blocks, target, c, d) -> Orientation:
@@ -504,9 +517,8 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
     g = Graph(len(verts), {(a, b) for blk in seq.cliques
                            for a in blk for b in blk if a < b})
     result = _orient_end(g, k, list(seq.cliques), u, c, d)
-    assert result.indegree[u] == d
-    assert max_indegree(result) <= max(c, 2 * k - 2)
-    return result
+    return _verified(result, "path_block_compensated", max(c, 2 * k - 2),
+                     proper=False, holds=result.indegree[u] == d)
 
 
 # -- k-uniform block graphs: the general 3k-2 construction -----------------
@@ -947,9 +959,9 @@ def _exhausted(frame):
                              f"({frame.failure})")
 
 
-def uniform_block_orient(g: Graph, bct: BlockCutTree = None,
-                         k: int = None) -> Orientation:
-    """Proper (3k-2)-orientation of a connected k-uniform block graph."""
+def _block_input(g: Graph, bct, k):
+    """(bct, k) for a connected k-uniform block graph with k >= 3; each is
+    worked out from g when None.  Raises when g is not such a graph."""
     if bct is None:
         bct = block_cut_tree(g)
     if k is None:
@@ -961,12 +973,15 @@ def uniform_block_orient(g: Graph, bct: BlockCutTree = None,
         raise NotUniformBlock("graph must be connected")
     if not is_k_uniform(bct, k):
         raise NotUniformBlock(f"not every block is a {k}-clique")
-    d = _UniformReducer(g, bct, k).run()
-    if not is_proper(d) or max_indegree(d) > 3 * k - 2:
-        raise ConstructionError(f"the {k}-uniform block construction "
-                                f"returned an orientation that is improper "
-                                f"or exceeds {3 * k - 2}")
-    return d
+    return bct, k
+
+
+def uniform_block_orient(g: Graph, bct: BlockCutTree = None,
+                         k: int = None) -> Orientation:
+    """Proper (3k-2)-orientation of a connected k-uniform block graph."""
+    bct, k = _block_input(g, bct, k)
+    return _verified(_UniformReducer(g, bct, k).run(),
+                     "uniform_block_orient", 3 * k - 2)
 
 
 # -- two cut vertices per block: the k+1 construction ----------------------
@@ -979,23 +994,14 @@ def two_cut_block_orient(g: Graph, bct: BlockCutTree = None,
     Cut vertices end with indegree 0, k, or k+1; the orientation restricted
     to every clique is transitive.
     """
-    if bct is None:
-        bct = block_cut_tree(g)
-    if k is None:
-        k = len(bct.blocks[0]) if bct.blocks else 0
-    if k < 3:
-        raise UnsupportedK("block size must be at least 3")
-    if not g.is_connected():
-        raise NotUniformBlock("graph must be connected")
-    if not is_k_uniform(bct, k):
-        raise NotUniformBlock(f"not every block is a {k}-clique")
+    bct, k = _block_input(g, bct, k)
     cuts = bct.cut_vertices
     if any(sum(1 for v in blk if v in cuts) > 2 for blk in bct.blocks):
         raise NotUniformBlock("a block has more than two cut vertices")
     p = PartialOrientation(g)
     if not cuts:
         _transitive(p, sorted(bct.blocks[0]))
-        return p.to_orientation()
+        return _verified(p.to_orientation(), "two_cut_block_orient", k + 1)
     leaf = min(bi for bi, blk in enumerate(bct.blocks)
                if sum(1 for v in blk if v in cuts) == 1)
     rooted = bct.rooted(leaf)
@@ -1034,9 +1040,8 @@ def two_cut_block_orient(g: Graph, bct: BlockCutTree = None,
                 orient_block(cb, placed)
                 queue.append(cb)
     d = p.to_orientation()
-    assert is_proper(d) and max_indegree(d) <= k + 1
-    assert all(d.indegree[v] in (0, k, k + 1) for v in cuts)
-    return d
+    return _verified(d, "two_cut_block_orient", k + 1,
+                     holds=all(d.indegree[v] in (0, k, k + 1) for v in cuts))
 
 
 # -- alternating paths and the outerplanar strip bound ---------------------
@@ -1167,9 +1172,7 @@ def extend_to_path(g: Graph, p: PartialOrientation, v, v0, path, vend) -> Orient
                 p.orient(path[-3], path[-2], path[-2])
                 p.orient(path[-2], path[-1], path[-2])
                 alt(M.SINK_ENDS, path[:-2])
-    d = p.to_orientation()
-    assert is_proper(d)
-    return d
+    return _verified(p.to_orientation(), "extend_to_path")
 
 
 def _fan_order(g: Graph, v):
@@ -1243,9 +1246,7 @@ def outerplanar_strip_orient(g: Graph, strip=None) -> Orientation:
         raise NotStrip("graph is not a triangle strip")
     if strip is not None and set(strip.triangles) != set(computed.triangles):
         raise NotStrip("supplied strip does not match the graph")
-    d = _strip_orient(g)
-    assert is_proper(d) and max_indegree(d) <= 13
-    return d
+    return _verified(_strip_orient(g), "outerplanar_strip_orient", 13)
 
 
 # -- cographs ---------------------------------------------------------------
@@ -1292,14 +1293,46 @@ def cograph_bounds(cotree):
     return lower, upper
 
 
+def _cross_into_second(a, n_a, b, n_b):
+    """Whether the cross edges of a join go into the second side: sides of
+    n_a and n_b vertices whose own max indegrees are a and b take the one
+    direction whose max indegree is smaller, ties into the second."""
+    return max(a, b + n_a) <= max(b, a + n_b)
+
+
+def cograph_orient(g: Graph, cotree) -> Orientation:
+    """Proper orientation of a cograph from its cotree, children first.
+
+    Each join is realized as a chain over its children: the vertices of
+    the children already folded in form one side, the next child the
+    other, and every cross edge between them goes one way.
+    """
+    leaves, nodes = cotree_postorder(cotree)
+    p = PartialOrientation(g)
+    for node, bounds in nodes:
+        if not isinstance(node, CotreeJoin):
+            continue
+        start = bounds[0]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            folded, incoming = leaves[start:lo], leaves[lo:hi]
+            a = max((p.indegree[v] for v in folded), default=0)
+            b = max((p.indegree[v] for v in incoming), default=0)
+            into_incoming = _cross_into_second(a, len(folded),
+                                               b, len(incoming))
+            for x in folded:
+                for y in incoming:
+                    p.orient(x, y, y if into_incoming else x)
+    return _verified(p.to_orientation(), "cograph_orient")
+
+
 def cograph_join_orient(g1: Graph, g2: Graph, d1: Orientation,
                         d2: Orientation) -> Orientation:
     """Proper orientation of the join, sending all cross edges one way."""
     if d1.graph != g1 or d2.graph != g2:
         raise PreconditionViolated("orientations must match the given graphs")
     jg = join(g1, g2)
-    into_second = (max(max_indegree(d1), max_indegree(d2) + g1.n)
-                   <= max(max_indegree(d2), max_indegree(d1) + g2.n))
+    into_second = _cross_into_second(max_indegree(d1), g1.n,
+                                     max_indegree(d2), g2.n)
     heads = []
     for u, v in jg.edges:
         if v < g1.n:
@@ -1308,9 +1341,7 @@ def cograph_join_orient(g1: Graph, g2: Graph, d1: Orientation,
             heads.append(d2.head(g2.edge_id(u - g1.n, v - g1.n)) + g1.n)
         else:
             heads.append(v if into_second else u)
-    d = Orientation.from_heads(jg, heads)
-    assert is_proper(d)
-    return d
+    return _verified(Orientation.from_heads(jg, heads), "cograph_join_orient")
 
 
 # -- claw-free chordal graphs -----------------------------------------------
@@ -1340,3 +1371,69 @@ def claw_free_chordal_bound(g: Graph) -> int:
         assert len(nb) <= 3 * omega
     assert g.max_degree() <= 3 * omega or g.n == 0
     return g.max_degree()
+
+
+# -- the class table ---------------------------------------------------------
+
+
+class OrientClass(NamedTuple):
+    """One constructive result: a class, its recognizer, its constructor,
+    and the bound ``orient`` reports.
+
+    recognize(g, c) returns a certificate, or None when g is not in the
+    class; only the degree condition reads c, its threshold (None picks the
+    least that holds).  orient(g, certificate) returns the orientation and
+    bound(certificate, orientation) the bound; only quasi-threshold reads
+    the orientation, whose max indegree is the optimum omega - 1.
+    """
+
+    name: str
+    recognize: Callable
+    orient: Callable
+    bound: Callable
+
+
+def _uniform_blocks(g: Graph, c=None):
+    """(block-cut tree, k) when g is a connected k-uniform block graph with
+    k >= 3, else None."""
+    try:
+        return _block_input(g, None, None)
+    except (UnsupportedK, NotUniformBlock):
+        return None
+
+
+def _two_cut_blocks(g: Graph, c=None):
+    """As _uniform_blocks, when no block has more than two cut vertices."""
+    got = _uniform_blocks(g)
+    return got if got and max_cut_vertices_per_block(got[0]) <= 2 else None
+
+
+def _degree_threshold(g: Graph, c):
+    """c, or when None the least c >= 1 with no edge between two vertices
+    of degree above c."""
+    if c is not None:
+        return c
+    worst = max((min(g.degree(u), g.degree(v)) for u, v in g.edges), default=0)
+    return max(worst, 1)
+
+
+# in the order orient --class auto tries them
+ORIENT_CLASSES = (
+    OrientClass("quasi-threshold", lambda g, c: quasi_threshold_cotree(g),
+                lambda g, cotree: quasi_threshold_orient(cotree),
+                lambda cotree, d: max_indegree(d)),
+    OrientClass("split", lambda g, c: split_partition(g), split_orient,
+                lambda part, d: max(2 * len(part.clique) - 2, 0)),
+    OrientClass("two-cut-block", _two_cut_blocks,
+                lambda g, bk: two_cut_block_orient(g, *bk),
+                lambda bk, d: bk[1] + 1),
+    OrientClass("uniform-block", _uniform_blocks,
+                lambda g, bk: uniform_block_orient(g, *bk),
+                lambda bk, d: 3 * bk[1] - 2),
+    OrientClass("outerplanar-strip", lambda g, c: outerplanar_strip(g),
+                outerplanar_strip_orient, lambda strip, d: 13),
+    OrientClass("cograph", lambda g, c: cograph_cotree(g).cotree,
+                cograph_orient, lambda cotree, d: cograph_bounds(cotree)[1]),
+    OrientClass("low-degree", _degree_threshold, low_degree_orient,
+                lambda c, d: c),
+)

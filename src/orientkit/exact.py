@@ -6,9 +6,11 @@ endpoint as the head first.  After each assignment an endpoint is pruned
 when its indegree interval [current, min(current + pending, k)] admits no
 value distinct from all fully-decided neighbors, or its current indegree
 already exceeds k.  A global capacity bound prunes too: the final indegrees
-sum to m and each is at most min(current + pending, k).  Optional symmetry
-breaking forces, within each class of mutually non-adjacent vertices with
-identical neighborhoods, a non-increasing indegree order by vertex id.
+sum to m and each is at most min(current + pending, k).  To decide, the
+search also breaks symmetry: within each class of mutually non-adjacent
+vertices with identical neighborhoods it forces a non-increasing indegree
+order by vertex id.  Enumeration turns this off, so that it lists every
+orientation.
 
 The search state is incremental, so a node costs O(1) plus the degree of
 an endpoint whose last edge it orients:
@@ -58,7 +60,6 @@ from .recognize import chordal_peo, clique_number_chordal, split_partition
 @dataclass
 class SearchConfig:
     node_budget: int | None = None
-    symmetry_breaking: bool = True
 
 
 def _edge_order(g: Graph):
@@ -502,7 +503,7 @@ def decide_k_orientation(g: Graph, k: int, cfg: SearchConfig | None = None,
     if part is not None and any(g.adj[v] for v in part.independent):
         heads = _split_decide(g, k, part, budget)
     else:
-        heads = next(_search(g, k, budget, cfg.symmetry_breaking), None)
+        heads = next(_search(g, k, budget, True), None)
     if heads is None:
         return None
     d = Orientation.from_heads(g, heads)

@@ -11,7 +11,6 @@ Blank lines and '#' comments are ignored; token spacing is free-form.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
 
 class Graph:
@@ -61,12 +60,6 @@ class Graph:
 
     def edge_id(self, u, v):
         return self._eix[(u, v) if u < v else (v, u)]
-
-    def edges_per_vertex(self):
-        """|E| / |V| as an exact rational (0 for the empty-vertex graph)."""
-        if self.n == 0:
-            return Fraction(0)
-        return Fraction(self.m, self.n)
 
     def is_clique(self, vertices):
         vs = list(vertices)

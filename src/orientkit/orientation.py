@@ -120,18 +120,6 @@ class PartialOrientation:
         self.indegree[head] += 1
         self.unoriented -= 1
 
-    def unorient(self, u, v):
-        e = self.graph.edge_id(u, v)
-        h = self.heads[e]
-        if h < 0:
-            raise ValueError(f"edge ({u},{v}) is not oriented")
-        self.heads[e] = -1
-        self.indegree[h] -= 1
-        self.unoriented += 1
-
-    def is_complete(self):
-        return self.unoriented == 0
-
     def to_orientation(self) -> Orientation:
         if self.unoriented:
             raise ValueError(f"{self.unoriented} edges still unoriented")

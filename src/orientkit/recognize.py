@@ -230,10 +230,6 @@ def cotree_postorder(root):
     return leaves, nodes
 
 
-def cotree_vertices(node) -> frozenset:
-    return frozenset(cotree_postorder(node)[0])
-
-
 def evaluate_cotree(node, n=None) -> Graph:
     """Rebuild the graph a cotree denotes; leaves name the vertex ids."""
     leaves, nodes = cotree_postorder(node)

@@ -2,7 +2,11 @@
 search and recognizer code paths.  Only feasible for tiny inputs."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from orientkit.errors import BudgetExceeded
 from orientkit.graph import Graph
@@ -167,6 +171,12 @@ def random_gnp(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return Graph(n, edges)
+
+
+def threshold_graph(n):
+    """Vertices alternately isolated and dominating: a cotree of depth ~n
+    and a clique of n // 2 + 1 vertices."""
+    return Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
 
 
 def relabeled(g, seed):
@@ -600,3 +610,21 @@ def random_uniform_block_oracle(rng, blocks, k, two_cut):
         block_list.append(blk)
         cut_count[len(block_list) - 1] = 1
     return Graph(nxt, edges)
+
+
+# -- checks under python -O ---------------------------------------------------
+
+
+def run_optimized(module, check):
+    """Run the no-argument function check of the test module under
+    ``python -O``, where assert statements are gone; fails when asserts are
+    still on or the check raises.  Checks run this way use no assert."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), str(root / "tests")]))
+    code = (f"import {module} as t\n"
+            "if __debug__: raise SystemExit('asserts are on')\n"
+            f"t.{check}()\n")
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from orientkit import construct
 from orientkit.construct import (AlternatingMode, claw_free_chordal_bound,
                                  cograph_bounds, cograph_join_orient,
-                                 extend_partial, extend_to_path,
-                                 low_degree_orient, orient_alternating,
-                                 outerplanar_strip_orient,
+                                 cograph_orient, extend_partial,
+                                 extend_to_path, low_degree_orient,
+                                 orient_alternating, outerplanar_strip_orient,
                                  path_block_compensated, path_block_sequence,
                                  quasi_threshold_orient, split_orient,
                                  two_cut_block_orient, uniform_block_orient)
-from orientkit.errors import (BadCompensation, BadShape,
+from orientkit.errors import (BadCompensation, BadShape, ConstructionError,
                               DegreeConditionViolated, HypothesisViolated,
                               NotApplicable, NotStrip, PreconditionViolated,
                               UnsupportedK)
@@ -26,7 +27,7 @@ from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  clique_number_chordal, cograph_cotree,
                                  is_claw_free, outerplanar_strip,
                                  quasi_threshold_cotree, split_partition)
-from oracles import extend_partial_oracle, random_tree
+from oracles import extend_partial_oracle, random_tree, run_optimized
 
 
 def fan(n):
@@ -415,6 +416,8 @@ def test_cograph_sandwich_small():
         lo, up = cograph_bounds(ct)
         exact, _ = proper_orientation_number(g)
         assert lo <= exact <= up
+        d = cograph_orient(g, ct)
+        assert is_proper(d) and exact <= max_indegree(d) <= up
 
 
 # -- claw-free chordal -----------------------------------------------------------
@@ -453,3 +456,119 @@ def test_constructor_outputs_feasible_for_exact_solver():
             continue
         d = quasi_threshold_orient(quasi_threshold_cotree(g))
         assert decide_k_orientation(g, max_indegree(d)) is not None
+
+
+# -- result checks that hold under python -O -----------------------------------
+
+
+def _flip_first(d):
+    """d with its first edge turned around."""
+    return Orientation(d.graph, [not b if e == 0 else b
+                                 for e, b in enumerate(d.toward_max)])
+
+
+def _builder(fault):
+    """A PartialOrientation whose finished orientation passes through fault."""
+    class Faulty(PartialOrientation):
+        __slots__ = ()
+
+        def to_orientation(self):
+            return fault(super().to_orientation())
+    return Faulty
+
+
+def _faulty_result(fn, fault):
+    return lambda *args: fault(fn(*args))
+
+
+def _one_way(p, path, mode):
+    """A faulty _write_alternating: every path arc points forward."""
+    for a, b in zip(path, path[1:]):
+        p.orient(a, b, b)
+
+
+def _guard_cases():
+    """guard -> (faulty replacements of construct's names, call).  Every call
+    succeeds as it is and must raise ConstructionError with the faults in."""
+    p3, star = Graph.path_graph(3), Graph.star(3)
+    split = split_tight_example(2)
+    blocks = random_class_instance("two-cut-block", 5, 0)
+    chain = Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5),
+                      (4, 6), (5, 6)])
+    # a proper orientation of chain with max indegree 3 <= k + 1, but cut
+    # vertex 4 gets indegree 2, outside {0, k, k + 1}
+    cut_fault = _builder(lambda d: Orientation(d.graph, [i == 2
+                                                         for i in range(9)]))
+    strip = random_class_instance("strip", 10, 0)
+    cograph = random_class_instance("cograph", 12, 3)
+    flip = {"PartialOrientation": _builder(_flip_first)}
+
+    def fan_path():
+        g, p = _fan_path_fixture(6, 2, 0, 0)
+        return extend_to_path(g, p, 0, 7, list(range(1, 7)), 8)
+
+    return {
+        "extend_partial": (flip, lambda: extend_partial(p3, set(), {})),
+        "low_degree_orient": (
+            {"extend_partial": _faulty_result(extend_partial,
+                                              Orientation.reversed)},
+            lambda: low_degree_orient(star, 1)),
+        "quasi_threshold_orient": (flip, lambda: quasi_threshold_orient(
+            quasi_threshold_cotree(star))),
+        "split_orient": (flip, lambda: split_orient(split,
+                                                    split_partition(split))),
+        "path_block_compensated": (
+            {"_orient_end": _faulty_result(construct._orient_end,
+                                           Orientation.reversed)},
+            lambda: path_block_compensated(path_block_sequence([(0, 1, 2)]),
+                                           1, 5, 0)),
+        "two_cut_block_orient": (flip, lambda: two_cut_block_orient(blocks)),
+        "two_cut_block_orient cut indegrees": (
+            {"PartialOrientation": cut_fault},
+            lambda: two_cut_block_orient(chain)),
+        "extend_to_path": ({"_write_alternating": _one_way}, fan_path),
+        "outerplanar_strip_orient": (
+            {"_strip_orient": _faulty_result(construct._strip_orient,
+                                             _flip_first)},
+            lambda: outerplanar_strip_orient(strip)),
+        # the join's first side comes from a faulty extend_partial
+        "cograph_join_orient": (
+            {"extend_partial": _faulty_result(extend_partial, _flip_first)},
+            lambda: cograph_join_orient(
+                p3, Graph(1), construct.extend_partial(p3, set(), {}),
+                Orientation(Graph(1), []))),
+        "cograph_orient": (flip, lambda: cograph_orient(
+            cograph, cograph_cotree(cograph).cotree)),
+    }
+
+
+GUARDS = list(_guard_cases())
+
+
+def check_result_guards(only=None):
+    """Uses no assert, so it also checks under -O."""
+    for guard, (faults, call) in _guard_cases().items():
+        if only not in (None, guard):
+            continue
+        real = {name: getattr(construct, name) for name in faults}
+        call()
+        for name, faulty in faults.items():
+            setattr(construct, name, faulty)
+        try:
+            call()
+        except ConstructionError:
+            pass
+        else:
+            raise RuntimeError(f"{guard} returned a faulty result")
+        finally:
+            for name, fn in real.items():
+                setattr(construct, name, fn)
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_result_guard_raises(guard):
+    check_result_guards(guard)
+
+
+def test_result_guards_raise_under_optimize():
+    run_optimized("test_constructors", "check_result_guards")

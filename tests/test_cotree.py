@@ -17,7 +17,8 @@ from orientkit.graph import Graph, write_graph
 from orientkit.instances import RANDOM_CLASSES, random_class_instance
 from orientkit.recognize import (CotreeJoin, CotreeLeaf, cograph_cotree,
                                  evaluate_cotree, quasi_threshold_cotree)
-from oracles import cograph_cotree_oracle, quasi_threshold_cotree_oracle
+from oracles import (cograph_cotree_oracle, quasi_threshold_cotree_oracle,
+                     threshold_graph)
 
 
 def encode(node):
@@ -118,11 +119,6 @@ def test_hypothesis_graphs_match_oracles(data):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     assert_matches_oracles(Graph(n, sorted(chosen)))
-
-
-def threshold_graph(n):
-    """Vertices alternately isolated and dominating: a cotree of depth ~n."""
-    return Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
 
 
 def test_deep_threshold_graph_memory():

@@ -1,8 +1,4 @@
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -24,9 +20,8 @@ from orientkit.recognize import (block_cut_tree, chordal_peo, is_k_uniform,
                                  max_cut_vertices_per_block,
                                  outerplanar_strip, quasi_threshold_cotree,
                                  split_partition)
-from oracles import brute_clique_number, random_uniform_block_oracle
-
-ROOT = Path(__file__).resolve().parent.parent
+from oracles import (brute_clique_number, random_uniform_block_oracle,
+                     run_optimized)
 
 
 def test_ladder_gadget_sizes():
@@ -303,11 +298,4 @@ def test_oversized_cobipartite_kernel_raises():
 @pytest.mark.parametrize("check", ["check_improper_certificate_raises",
                                    "check_oversized_cobipartite_kernel_raises"])
 def test_checks_hold_under_optimize(check):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "tests")]))
-    code = ("import test_instances as t\n"
-            "if __debug__: raise SystemExit('asserts are on')\n"
-            f"t.{check}()\n")
-    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    run_optimized("test_instances", check)

@@ -10,11 +10,8 @@ cover the explicit witness check, which must hold under ``python -O``, and
 """
 
 import inspect
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -23,9 +20,9 @@ from orientkit.errors import BudgetExceeded, ConstructionError
 from orientkit.exact import clique_number, decide_k_orientation
 from orientkit.graph import Graph
 from orientkit.instances import ladder_gadget, random_class_instance
-from oracles import random_gnp, relabeled, search_oracle
+from oracles import (random_gnp, relabeled, run_optimized, search_oracle,
+                     threshold_graph)
 
-ROOT = Path(__file__).resolve().parent.parent
 BUDGET = 20000
 
 
@@ -143,27 +140,15 @@ def test_improper_witness_raises():
 
 
 def test_improper_witness_raises_under_optimize():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "tests")]))
-    code = ("import test_search as t\n"
-            "if __debug__: raise SystemExit('asserts are on')\n"
-            "t.check_improper_witness_raises()\n")
-    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    run_optimized("test_search", "check_improper_witness_raises")
 
 
 # -- clique_number needs no recursion -----------------------------------------
 
 
-def _threshold_graph(n):
-    # vertex v is isolated on arrival when v is even, dominating when odd
-    return Graph(n, [(u, v) for v in range(1, n, 2) for u in range(v)])
-
-
 @pytest.mark.parametrize("build, omega", [
     (lambda: Graph.complete(300), 300),
-    (lambda: _threshold_graph(400), 201),
+    (lambda: threshold_graph(400), 201),
 ], ids=["K300", "threshold-400"])
 def test_clique_number_deeper_than_recursion_limit(build, omega):
     g = build()

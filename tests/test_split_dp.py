@@ -11,11 +11,7 @@ now go to the DP.
 """
 
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,9 +26,8 @@ from orientkit.graph import Graph
 from orientkit.instances import random_class_instance, split_kernel
 from orientkit.orientation import is_proper, max_indegree
 from orientkit.recognize import outerplanar_strip, split_partition
-from oracles import criterion_3_graphs, relabeled
+from oracles import criterion_3_graphs, relabeled, run_optimized
 
-ROOT = Path(__file__).resolve().parent.parent
 BUDGET = 20000
 
 
@@ -233,14 +228,7 @@ def test_split_partition_checks_its_answer():
 @pytest.mark.parametrize("check", ["check_improper_dp_witness_raises",
                                    "check_split_partition_checks_its_answer"])
 def test_checks_hold_under_optimize(check):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "tests")]))
-    code = ("import test_split_dp as t\n"
-            "if __debug__: raise SystemExit('asserts are on')\n"
-            f"t.{check}()\n")
-    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    run_optimized("test_split_dp", check)
 
 
 def test_strip_200_keeps_max_indegree_4():

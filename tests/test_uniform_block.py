@@ -6,11 +6,6 @@ absence of whole-graph rebuilds, and the explicit output checks, which must
 hold under ``python -O`` as well.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from orientkit import construct
@@ -20,9 +15,7 @@ from orientkit.instances import block_tight_example, random_class_instance
 from orientkit.orientation import (PartialOrientation, is_proper,
                                    max_indegree)
 from orientkit.recognize import BlockCutTree
-from oracles import relabeled, uniform_block_orient_oracle
-
-ROOT = Path(__file__).resolve().parent.parent
+from oracles import relabeled, run_optimized, uniform_block_orient_oracle
 
 
 def assert_matches_oracle(g, k):
@@ -131,11 +124,4 @@ def test_improper_pieces_raise():
 
 
 def test_improper_pieces_raise_under_optimize():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), str(ROOT / "tests")]))
-    code = ("import test_uniform_block as t\n"
-            "if __debug__: raise SystemExit('asserts are on')\n"
-            "t.check_improper_pieces_raise()\n")
-    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
+    run_optimized("test_uniform_block", "check_improper_pieces_raise")
