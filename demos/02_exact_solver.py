@@ -3,10 +3,9 @@
 Run with:  python3 demos/02_exact_solver.py
 """
 
-from orientkit import (Graph, SearchConfig, decide_k_orientation,
-                       disjoint_union, disjoint_union_rule,
-                       enumerate_proper_k_orientations, fpt_chordal,
-                       proper_orientation_number)
+from orientkit import (Graph, decide_k_orientation, disjoint_union,
+                       disjoint_union_rule, enumerate_proper_k_orientations,
+                       fpt_chordal, proper_orientation_number)
 
 print("== decision ==")
 k3 = Graph.complete(3)
@@ -40,4 +39,4 @@ print(f"components: {v1} and {v2}; union solves to {vu};",
 print()
 print("== chordal shortcut ==")
 print("K_6 at bound 3 is rejected without search (clique ceiling):",
-      fpt_chordal(Graph.complete(6), 3, SearchConfig(node_budget=0)) is None)
+      fpt_chordal(Graph.complete(6), 3, node_budget=0) is None)

@@ -14,9 +14,9 @@ from .orientation import (CompensationSpec, Orientation, PartialOrientation,
                           format_orientation, is_compensated_proper,
                           is_proper, max_indegree, parse_orientation,
                           read_orientation, write_orientation)
-from .exact import (SearchConfig, clique_number, decide_k_orientation,
-                    disjoint_union_rule, enumerate_proper_k_orientations,
-                    fpt_chordal, proper_orientation_number)
+from .exact import (clique_number, decide_k_orientation, disjoint_union_rule,
+                    enumerate_proper_k_orientations, fpt_chordal,
+                    proper_orientation_number)
 from .recognize import (BlockCutTree, ChordalCheck, CographCheck, CotreeJoin,
                         CotreeLeaf, CotreeUnion, SplitPartition,
                         StripDecomposition, block_cut_tree, chordal_peo,

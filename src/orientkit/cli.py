@@ -20,8 +20,7 @@ import time
 
 from . import construct, instances, recognize
 from .errors import BudgetExceeded, OrientkitError
-from .exact import (SearchConfig, decide_k_orientation,
-                    proper_orientation_number)
+from .exact import decide_k_orientation, proper_orientation_number
 from .graph import read_graph, write_graph
 from .orientation import (CompensationSpec, is_compensated_proper, is_proper,
                           max_indegree, read_orientation, write_orientation)
@@ -119,12 +118,11 @@ def _parser():
 def _cmd_solve(args, report):
     g = read_graph(args.graph)
     report.add("input_sha256", _hash_file(args.graph))
-    cfg = SearchConfig(node_budget=args.budget)
     if args.opt:
-        value, witness = proper_orientation_number(g, cfg)
+        value, witness = proper_orientation_number(g, args.budget)
         report.add("value", value)
     else:
-        witness = decide_k_orientation(g, args.k, cfg)
+        witness = decide_k_orientation(g, args.k, args.budget)
         report.add("k", args.k)
         report.add("answer", "yes" if witness is not None else "no")
     if args.witness_out and witness is not None:

@@ -46,7 +46,7 @@ from .errors import (BadCompensation, BadShape, BudgetExceeded,
                      ConstructionError, DegreeConditionViolated,
                      HypothesisViolated, NotApplicable, NotSplit, NotStrip,
                      NotUniformBlock, PreconditionViolated, UnsupportedK)
-from .exact import SearchConfig, decide_k_orientation
+from .exact import decide_k_orientation
 from .graph import Graph, join
 from .orientation import (CompensationSpec, Orientation, PartialOrientation,
                           is_compensated_proper, is_proper, max_indegree)
@@ -176,19 +176,23 @@ def low_degree_orient(g: Graph, c: int) -> Orientation:
 
 
 def quasi_threshold_orient(cotree) -> Orientation:
-    """Optimal (omega-1)-orientation from a quasi-threshold cotree."""
+    """Optimal (omega-1)-orientation from a quasi-threshold cotree.
+
+    Each join adds one vertex above its other child's vertices, and every
+    edge points at the endpoint with more joins above it."""
     leaves, nodes = cotree_postorder(cotree)
     n = max(leaves) + 1 if leaves else 0
     g = evaluate_cotree(cotree, n)
-    p = PartialOrientation(g)
+    step = [0] * (len(leaves) + 1)   # joins above each leaf, as differences
     for node, bounds in nodes:
         if isinstance(node, CotreeJoin):
-            head = node.children[0]
-            assert len(bounds) == 3 and isinstance(head, CotreeLeaf), \
-                "join must add a single vertex"
-            for u in leaves[bounds[1]:bounds[2]]:
-                p.orient(head.vertex, u, u)
-    return _verified(p.to_orientation(), "quasi_threshold_orient")
+            assert len(bounds) == 3 and isinstance(
+                node.children[0], CotreeLeaf), "join must add a single vertex"
+            step[bounds[1]] += 1
+            step[bounds[2]] -= 1
+    above = dict(zip(leaves, itertools.accumulate(step)))
+    heads = [v if above[v] > above[u] else u for u, v in g.edges]
+    return _verified(Orientation(g, heads), "quasi_threshold_orient")
 
 
 # -- split graphs ----------------------------------------------------------
@@ -420,6 +424,13 @@ def _piece_feasible(shape: PieceShape, c, d):
     return next(_mid_choices(k, ql, qr, c, d), None) is not None
 
 
+def _copy_arcs(p: PartialOrientation, old_ids, d_sub: Orientation):
+    """Orient in p the edges of d_sub's graph as d_sub does; old_ids maps
+    that graph's vertex ids to p's."""
+    for (lu, lv), h in zip(d_sub.graph.edges, d_sub.heads):
+        p.orient(old_ids[lu], old_ids[lv], old_ids[h])
+
+
 def _orient_compensated(shape: PieceShape, c, d) -> Orientation:
     """Orientation of the piece with indegree d at the target, proper under
     color c, max indegree <= max(c, 2k-2).  Caller checks feasibility."""
@@ -451,9 +462,7 @@ def _orient_compensated(shape: PieceShape, c, d) -> Orientation:
         loc_blocks = [tuple(sorted(pos[v] for v in blk)) for blk in side_blocks]
         if loc_blocks and pos[tgt] not in loc_blocks[-1]:
             loc_blocks = list(reversed(loc_blocks))
-        d_side = _orient_end(sub, k, loc_blocks, pos[tgt], cc, dd)
-        for e, (lu, lv) in enumerate(sub.edges):
-            p.orient(old[lu], old[lv], old[d_side.head(e)])
+        _copy_arcs(p, old, _orient_end(sub, k, loc_blocks, pos[tgt], cc, dd))
     return _checked_compensated(shape, c, d, p.to_orientation())
 
 
@@ -489,8 +498,7 @@ def _orient_end(g: Graph, k, blocks, target, c, d) -> Orientation:
         d_inner = _orient_end(sub, k, loc_blocks, pos[connector], c_sub, k - 1)
         conn_pos = k - 1 if c != 2 * k - 2 else k - 2
         _transitive(p, _clique_order(last, {target: 0, connector: conn_pos}))
-    for e, (lu, lv) in enumerate(sub.edges):
-        p.orient(old[lu], old[lv], old[d_inner.head(e)])
+    _copy_arcs(p, old, d_inner)
     return p.to_orientation()
 
 
@@ -522,11 +530,6 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
 
 
 # -- k-uniform block graphs: the general 3k-2 construction -----------------
-
-
-def _copy_arcs(p: PartialOrientation, sub: Graph, old_ids, d_sub: Orientation):
-    for e, (lu, lv) in enumerate(sub.edges):
-        p.orient(old_ids[lu], old_ids[lv], old_ids[d_sub.head(e)])
 
 
 def _assign_crosspoint(p: PartialOrientation, g: Graph, k, u, block_verts,
@@ -578,7 +581,7 @@ def _assign_crosspoint(p: PartialOrientation, g: Graph, k, u, block_verts,
         _transitive(p, _clique_order(block_verts, placed))
         for w, cw, _, split in chosen:
             for shape, dd in zip(cut_pieces[w], split):
-                _copy_arcs(p, shape.graph, shape.old_ids,
+                _copy_arcs(p, shape.old_ids,
                            _orient_compensated(shape, cw, dd))
         return True
     return False
@@ -848,15 +851,14 @@ class _UniformReducer:
             if all(det.flags):
                 # hanging paths only: make u a source of each piece
                 for shape in self._shapes(det):
-                    _copy_arcs(p, shape.graph, shape.old_ids,
+                    _copy_arcs(p, shape.old_ids,
                                extend_partial(shape.graph, {shape.target}, {}))
                 return
             if len(det.kids) <= 3:
                 # the whole hanging star has max degree <= 3k-3
                 sub, old = g.induced(set().union(*(verts for _, verts
                                                    in det.kids)) | {u})
-                _copy_arcs(p, sub, old,
-                           extend_partial(sub, {old.index(u)}, {}))
+                _copy_arcs(p, old, extend_partial(sub, {old.index(u)}, {}))
                 return
         forbidden = {p.indegree[w] for w in self.blocks[self.parent_block[u]]
                      if w != u}
@@ -896,7 +898,7 @@ class _UniformReducer:
             for (bi, _), is_path, shape, b in zip(det.kids, flags, shapes,
                                                   assignment):
                 if is_path:
-                    _copy_arcs(p, shape.graph, shape.old_ids,
+                    _copy_arcs(p, shape.old_ids,
                                _orient_compensated(shape, c, b))
                 elif not _assign_crosspoint(p, self.g, k, det.u,
                                             self.blocks[bi], shape, b, c):
@@ -1198,8 +1200,7 @@ def _strip_orient(g: Graph) -> Orientation:
     if delta <= 13:
         if g.m:
             try:
-                d = decide_k_orientation(g, delta,
-                                         SearchConfig(node_budget=20000))
+                d = decide_k_orientation(g, delta, node_budget=20000)
                 if d is not None:
                     return d
             except BudgetExceeded:
@@ -1209,16 +1210,14 @@ def _strip_orient(g: Graph) -> Orientation:
     fan = _fan_order(g, v)
     interior = fan[2:-2]
     keep = set(range(g.n)) - {v} - set(interior)
-    sub, old = g.induced(sorted(keep))
+    sub, old = g.induced(keep)
     comps = sub.connected_components()
     assert len(comps) == 2
     p = PartialOrientation(g)
     for comp in comps:
-        part, part_old = sub.induced(comp)
-        mapped = [old[part_old[i]] for i in range(part.n)]
-        d_part = _strip_orient(part)
-        for e, (lu, lv) in enumerate(part.edges):
-            p.orient(mapped[lu], mapped[lv], mapped[d_part.head(e)])
+        # old is increasing, so this is sub.induced(comp) under old ids
+        part, part_old = g.induced([old[i] for i in comp])
+        _copy_arcs(p, part_old, _strip_orient(part))
     for w in (fan[0], fan[1], fan[-2], fan[-1]):
         p.orient(w, v, v)
     p.orient(fan[1], fan[2], fan[2])
@@ -1336,12 +1335,12 @@ def cograph_join_orient(g1: Graph, g2: Graph, d1: Orientation,
     heads = []
     for u, v in jg.edges:
         if v < g1.n:
-            heads.append(d1.head(g1.edge_id(u, v)))
+            heads.append(d1.heads[g1.edge_id(u, v)])
         elif u >= g1.n:
-            heads.append(d2.head(g2.edge_id(u - g1.n, v - g1.n)) + g1.n)
+            heads.append(d2.heads[g2.edge_id(u - g1.n, v - g1.n)] + g1.n)
         else:
             heads.append(v if into_second else u)
-    return _verified(Orientation.from_heads(jg, heads), "cograph_join_orient")
+    return _verified(Orientation(jg, heads), "cograph_join_orient")
 
 
 # -- claw-free chordal graphs -----------------------------------------------
@@ -1395,7 +1394,11 @@ class OrientClass(NamedTuple):
 
 def _uniform_blocks(g: Graph, c=None):
     """(block-cut tree, k) when g is a connected k-uniform block graph with
-    k >= 3, else None."""
+    k >= 3, else None.  Such a graph has 2m = k(n - 1), so the counts rule
+    most graphs out before the block-cut tree is built."""
+    twice_m, rest = 2 * g.m, g.n - 1
+    if rest < 1 or twice_m % rest or twice_m < 3 * rest:
+        return None
     try:
         return _block_input(g, None, None)
     except (UnsupportedK, NotUniformBlock):

@@ -27,7 +27,7 @@ A split graph with an edge between its clique K and its independent side
 I is decided by a DP instead.  It fixes a target indegree for each clique
 vertex, folds over I keeping the arcs each clique vertex has received so
 far, and accepts when the rest is the score sequence of a tournament on K
-(Landau 1953).  One DP state counts as one node against the budget.
+(Landau 1953).  One DP state counts as one node against node_budget.
 Cliques, with or without isolated vertices, stay on the edge search,
 which decides them in about m nodes.
 
@@ -47,7 +47,6 @@ small k are settled first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import inf
 
@@ -55,11 +54,6 @@ from .errors import BudgetExceeded, ConstructionError, NotChordal
 from .graph import Graph
 from .orientation import Orientation, is_proper, max_indegree
 from .recognize import chordal_peo, clique_number_chordal, split_partition
-
-
-@dataclass
-class SearchConfig:
-    node_budget: int | None = None
 
 
 def _edge_order(g: Graph):
@@ -258,10 +252,10 @@ def _spent(budget):
     return budget[1]
 
 
-def _budget_box(cfg):
-    if cfg.node_budget is None:
+def _budget_box(node_budget):
+    if node_budget is None:
         return None
-    return [cfg.node_budget, cfg.node_budget]
+    return [node_budget, node_budget]
 
 
 # -- split graphs: a DP over the independent side --------------------------
@@ -476,7 +470,7 @@ def _exhausted(budget):
     raise BudgetExceeded(_spent(budget))
 
 
-def decide_k_orientation(g: Graph, k: int, cfg: SearchConfig | None = None,
+def decide_k_orientation(g: Graph, k: int, node_budget=None,
                          _budget=None, _floor=None):
     """A verified proper k-orientation of g, or None if none exists.
 
@@ -486,27 +480,26 @@ def decide_k_orientation(g: Graph, k: int, cfg: SearchConfig | None = None,
     indegrees in each clique.  The floor is not computed at k >= the max
     degree, where the answer is always Yes.  A split graph with an edge
     between its sides goes to the split DP, any other graph to the edge
-    search.  Raises BudgetExceeded when cfg.node_budget (search nodes, or
-    DP states) runs out before an answer.  _floor, when given, is g's
+    search.  Raises BudgetExceeded when node_budget (search nodes, or DP
+    states) runs out before an answer.  _floor, when given, is g's
     capacity floor.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    cfg = cfg or SearchConfig()
     part = split_partition(g)
     if _floor is None:
         _floor = (0 if k >= g.max_degree()
                   else _capacity_floor(g, _clique_floor(g, part)))
     if k < _floor:
         return None
-    budget = _budget if _budget is not None else _budget_box(cfg)
+    budget = _budget if _budget is not None else _budget_box(node_budget)
     if part is not None and any(g.adj[v] for v in part.independent):
         heads = _split_decide(g, k, part, budget)
     else:
         heads = next(_search(g, k, budget, True), None)
     if heads is None:
         return None
-    d = Orientation.from_heads(g, heads)
+    d = Orientation(g, heads)
     if not is_proper(d) or max_indegree(d) > k:
         raise ConstructionError(f"the search returned an orientation that "
                                 f"is not a proper {k}-orientation")
@@ -580,19 +573,17 @@ def _capacity_floor(g: Graph, omega):
     return lo
 
 
-def proper_orientation_number(g: Graph, cfg: SearchConfig | None = None):
+def proper_orientation_number(g: Graph, node_budget=None):
     """Exact minimum k admitting a proper k-orientation, with a witness.
 
     Climbs k from the capacity floor (computed once, on the exact omega)
     up to the max degree; the first Yes is optimal.  The node budget, when
     set, is shared across the whole climb.
     """
-    cfg = cfg or SearchConfig()
-    budget = _budget_box(cfg)
+    budget = _budget_box(node_budget)
     floor = _capacity_floor(g, _clique_floor(g, split_partition(g)))
     for k in range(floor, g.max_degree() + 1):
-        witness = decide_k_orientation(g, k, cfg, _budget=budget,
-                                       _floor=floor)
+        witness = decide_k_orientation(g, k, _budget=budget, _floor=floor)
         if witness is not None:
             return k, witness
     raise AssertionError("a proper max-degree orientation always exists")
@@ -604,9 +595,9 @@ def enumerate_proper_k_orientations(g: Graph, k: int, node_budget=None):
     Symmetry breaking is disabled so the stream is exhaustive; guard large
     inputs with node_budget (BudgetExceeded aborts the stream).
     """
-    budget = [node_budget, node_budget] if node_budget is not None else None
-    for heads in _search(g, k, budget, symmetry_breaking=False):
-        yield Orientation.from_heads(g, heads)
+    for heads in _search(g, k, _budget_box(node_budget),
+                         symmetry_breaking=False):
+        yield Orientation(g, heads)
 
 
 def disjoint_union_rule(values):
@@ -617,7 +608,7 @@ def disjoint_union_rule(values):
     return max(vals)
 
 
-def fpt_chordal(g: Graph, k: int, cfg: SearchConfig | None = None):
+def fpt_chordal(g: Graph, k: int, node_budget=None):
     """Decision for chordal g: immediate No when omega >= k+2, else
     decide_k_orientation under the capacity floor taken on the chordal
     omega; it hands a split graph with an edge between its sides to the
@@ -632,7 +623,8 @@ def fpt_chordal(g: Graph, k: int, cfg: SearchConfig | None = None):
     omega = clique_number_chordal(g, check.peo)
     if omega >= k + 2:
         return None
-    return decide_k_orientation(g, k, cfg, _floor=_capacity_floor(g, omega))
+    return decide_k_orientation(g, k, node_budget,
+                                _floor=_capacity_floor(g, omega))
 
 
 # -- exact clique number (plumbing for the optimizer's lower bound) -----

@@ -11,6 +11,7 @@ Blank lines and '#' comments are ignored; token spacing is free-form.
 from __future__ import annotations
 
 from collections import deque
+from itertools import pairwise
 
 
 class Graph:
@@ -21,18 +22,16 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         adj = [[] for _ in range(n)]
         canon = []
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
+            canon.append((u, v) if u < v else (v, u))
         canon.sort()
+        for e, f in pairwise(canon):
+            if e == f:
+                raise ValueError(f"duplicate edge {e}")
         for u, v in canon:
             adj[u].append(v)
             adj[v].append(u)

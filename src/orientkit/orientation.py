@@ -1,9 +1,11 @@
 """Edge orientations: full, partial, and the properness verifier.
 
-An orientation is proper when adjacent vertices receive distinct indegrees.
-A compensated check replaces one vertex's indegree with an override color
-before testing properness; it is the interface used by the block-graph
-constructors to stitch locally-built pieces together.
+Both kinds store one head per edge, indexed like graph.edges; a partial
+orientation marks an unoriented edge with -1.  An orientation is proper
+when adjacent vertices receive distinct indegrees.  A compensated check
+replaces one vertex's indegree with an override color before testing
+properness; it is the interface used by the block-graph constructors to
+stitch locally-built pieces together.
 
 Text format: first line "n m", then m lines "u v" meaning the arc u -> v.
 Comments start with '#'.
@@ -18,32 +20,22 @@ from .graph import Graph, _tokens
 
 
 class Orientation:
-    """Immutable direction assignment for every edge of a graph."""
+    """Immutable direction assignment: heads[e] is the head of edge e, with
+    edges indexed like graph.edges."""
 
-    __slots__ = ("graph", "toward_max", "indegree")
+    __slots__ = ("graph", "heads", "indegree")
 
-    def __init__(self, graph: Graph, toward_max):
-        if len(toward_max) != graph.m:
-            raise ValueError("need one direction bit per edge")
-        self.graph = graph
-        self.toward_max = tuple(bool(b) for b in toward_max)
+    def __init__(self, graph: Graph, heads):
+        if len(heads) != graph.m:
+            raise ValueError("need one head per edge")
         indeg = [0] * graph.n
-        for (u, v), b in zip(graph.edges, self.toward_max):
-            indeg[v if b else u] += 1
-        self.indegree = tuple(indeg)
-
-    @classmethod
-    def from_heads(cls, graph: Graph, heads):
-        """heads: per-edge head vertex, indexed like graph.edges."""
-        bits = []
         for (u, v), h in zip(graph.edges, heads):
-            if h == v:
-                bits.append(True)
-            elif h == u:
-                bits.append(False)
-            else:
+            if h != u and h != v:
                 raise ValueError(f"head {h} is not an endpoint of ({u},{v})")
-        return cls(graph, bits)
+            indeg[h] += 1
+        self.graph = graph
+        self.heads = tuple(heads)
+        self.indegree = tuple(indeg)
 
     @classmethod
     def from_arcs(cls, graph: Graph, arcs):
@@ -56,34 +48,27 @@ class Orientation:
             heads[e] = h
         if any(h is None for h in heads):
             raise ValueError("arcs do not cover every edge")
-        return cls.from_heads(graph, heads)
-
-    def head(self, e):
-        u, v = self.graph.edges[e]
-        return v if self.toward_max[e] else u
-
-    def tail(self, e):
-        u, v = self.graph.edges[e]
-        return u if self.toward_max[e] else v
+        return cls(graph, heads)
 
     def arcs(self):
-        for e in range(self.graph.m):
-            yield self.tail(e), self.head(e)
+        for (u, v), h in zip(self.graph.edges, self.heads):
+            yield u + v - h, h
 
     def recompute_indegree(self):
         """Audit path: indegrees rebuilt from scratch, bypassing the cache."""
         indeg = [0] * self.graph.n
-        for e in range(self.graph.m):
-            indeg[self.head(e)] += 1
+        for h in self.heads:
+            indeg[h] += 1
         return indeg
 
     def reversed(self):
-        return Orientation(self.graph, [not b for b in self.toward_max])
+        return Orientation(self.graph, [u + v - h for (u, v), h
+                                        in zip(self.graph.edges, self.heads)])
 
     def __eq__(self, other):
         if not isinstance(other, Orientation):
             return NotImplemented
-        return self.graph == other.graph and self.toward_max == other.toward_max
+        return self.graph == other.graph and self.heads == other.heads
 
 
 class PartialOrientation:
@@ -123,7 +108,7 @@ class PartialOrientation:
     def to_orientation(self) -> Orientation:
         if self.unoriented:
             raise ValueError(f"{self.unoriented} edges still unoriented")
-        return Orientation.from_heads(self.graph, self.heads)
+        return Orientation(self.graph, self.heads)
 
 
 @dataclass(frozen=True)

@@ -362,7 +362,7 @@ def uniform_block_orient_oracle(g, k):
         removed = set().union(*(verts for _, verts in kids))
         core, old = g.induced(sorted(set(range(g.n)) - removed))
         p = PartialOrientation(g)
-        _copy_arcs(p, core, old, uniform(core))
+        _copy_arcs(p, old, uniform(core))
         a = p.indegree[u]
         if a > k - 1:
             raise ConstructionError(f"cut vertex {u} has core indegree {a}")
@@ -370,13 +370,13 @@ def uniform_block_orient_oracle(g, k):
             if all(flags):
                 for _, verts in kids:
                     shape = _piece_shape(g, verts | {u}, u)
-                    _copy_arcs(p, shape.graph, shape.old_ids,
+                    _copy_arcs(p, shape.old_ids,
                                extend_partial_oracle(shape.graph,
                                                      {shape.target}))
                 return p.to_orientation()
             if len(kids) <= 3:
                 sub, old = g.induced(sorted(removed | {u}))
-                _copy_arcs(p, sub, old,
+                _copy_arcs(p, old,
                            extend_partial_oracle(sub, {old.index(u)}))
                 return p.to_orientation()
         forbidden = {p.indegree[w]
@@ -421,7 +421,7 @@ def uniform_block_orient_oracle(g, k):
             for (bi, verts), is_path, shape, b in zip(kids, flags, shapes,
                                                       assignment):
                 if is_path:
-                    _copy_arcs(trial, shape.graph, shape.old_ids,
+                    _copy_arcs(trial, shape.old_ids,
                                _orient_compensated(shape, c, b))
                     continue
                 cut_pieces = {

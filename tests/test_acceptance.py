@@ -63,7 +63,7 @@ def test_criterion_1_gadget_forcing():
             for d in enumerate_proper_k_orientations(hg, k):
                 count += 1
                 assert d.indegree[fmeta.head] == i
-                assert d.head(hg.edge_id(fmeta.head, host)) == fmeta.head
+                assert d.heads[hg.edge_id(fmeta.head, host)] == fmeta.head
             assert count > 0
             checked += count
     _report(1, started, f"{checked} orientations enumerated")

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientkit import exact
-from orientkit.exact import (SearchConfig, clique_number,
-                             decide_k_orientation, proper_orientation_number)
+from orientkit.exact import (clique_number, decide_k_orientation,
+                             proper_orientation_number)
 from orientkit.graph import Graph, write_graph
 from orientkit.orientation import is_proper, max_indegree
 from oracles import (capacity_floor_oracle, criterion_3_graphs,
@@ -66,8 +66,7 @@ def assert_floor_is_sound(g):
     assert low == capacity_floor_oracle(g, exact._clique_cover(g),
                                         clique_number(g))
     for k in range(g.max_degree() + 1):
-        d = decide_k_orientation(g, k, SearchConfig(node_budget=0)
-                                 if k < low else None)
+        d = decide_k_orientation(g, k, 0 if k < low else None)
         assert (d is not None) == (k >= value), (g.edges, k)
 
 
@@ -123,14 +122,13 @@ def test_hard_no_instances_cost_no_budget():
         assert k == 4 and floor(g) == 5
         for r in range(20):
             h = relabeled(g, r)
-            assert decide_k_orientation(h, k,
-                                        SearchConfig(node_budget=0)) is None
+            assert decide_k_orientation(h, k, node_budget=0) is None
 
 
 def test_criterion_8_cobipartite_answers_within_budget():
     answers = ""
     for seed, g, k in criterion_8_cobipartite_graphs():
-        d = decide_k_orientation(g, k, SearchConfig(node_budget=BUDGET))
+        d = decide_k_orientation(g, k, node_budget=BUDGET)
         if d is not None:
             assert is_proper(d) and max_indegree(d) <= k
         answers += "y" if d is not None else "n"
@@ -140,7 +138,7 @@ def test_criterion_8_cobipartite_answers_within_budget():
 def test_criterion_3_climbs_within_budget():
     values = []
     for g in criterion_3_graphs():
-        value, d = proper_orientation_number(g, SearchConfig(node_budget=BUDGET))
+        value, d = proper_orientation_number(g, node_budget=BUDGET)
         assert is_proper(d) and max_indegree(d) == value
         part = exact.split_partition(g)
         assert exact._split_decide(g, value, part, None) is not None

@@ -87,8 +87,8 @@ def test_extend_partial_matches_scan_greedy():
         for v in rng.sample(range(n), rng.randint(0, n)):
             if not any(w in s for w in g.adj[v]):
                 s.add(v)
-        assert (extend_partial(g, s, {}).toward_max
-                == extend_partial_oracle(g, s).toward_max)
+        assert (extend_partial(g, s, {}).heads
+                == extend_partial_oracle(g, s).heads)
 
 
 # -- low degree --------------------------------------------------------------
@@ -264,7 +264,7 @@ def test_two_cut_block_seeded():
             # the orientation restricted to every block is transitive
             for blk in bct.blocks:
                 vals = sorted(sum(1 for w in blk if w != v
-                                  and d.head(g.edge_id(v, w)) == v)
+                                  and d.heads[g.edge_id(v, w)] == v)
                               for v in blk)
                 assert vals == list(range(k))
 
@@ -401,7 +401,7 @@ def test_cograph_bounds_examples():
 
 def test_cograph_join_orient():
     k2 = Graph.complete(2)
-    d1 = Orientation.from_heads(k2, [1])
+    d1 = Orientation(k2, [1])
     d = cograph_join_orient(k2, k2, d1, d1)
     assert is_proper(d) and max_indegree(d) <= 3
     e3 = Graph.empty(3)
@@ -463,8 +463,13 @@ def test_constructor_outputs_feasible_for_exact_solver():
 
 def _flip_first(d):
     """d with its first edge turned around."""
-    return Orientation(d.graph, [not b if e == 0 else b
-                                 for e, b in enumerate(d.toward_max)])
+    u, v = d.graph.edges[0]
+    return Orientation(d.graph, (u + v - d.heads[0],) + d.heads[1:])
+
+
+def _flipped_orientation(graph, heads):
+    """Orientation(graph, heads) with its first edge turned around."""
+    return _flip_first(Orientation(graph, heads))
 
 
 def _builder(fault):
@@ -497,8 +502,8 @@ def _guard_cases():
                       (4, 6), (5, 6)])
     # a proper orientation of chain with max indegree 3 <= k + 1, but cut
     # vertex 4 gets indegree 2, outside {0, k, k + 1}
-    cut_fault = _builder(lambda d: Orientation(d.graph, [i == 2
-                                                         for i in range(9)]))
+    cut_fault = _builder(lambda d: Orientation(d.graph, [
+        v if i == 2 else u for i, (u, v) in enumerate(d.graph.edges)]))
     strip = random_class_instance("strip", 10, 0)
     cograph = random_class_instance("cograph", 12, 3)
     flip = {"PartialOrientation": _builder(_flip_first)}
@@ -513,8 +518,10 @@ def _guard_cases():
             {"extend_partial": _faulty_result(extend_partial,
                                               Orientation.reversed)},
             lambda: low_degree_orient(star, 1)),
-        "quasi_threshold_orient": (flip, lambda: quasi_threshold_orient(
-            quasi_threshold_cotree(star))),
+        # it builds its Orientation from the heads directly
+        "quasi_threshold_orient": (
+            {"Orientation": _flipped_orientation},
+            lambda: quasi_threshold_orient(quasi_threshold_cotree(star))),
         "split_orient": (flip, lambda: split_orient(split,
                                                     split_partition(split))),
         "path_block_compensated": (

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from orientkit.errors import BudgetExceeded, NotChordal
-from orientkit.exact import (SearchConfig, clique_number,
-                             decide_k_orientation, disjoint_union_rule,
+from orientkit.exact import (clique_number, decide_k_orientation,
+                             disjoint_union_rule,
                              enumerate_proper_k_orientations, fpt_chordal,
                              proper_orientation_number)
 from orientkit.graph import Graph, join
@@ -69,7 +69,7 @@ def test_enumerate_examples():
     assert len(list(enumerate_proper_k_orientations(Graph(2, [(0, 1)]), 1))) == 2
     sols = list(enumerate_proper_k_orientations(Graph.complete(3), 2))
     assert len(sols) == 6
-    assert len({tuple(d.toward_max) for d in sols}) == 6
+    assert len({d.heads for d in sols}) == 6
     s2, meta = ladder_gadget(2)
     sols = list(enumerate_proper_k_orientations(s2, 2))
     assert sols
@@ -91,7 +91,7 @@ def test_enumerate_counts_match_bruteforce():
 def test_budget():
     g = Graph.complete(6)
     with pytest.raises(BudgetExceeded):
-        decide_k_orientation(g, 5, SearchConfig(node_budget=3))
+        decide_k_orientation(g, 5, node_budget=3)
     with pytest.raises(BudgetExceeded):
         list(enumerate_proper_k_orientations(g, 5, node_budget=10))
 
@@ -106,7 +106,7 @@ def test_disjoint_union_rule():
 
 def test_fpt_chordal():
     # above the clique ceiling: answered without any search at all
-    assert fpt_chordal(Graph.complete(6), 3, SearchConfig(node_budget=0)) is None
+    assert fpt_chordal(Graph.complete(6), 3, node_budget=0) is None
     assert fpt_chordal(Graph.complete(3), 2) is not None
     s3, _ = ladder_gadget(3)
     assert fpt_chordal(s3, 3) is not None
@@ -154,4 +154,4 @@ def test_deterministic_results():
         g = random_gnp(rng, rng.randint(2, 7), rng.uniform(0.3, 0.8))
         v1, d1 = proper_orientation_number(g)
         v2, d2 = proper_orientation_number(g)
-        assert v1 == v2 and d1.toward_max == d2.toward_max
+        assert v1 == v2 and d1.heads == d2.heads

@@ -14,7 +14,7 @@ from orientkit.orientation import (CompensationSpec, Orientation,
 def transitive(g, order):
     pos = {v: i for i, v in enumerate(order)}
     heads = [v if pos[v] > pos[u] else u for u, v in g.edges]
-    return Orientation.from_heads(g, heads)
+    return Orientation(g, heads)
 
 
 def test_graph_invariants():
@@ -24,15 +24,16 @@ def test_graph_invariants():
     assert g.adj[1] == [0, 2]
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1), (1, 0)])
+    for dup in ([(0, 1), (1, 0)], [(0, 1), (1, 2), (1, 0)]):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            Graph(3, dup)
     with pytest.raises(ValueError):
         Graph(2, [(0, 5)])
 
 
 def test_is_proper_examples():
     edge = Graph(2, [(0, 1)])
-    assert is_proper(Orientation.from_heads(edge, [1]))
+    assert is_proper(Orientation(edge, [1]))
     tri = Graph.complete(3)
     cyclic = Orientation.from_arcs(tri, [(0, 1), (1, 2), (2, 0)])
     assert cyclic.indegree == (1, 1, 1)
@@ -47,7 +48,7 @@ def test_max_indegree_examples():
     k4 = Graph.complete(4)
     assert max_indegree(transitive(k4, [0, 1, 2, 3])) == 3
     star = Graph.star(3)
-    inward = Orientation.from_heads(star, [0, 0, 0])
+    inward = Orientation(star, [0, 0, 0])
     assert max_indegree(inward) == 3
     assert max_indegree(Orientation(Graph.empty(3), [])) == 0
 
@@ -94,6 +95,10 @@ def test_orientation_text_roundtrip():
     assert back == d
     with pytest.raises(ValueError):
         parse_orientation("2 1\n0 1\n", g)
+    # one head per edge, and each an endpoint of its edge
+    for heads in ([1], [1, 2, 1], [1, 0], [2, 2]):
+        with pytest.raises(ValueError):
+            Orientation(g, heads)
 
 
 def test_indegree_cache_matches_recompute():
@@ -104,8 +109,11 @@ def test_indegree_cache_matches_recompute():
                  if rng.random() < 0.5]
         g = Graph(n, edges)
         heads = [e[rng.randint(0, 1)] for e in g.edges]
-        d = Orientation.from_heads(g, heads)
+        d = Orientation(g, heads)
         assert list(d.indegree) == d.recompute_indegree()
+        assert d.heads == tuple(heads)
+        assert Orientation.from_arcs(g, d.arcs()) == d
+        assert d.reversed().reversed() == d
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,7 +124,7 @@ def test_handshake_and_relabel_invariance(data):
     chosen = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     g = Graph(n, sorted(chosen))
     heads = [e[data.draw(st.integers(0, 1))] for e in g.edges]
-    d = Orientation.from_heads(g, heads)
+    d = Orientation(g, heads)
     assert sum(d.indegree) == g.m
     perm = data.draw(st.permutations(list(range(n))))
     g2 = g.relabeled(list(perm))
@@ -147,7 +155,7 @@ def test_reversal_indegree_formula_and_nonproperty():
                  if rng.random() < 0.5]
         g = Graph(n, edges)
         heads = [e[rng.randint(0, 1)] for e in g.edges]
-        d = Orientation.from_heads(g, heads)
+        d = Orientation(g, heads)
         r = d.reversed()
         assert all(r.indegree[v] == g.degree(v) - d.indegree[v]
                    for v in range(n))

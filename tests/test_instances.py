@@ -70,7 +70,7 @@ def test_head_gadget_forcing_on_host():
         for d in enumerate_proper_k_orientations(g, k):
             count += 1
             assert d.indegree[meta.head] == i
-            assert d.head(g.edge_id(meta.head, host)) == meta.head
+            assert d.heads[g.edge_id(meta.head, host)] == meta.head
         assert count > 0
 
 

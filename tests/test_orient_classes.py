@@ -53,6 +53,20 @@ def test_entries_meet_their_bounds(name):
             assert cls.bound(cert, d.reversed()) == bound, gid
 
 
+def test_block_recognizers_rule_out_by_counts(monkeypatch):
+    # a connected k-uniform block graph has 2m = k(n - 1) with k >= 3; these
+    # graphs miss that, so no block-cut tree is built to reject them
+    def no_tree(g):
+        raise RuntimeError("block-cut tree built")
+    monkeypatch.setattr(construct, "block_cut_tree", no_tree)
+    blocks = [c for c in construct.ORIENT_CLASSES if c.name.endswith("block")]
+    for g in (random_class_instance("cograph", 200, 1),
+              random_class_instance("strip", 10, 0), Graph.path_graph(5),
+              Graph(1), Graph(0)):
+        for cls in blocks:
+            assert cls.recognize(g, None) is None, (cls.name, g)
+
+
 # -- pinned orient reports ---------------------------------------------------
 
 # a 6-cycle is in none of the classes; with --c 1 the degree condition

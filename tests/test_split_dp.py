@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 from orientkit import exact
 from orientkit.construct import outerplanar_strip_orient
 from orientkit.errors import BudgetExceeded, ConstructionError
-from orientkit.exact import (SearchConfig, decide_k_orientation,
-                             proper_orientation_number)
+from orientkit.exact import decide_k_orientation, proper_orientation_number
 from orientkit.graph import Graph
 from orientkit.instances import random_class_instance, split_kernel
 from orientkit.orientation import is_proper, max_indegree
@@ -108,8 +107,7 @@ def test_criterion_3_climbs_finish_within_budget():
         values = set()
         for seed in range(12):
             h = relabeled(g, seed) if seed else g
-            value, d = proper_orientation_number(
-                h, SearchConfig(node_budget=BUDGET))
+            value, d = proper_orientation_number(h, node_budget=BUDGET)
             assert is_proper(d) and max_indegree(d) == value
             values.add(value)
         assert len(values) == 1, g.edges
@@ -121,7 +119,7 @@ def test_cliques_stay_on_the_edge_search():
         assert not goes_to_dp(g)
         k = len(split_partition(g).clique) - 1
         with pytest.raises(BudgetExceeded):
-            decide_k_orientation(g, k, SearchConfig(node_budget=1))
+            decide_k_orientation(g, k, node_budget=1)
         d = decide_k_orientation(g, k)
         assert is_proper(d) and max_indegree(d) == k
 
@@ -166,7 +164,7 @@ def test_budget_exhaustion_matches_edge_search():
         assert str(dp.value) == str(edge.value)
         assert edge_box[0] == -1
         with pytest.raises(BudgetExceeded):
-            decide_k_orientation(g, k, SearchConfig(node_budget=allowance))
+            decide_k_orientation(g, k, node_budget=allowance)
 
 
 def check_improper_dp_witness_raises():

@@ -20,7 +20,7 @@ from oracles import relabeled, run_optimized, uniform_block_orient_oracle
 
 def assert_matches_oracle(g, k):
     d = construct.uniform_block_orient(g, None, k)
-    assert d.toward_max == uniform_block_orient_oracle(g, k).toward_max
+    assert d.heads == uniform_block_orient_oracle(g, k).heads
     assert is_proper(d) and max_indegree(d) <= 3 * k - 2
 
 
