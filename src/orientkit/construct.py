@@ -176,23 +176,9 @@ def low_degree_orient(g: Graph, c: int) -> Orientation:
 
 
 def quasi_threshold_orient(cotree) -> Orientation:
-    """Optimal (omega-1)-orientation from a quasi-threshold cotree.
-
-    Each join adds one vertex above its other child's vertices, and every
-    edge points at the endpoint with more joins above it."""
-    leaves, nodes = cotree_postorder(cotree)
-    n = max(leaves) + 1 if leaves else 0
-    g = evaluate_cotree(cotree, n)
-    step = [0] * (len(leaves) + 1)   # joins above each leaf, as differences
-    for node, bounds in nodes:
-        if isinstance(node, CotreeJoin):
-            assert len(bounds) == 3 and isinstance(
-                node.children[0], CotreeLeaf), "join must add a single vertex"
-            step[bounds[1]] += 1
-            step[bounds[2]] -= 1
-    above = dict(zip(leaves, itertools.accumulate(step)))
-    heads = [v if above[v] > above[u] else u for u, v in g.edges]
-    return _verified(Orientation(g, heads), "quasi_threshold_orient")
+    """Optimal (omega-1)-orientation from a quasi-threshold cotree alone; it
+    rebuilds the graph, so a caller holding it calls cograph_orient."""
+    return cograph_orient(evaluate_cotree(cotree), cotree)
 
 
 # -- split graphs ----------------------------------------------------------
@@ -532,8 +518,8 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
 # -- k-uniform block graphs: the general 3k-2 construction -----------------
 
 
-def _assign_crosspoint(p: PartialOrientation, g: Graph, k, u, block_verts,
-                       cut_pieces, u_pos, u_final, forbid=()):
+def _assign_crosspoint(p: PartialOrientation, k, u, block_verts, cut_pieces,
+                       u_pos, u_final):
     """Orient one clique plus the path pieces hanging from its cut vertices.
 
     cut_pieces: cut vertex -> list of PieceShape (its hanging pieces).
@@ -543,7 +529,6 @@ def _assign_crosspoint(p: PartialOrientation, g: Graph, k, u, block_verts,
     """
     cuts = sorted(cut_pieces)
     slots = sorted(set(range(k)) - {u_pos})
-    forbid = set(forbid) | {u_final}
 
     def colors_for(shapes, pos):
         hi = min(pos + (k - 1) * len(shapes), 3 * k - 2)
@@ -562,7 +547,7 @@ def _assign_crosspoint(p: PartialOrientation, g: Graph, k, u, block_verts,
             pos = pos_tuple[i]
             shapes = cut_pieces[w]
             for cw in colors_for(shapes, pos):
-                if cw in forbid or cw in noncut or cw in (x[1] for x in chosen):
+                if cw == u_final or cw in noncut or cw in (x[1] for x in chosen):
                     continue
                 split = _feasible_split(shapes, k, cw, cw - pos)
                 if split is None:
@@ -900,8 +885,8 @@ class _UniformReducer:
                 if is_path:
                     _copy_arcs(p, shape.old_ids,
                                _orient_compensated(shape, c, b))
-                elif not _assign_crosspoint(p, self.g, k, det.u,
-                                            self.blocks[bi], shape, b, c):
+                elif not _assign_crosspoint(p, k, det.u, self.blocks[bi],
+                                            shape, b, c):
                     self._undo_to(mark)
                     break
             else:
@@ -1305,6 +1290,10 @@ def cograph_orient(g: Graph, cotree) -> Orientation:
     Each join is realized as a chain over its children: the vertices of
     the children already folded in form one side, the next child the
     other, and every cross edge between them goes one way.
+
+    On a quasi-threshold cotree every join is Join((Leaf(v), rest)) and
+    rest's max indegree is below |rest|, so every cross edge leaves v.  An
+    indegree then counts the joins above a vertex: optimal, omega - 1.
     """
     leaves, nodes = cotree_postorder(cotree)
     p = PartialOrientation(g)
@@ -1423,8 +1412,7 @@ def _degree_threshold(g: Graph, c):
 # in the order orient --class auto tries them
 ORIENT_CLASSES = (
     OrientClass("quasi-threshold", lambda g, c: quasi_threshold_cotree(g),
-                lambda g, cotree: quasi_threshold_orient(cotree),
-                lambda cotree, d: max_indegree(d)),
+                cograph_orient, lambda cotree, d: max_indegree(d)),
     OrientClass("split", lambda g, c: split_partition(g), split_orient,
                 lambda part, d: max(2 * len(part.clique) - 2, 0)),
     OrientClass("two-cut-block", _two_cut_blocks,

@@ -193,22 +193,27 @@ def generic_bounds(g: Graph, omega: int):
 # -- text I/O ----------------------------------------------------------
 
 
-def _tokens(text):
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            yield from body.split()
+def parse_pairs(text, what, header=None):
+    """(n, m, pairs) from the text of a graph or an orientation (what): a
+    header "n m", equal to header when given, then m pairs of ints."""
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    toks = text.split()
+    if len(toks) < 2:
+        raise ValueError(f"{what} text needs a header 'n m'")
+    n, m = int(toks[0]), int(toks[1])
+    if header is not None and (n, m) != header:
+        raise ValueError(f"{what} header ({n},{m}) does not match graph "
+                         f"({header[0]},{header[1]})")
+    if len(toks) - 2 != 2 * m:
+        raise ValueError(f"expected {2 * m} endpoint tokens, "
+                         f"got {len(toks) - 2}")
+    ints = map(int, toks[2:])
+    return n, m, list(zip(ints, ints))
 
 
 def parse_graph(text) -> Graph:
-    toks = list(_tokens(text))
-    if len(toks) < 2:
-        raise ValueError("graph text needs a header 'n m'")
-    n, m = int(toks[0]), int(toks[1])
-    nums = toks[2:]
-    if len(nums) != 2 * m:
-        raise ValueError(f"expected {2 * m} endpoint tokens, got {len(nums)}")
-    edges = [(int(nums[2 * i]), int(nums[2 * i + 1])) for i in range(m)]
+    n, _, edges = parse_pairs(text, "graph")
     return Graph(n, edges)
 
 

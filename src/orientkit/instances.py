@@ -414,23 +414,26 @@ def _random_split(rng, n):
 
 
 def _random_cotree_graph(rng, n, single_vertex_joins):
-    from .graph import disjoint_union, join
+    edges = []
 
-    def build(sz):
+    def build(base, sz):
+        """Append the edges of a random cotree graph on base..base+sz-1."""
         if sz == 1:
-            return Graph(1)
-        if single_vertex_joins:
-            if rng.random() < 0.6:
-                return join(Graph(1), build(sz - 1))
+            return
+        if single_vertex_joins and rng.random() < 0.6:
+            build(base + 1, sz - 1)
+            a, joined = 1, True
+        else:
             a = rng.randint(1, sz - 1)
-            return disjoint_union(build(a), build(sz - a))
-        a = rng.randint(1, sz - 1)
-        parts = build(a), build(sz - a)
-        if rng.random() < 0.5:
-            return join(*parts)
-        return disjoint_union(*parts)
+            build(base, a)
+            build(base + a, sz - a)
+            joined = not single_vertex_joins and rng.random() < 0.5
+        if joined:
+            edges.extend((u, v) for u in range(base, base + a)
+                         for v in range(base + a, base + sz))
 
-    return build(n)
+    build(0, n)
+    return Graph(n, edges)
 
 
 def _random_uniform_block(rng, blocks, k, two_cut):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated
-from .graph import Graph, _tokens
+from .graph import Graph, parse_pairs
 
 
 class Orientation:
@@ -42,7 +42,10 @@ class Orientation:
         """arcs: iterable of (tail, head); must cover every edge exactly once."""
         heads = [None] * graph.m
         for t, h in arcs:
-            e = graph.edge_id(t, h)
+            try:
+                e = graph.edge_id(t, h)
+            except KeyError:
+                raise ValueError(f"arc ({t},{h}) is not an edge") from None
             if heads[e] is not None:
                 raise ValueError(f"edge ({t},{h}) oriented twice")
             heads[e] = h
@@ -154,17 +157,7 @@ def is_compensated_proper(d: Orientation, spec: CompensationSpec) -> bool:
 
 
 def parse_orientation(text, graph: Graph) -> Orientation:
-    toks = list(_tokens(text))
-    if len(toks) < 2:
-        raise ValueError("orientation text needs a header 'n m'")
-    n, m = int(toks[0]), int(toks[1])
-    if n != graph.n or m != graph.m:
-        raise ValueError(f"orientation header ({n},{m}) does not match graph "
-                         f"({graph.n},{graph.m})")
-    nums = toks[2:]
-    if len(nums) != 2 * m:
-        raise ValueError(f"expected {2 * m} endpoint tokens, got {len(nums)}")
-    arcs = [(int(nums[2 * i]), int(nums[2 * i + 1])) for i in range(m)]
+    _, _, arcs = parse_pairs(text, "orientation", (graph.n, graph.m))
     return Orientation.from_arcs(graph, arcs)
 
 

@@ -499,15 +499,6 @@ class BlockCutTree:
                 for v in blk:
                     self.blocks_of.setdefault(v, []).append(bi)
 
-    def is_path(self) -> bool:
-        """True when the block-cutpoint tree is a path."""
-        deg = {}
-        for v in self.cut_vertices:
-            deg[("c", v)] = len(self.blocks_of[v])
-        for bi, blk in enumerate(self.blocks):
-            deg[("b", bi)] = sum(1 for v in blk if v in self.cut_vertices)
-        return all(d <= 2 for d in deg.values())
-
     def rooted(self, root_block: int) -> "RootedBlockCutTree":
         return RootedBlockCutTree(self, root_block)
 

@@ -427,7 +427,7 @@ def uniform_block_orient_oracle(g, k):
                 cut_pieces = {
                     w: [_piece_shape(g, vs | {w}, w) for _, vs in kids_of[w]]
                     for w in rooted.block_children_cuts[bi]}
-                if not _assign_crosspoint(trial, g, k, u, rooted.bct.blocks[bi],
+                if not _assign_crosspoint(trial, k, u, rooted.bct.blocks[bi],
                                           cut_pieces, b, c):
                     ok = False
                     break
@@ -610,6 +610,52 @@ def random_uniform_block_oracle(rng, blocks, k, two_cut):
         block_list.append(blk)
         cut_count[len(block_list) - 1] = 1
     return Graph(nxt, edges)
+
+
+# -- cotree constructions before they shared cograph_orient's fold -----------
+
+
+def quasi_threshold_orient_oracle(cotree):
+    """The join-count quasi-threshold constructor: the graph is rebuilt
+    from the cotree, and every edge points at the endpoint with more joins
+    above it."""
+    from orientkit.orientation import Orientation
+    from orientkit.recognize import cotree_postorder, evaluate_cotree
+
+    leaves, nodes = cotree_postorder(cotree)
+    g = evaluate_cotree(cotree)
+    step = [0] * (len(leaves) + 1)   # joins above each leaf, as differences
+    for node, bounds in nodes:
+        if isinstance(node, CotreeJoin):
+            assert len(bounds) == 3 and isinstance(node.children[0],
+                                                   CotreeLeaf)
+            step[bounds[1]] += 1
+            step[bounds[2]] -= 1
+    above = dict(zip(leaves, itertools.accumulate(step)))
+    return Orientation(g, [v if above[v] > above[u] else u
+                           for u, v in g.edges])
+
+
+def random_cotree_graph_oracle(rng, n, single_vertex_joins):
+    """The cotree generator that built a new Graph at every cotree node
+    through join and disjoint_union."""
+    from orientkit.graph import disjoint_union, join
+
+    def build(sz):
+        if sz == 1:
+            return Graph(1)
+        if single_vertex_joins:
+            if rng.random() < 0.6:
+                return join(Graph(1), build(sz - 1))
+            a = rng.randint(1, sz - 1)
+            return disjoint_union(build(a), build(sz - a))
+        a = rng.randint(1, sz - 1)
+        parts = build(a), build(sz - a)
+        if rng.random() < 0.5:
+            return join(*parts)
+        return disjoint_union(*parts)
+
+    return build(n)
 
 
 # -- checks under python -O ---------------------------------------------------

@@ -45,6 +45,16 @@ def test_verify_roundtrip(tmp_path):
     assert code == 0 and "compensated" in rep
 
 
+def test_verify_rejects_an_arc_that_is_not_an_edge(tmp_path):
+    gpath = tmp_path / "g.graph"
+    opath = tmp_path / "d.orient"
+    write_graph(Graph.path_graph(3), gpath)
+    for arcs in ("0 1\n0 2\n", "0 1\n1 1\n"):
+        opath.write_text("3 2\n" + arcs)
+        code, rep, _ = run(["verify", str(gpath), str(opath)])
+        assert code == 2 and "is not an edge" in rep["error"]
+
+
 def test_orient_auto_and_classes(tmp_path):
     gpath = tmp_path / "g.graph"
     write_graph(split_tight_example(3), gpath)

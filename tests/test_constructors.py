@@ -27,7 +27,8 @@ from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  clique_number_chordal, cograph_cotree,
                                  is_claw_free, outerplanar_strip,
                                  quasi_threshold_cotree, split_partition)
-from oracles import extend_partial_oracle, random_tree, run_optimized
+from oracles import (extend_partial_oracle, quasi_threshold_orient_oracle,
+                     random_tree, run_optimized, threshold_graph)
 
 
 def fan(n):
@@ -133,6 +134,32 @@ def test_quasi_threshold_always_optimal():
         peo = chordal_peo(g).peo
         omega = clique_number_chordal(g, peo)
         assert is_proper(d) and max_indegree(d) == omega - 1
+
+
+def quasi_threshold_corpus():
+    """Quasi-threshold graphs: criterion 4's, larger random ones, relabelled
+    copies of both, and threshold graphs, whose cotrees are the deepest."""
+    rng = random.Random(11)
+    sizes = [(4 + (seed * 11) % 27, seed) for seed in range(100)]
+    for n, seed in sizes + [(200, 1), (800, 1)]:
+        g = random_class_instance("quasi-threshold", n, seed)
+        yield g
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield g.relabeled(perm)
+    for n in (*range(1, 21), 250):
+        yield threshold_graph(n)
+
+
+def test_quasi_threshold_heads_match_oracle():
+    # the cograph fold sends every join's edges away from its single vertex,
+    # which is where the join count points them
+    for g in quasi_threshold_corpus():
+        cot = quasi_threshold_cotree(g)
+        want = quasi_threshold_orient_oracle(cot)
+        assert want.graph == g
+        assert cograph_orient(g, cot) == want
+        assert quasi_threshold_orient(cot) == want
 
 
 # -- split -------------------------------------------------------------------
@@ -467,11 +494,6 @@ def _flip_first(d):
     return Orientation(d.graph, (u + v - d.heads[0],) + d.heads[1:])
 
 
-def _flipped_orientation(graph, heads):
-    """Orientation(graph, heads) with its first edge turned around."""
-    return _flip_first(Orientation(graph, heads))
-
-
 def _builder(fault):
     """A PartialOrientation whose finished orientation passes through fault."""
     class Faulty(PartialOrientation):
@@ -518,10 +540,8 @@ def _guard_cases():
             {"extend_partial": _faulty_result(extend_partial,
                                               Orientation.reversed)},
             lambda: low_degree_orient(star, 1)),
-        # it builds its Orientation from the heads directly
         "quasi_threshold_orient": (
-            {"Orientation": _flipped_orientation},
-            lambda: quasi_threshold_orient(quasi_threshold_cotree(star))),
+            flip, lambda: quasi_threshold_orient(quasi_threshold_cotree(star))),
         "split_orient": (flip, lambda: split_orient(split,
                                                     split_partition(split))),
         "path_block_compensated": (

@@ -95,6 +95,13 @@ def test_orientation_text_roundtrip():
     assert back == d
     with pytest.raises(ValueError):
         parse_orientation("2 1\n0 1\n", g)
+    # an arc must name an edge: not a non-edge, not a loop
+    for arcs in ([(0, 1), (0, 2)], [(0, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="is not an edge"):
+            Orientation.from_arcs(g, arcs)
+        with pytest.raises(ValueError, match="is not an edge"):
+            parse_orientation("3 2\n" + "".join(f"{t} {h}\n"
+                                                  for t, h in arcs), g)
     # one head per edge, and each an endpoint of its edge
     for heads in ([1], [1, 2, 1], [1, 0], [2, 2]):
         with pytest.raises(ValueError):

@@ -20,8 +20,8 @@ from orientkit.recognize import (block_cut_tree, chordal_peo, is_k_uniform,
                                  max_cut_vertices_per_block,
                                  outerplanar_strip, quasi_threshold_cotree,
                                  split_partition)
-from oracles import (brute_clique_number, random_uniform_block_oracle,
-                     run_optimized)
+from oracles import (brute_clique_number, random_cotree_graph_oracle,
+                     random_uniform_block_oracle, run_optimized)
 
 
 def test_ladder_gadget_sizes():
@@ -243,6 +243,20 @@ def test_uniform_block_generator_matches_oracle(two_cut):
         got = instances._random_uniform_block(random.Random(1), blocks, k,
                                               two_cut)
         assert got.n == want.n and got.edges == want.edges
+
+
+@pytest.mark.parametrize("kind", ["quasi-threshold", "cograph"])
+def test_cotree_generator_matches_oracle(kind):
+    single = kind == "quasi-threshold"
+    for seed in range(20):
+        for n in range(1, 61):
+            want = random_cotree_graph_oracle(random.Random(seed), n, single)
+            got = instances._random_cotree_graph(random.Random(seed), n,
+                                                 single)
+            assert got == want, (seed, n)
+    for n in (200, 800):
+        want = random_cotree_graph_oracle(random.Random(1), n, single)
+        assert random_class_instance(kind, n, 1) == want
 
 
 # -- explicit checks that survive python -O ------------------------------------

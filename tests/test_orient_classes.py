@@ -67,6 +67,21 @@ def test_block_recognizers_rule_out_by_counts(monkeypatch):
             assert cls.recognize(g, None) is None, (cls.name, g)
 
 
+@pytest.mark.parametrize("cls", ["auto", "quasi-threshold"])
+def test_quasi_threshold_orient_builds_no_graph_from_its_cotree(
+        cls, monkeypatch, tmp_path):
+    def no_rebuild(*args):
+        raise RuntimeError("graph rebuilt from its cotree")
+    monkeypatch.setattr(construct, "evaluate_cotree", no_rebuild)
+    gpath = tmp_path / "g.graph"
+    write_graph(random_class_instance("quasi-threshold", 40, 2), gpath)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = dispatch(["orient", str(gpath), "--class", cls])
+    assert code == 0
+    assert "class=quasi-threshold" in buf.getvalue().splitlines()
+
+
 # -- pinned orient reports ---------------------------------------------------
 
 # a 6-cycle is in none of the classes; with --c 1 the degree condition
