@@ -4,8 +4,8 @@ Run with:  python3 demos/02_exact_solver.py
 """
 
 from orientkit import (Graph, decide_k_orientation, disjoint_union,
-                       disjoint_union_rule, enumerate_proper_k_orientations,
-                       fpt_chordal, proper_orientation_number)
+                       enumerate_proper_k_orientations, fpt_chordal,
+                       proper_orientation_number)
 
 print("== decision ==")
 k3 = Graph.complete(3)
@@ -34,7 +34,7 @@ v1 = proper_orientation_number(g1)[0]
 v2 = proper_orientation_number(g2)[0]
 vu = proper_orientation_number(disjoint_union(g1, g2))[0]
 print(f"components: {v1} and {v2}; union solves to {vu};",
-      "rule gives", disjoint_union_rule([v1, v2]))
+      "rule gives", max(v1, v2))
 
 print()
 print("== chordal shortcut ==")

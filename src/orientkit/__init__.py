@@ -14,7 +14,7 @@ from .orientation import (CompensationSpec, Orientation, PartialOrientation,
                           format_orientation, is_compensated_proper,
                           is_proper, max_indegree, parse_orientation,
                           read_orientation, write_orientation)
-from .exact import (clique_number, decide_k_orientation, disjoint_union_rule,
+from .exact import (clique_number, decide_k_orientation,
                     enumerate_proper_k_orientations, fpt_chordal,
                     proper_orientation_number)
 from .recognize import (BlockCutTree, ChordalCheck, CographCheck, CotreeJoin,

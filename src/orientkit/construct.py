@@ -1336,7 +1336,8 @@ def cograph_join_orient(g1: Graph, g2: Graph, d1: Orientation,
 
 
 def claw_free_chordal_bound(g: Graph) -> int:
-    """Max degree, certified <= 3*omega via a 3-clique neighborhood cover."""
+    """Max degree, certified <= 3*omega via a 3-clique neighborhood cover;
+    the check also runs under ``python -O`` and raises ConstructionError."""
     check = chordal_peo(g)
     if check.peo is None:
         raise NotApplicable("graph is not chordal")
@@ -1344,20 +1345,23 @@ def claw_free_chordal_bound(g: Graph) -> int:
         raise NotApplicable("graph has an induced claw")
     omega = clique_number_chordal(g, check.peo) if g.n else 0
     adjset = [set(a) for a in g.adj]
-    for v in range(g.n):
-        nb = g.adj[v]
+
+    def covered(nb):
+        """nb is a clique, has at most 3 vertices, or splits into 3 cliques
+        by adjacency to its first non-adjacent pair u, w."""
         if g.is_clique(nb) or len(nb) <= 3:
-            continue
-        pair = next((u, w) for i, u in enumerate(nb) for w in nb[i + 1:]
+            return True
+        u, w = next((u, w) for i, u in enumerate(nb) for w in nb[i + 1:]
                     if w not in adjset[u])
-        u, w = pair
         part_u = {x for x in nb if x in adjset[u] and x not in adjset[w]}
         part_w = {x for x in nb if x in adjset[w] and x not in adjset[u]}
         rest = set(nb) - {u, w} - part_u - part_w
-        cover = [part_u | {u}, part_w | {w}, rest]
-        assert all(g.is_clique(sorted(c)) for c in cover if c)
-        assert len(nb) <= 3 * omega
-    assert g.max_degree() <= 3 * omega or g.n == 0
+        return all(g.is_clique(sorted(c))
+                   for c in (part_u | {u}, part_w | {w}, rest) if c)
+
+    if g.max_degree() > 3 * omega or not all(covered(nb) for nb in g.adj):
+        raise ConstructionError("claw_free_chordal_bound could not certify "
+                                "max degree <= 3*omega")
     return g.max_degree()
 
 

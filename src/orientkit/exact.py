@@ -600,14 +600,6 @@ def enumerate_proper_k_orientations(g: Graph, k: int, node_budget=None):
         yield Orientation(g, heads)
 
 
-def disjoint_union_rule(values):
-    """Orientation number of a disjoint union: the max over components."""
-    vals = list(values)
-    if not vals:
-        raise ValueError("need at least one component value")
-    return max(vals)
-
-
 def fpt_chordal(g: Graph, k: int, node_budget=None):
     """Decision for chordal g: immediate No when omega >= k+2, else
     decide_k_orientation under the capacity floor taken on the chordal

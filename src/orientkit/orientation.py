@@ -85,13 +85,6 @@ class PartialOrientation:
         self.indegree = [0] * graph.n
         self.unoriented = graph.m
 
-    def copy(self):
-        p = PartialOrientation(self.graph)
-        p.heads = list(self.heads)
-        p.indegree = list(self.indegree)
-        p.unoriented = self.unoriented
-        return p
-
     def is_oriented(self, u, v):
         return self.heads[self.graph.edge_id(u, v)] >= 0
 

@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .errors import ConstructionError, InvalidPEO
+from .errors import ConstructionError, InvalidPEO, PreconditionViolated
 from .graph import Graph
 
 
@@ -475,8 +475,8 @@ def twin_partition(g: Graph, s):
     """Partition an independent set into classes of equal neighborhoods."""
     s = sorted(s)
     sset = set(s)
-    for v in s:
-        assert not any(w in sset for w in g.adj[v]), "set is not independent"
+    if any(w in sset for v in s for w in g.adj[v]):
+        raise PreconditionViolated("set is not independent")
     classes = {}
     for v in s:
         classes.setdefault(tuple(g.adj[v]), []).append(v)
@@ -540,18 +540,6 @@ class RootedBlockCutTree:
                     self.block_parent_cut[bi] = x
                     self.block_depth[bi] = self.cut_depth[x] + 1
                     queue.append(("b", bi))
-
-    def subtree_vertices(self, block_index: int) -> set:
-        """All graph vertices in blocks of the subtree rooted at this block."""
-        bct = self.bct
-        out = set()
-        stack = [block_index]
-        while stack:
-            bi = stack.pop()
-            out.update(bct.blocks[bi])
-            for v in self.block_children_cuts[bi]:
-                stack.extend(self.cut_children_blocks[v])
-        return out
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -658,72 +646,42 @@ def outerplanar_strip(g: Graph) -> Optional[StripDecomposition]:
         triangles.update(tri_of_edge[(u, v)])
     if len(triangles) != n - 2:
         return None
-    # edges on exactly one triangle must form a Hamiltonian cycle
-    outer = [e for e, ts in tri_of_edge.items() if len(ts) == 1]
-    if len(outer) != n:
-        return None
-    ring = {v: [] for v in range(n)}
-    for u, v in outer:
-        ring[u].append(v)
-        ring[v].append(u)
-    if any(len(nb) != 2 for nb in ring.values()):
-        return None
-    cycle = [0, min(ring[0])]
-    while len(cycle) < n:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = ring[cur][0] if ring[cur][0] != prev else ring[cur][1]
-        cycle.append(nxt)
-    if len(set(cycle)) != n or cycle[0] not in ring[cycle[-1]]:
-        return None
     # weak dual: triangles sharing a chord; must be a path
     tris = sorted(triangles)
     tix = {t: i for i, t in enumerate(tris)}
-    dual = {i: set() for i in range(len(tris))}
-    for e, ts in tri_of_edge.items():
+    dual = [[] for _ in tris]
+    for ts in tri_of_edge.values():
         if len(ts) == 2:
             a, b = tix[ts[0]], tix[ts[1]]
-            dual[a].add(b)
-            dual[b].add(a)
-    if any(len(nb) > 2 for nb in dual.values()):
+            dual[a].append(b)
+            dual[b].append(a)
+    if any(len(nb) > 2 for nb in dual):
         return None
-    ends = [i for i, nb in dual.items() if len(nb) <= 1]
-    if len(tris) == 1:
-        order = [0]
-    else:
-        if len(ends) != 2:
+    ends = [i for i, nb in enumerate(dual) if len(nb) <= 1]
+    if len(ends) != min(2, len(tris)):
+        return None
+    order = ends[:1]
+    seen = set(order)
+    while len(order) < len(tris):
+        nxt = [x for x in dual[order[-1]] if x not in seen]
+        if not nxt:
             return None
-        start = min(ends)
-        order = [start]
-        seen = {start}
-        while len(order) < len(tris):
-            cur = order[-1]
-            nxt = [x for x in dual[cur] if x not in seen]
-            if not nxt:
-                return None
-            order.append(nxt[0])
-            seen.add(nxt[0])
-    # ear peeling validates outerplanarity itself
-    if not _peels_to_edge(g):
-        return None
+        order.append(nxt[0])
+        seen.add(nxt[0])
+    # The walk proves the shape.  g is connected and every edge has a
+    # common neighbour, so the n - 2 triangles walked cover all n vertices;
+    # each shares a chord with the one before it, so each adds exactly one
+    # new vertex and two new edges, 3 + 2(n - 3) = m edges in all.  No
+    # edge lies on three triangles, so each sits on an outer edge of the
+    # stack before it: g is maximal outerplanar, its weak dual is the walk,
+    # and its edges on one triangle form the Hamiltonian outer cycle.
+    ring = [[] for _ in range(n)]
+    for (u, v), ts in tri_of_edge.items():
+        if len(ts) == 1:
+            ring[u].append(v)
+            ring[v].append(u)
+    cycle = [0, min(ring[0])]
+    while len(cycle) < n:
+        prev, (a, b) = cycle[-2], ring[cycle[-1]]
+        cycle.append(b if a == prev else a)
     return StripDecomposition(tuple(tris[i] for i in order), tuple(cycle))
-
-
-def _peels_to_edge(g: Graph) -> bool:
-    adj = [set(a) for a in g.adj]
-    alive = set(range(g.n))
-    while len(alive) > 2:
-        ear = None
-        for v in sorted(alive):
-            if len(adj[v]) == 2:
-                a, b = sorted(adj[v])
-                if b in adj[a]:
-                    ear = v
-                    break
-        if ear is None:
-            return False
-        for w in adj[ear]:
-            adj[w].discard(ear)
-        adj[ear].clear()
-        alive.discard(ear)
-    rest = sorted(alive)
-    return len(rest) == 2 and rest[1] in adj[rest[0]]

@@ -11,7 +11,9 @@ from pathlib import Path
 from orientkit.errors import BudgetExceeded
 from orientkit.graph import Graph
 from orientkit.instances import random_class_instance
-from orientkit.recognize import CotreeJoin, CotreeLeaf, CotreeUnion
+from orientkit.orientation import PartialOrientation
+from orientkit.recognize import (CotreeJoin, CotreeLeaf, CotreeUnion,
+                                 StripDecomposition)
 
 
 def all_orientation_indegrees(g):
@@ -254,11 +256,31 @@ def random_tree(rng, n, no_adjacent_degree_at_least=None):
 # -- the recursive 3k-2 construction for k-uniform block graphs ---------------
 
 
+def subtree_vertices(rooted, block_index):
+    """All graph vertices in blocks of the rooted block-cut subtree at
+    block_index."""
+    out = set()
+    stack = [block_index]
+    while stack:
+        bi = stack.pop()
+        out.update(rooted.bct.blocks[bi])
+        for v in rooted.block_children_cuts[bi]:
+            stack.extend(rooted.cut_children_blocks[v])
+    return out
+
+
+def copy_partial(p):
+    """An independent copy of the PartialOrientation p."""
+    q = PartialOrientation(p.graph)
+    q.heads = list(p.heads)
+    q.indegree = list(p.indegree)
+    q.unoriented = p.unoriented
+    return q
+
+
 def extend_partial_oracle(g, s):
     """Reference greedy extension from an edgeless set S (ds = {}): a
     linear scan for the vertex maximizing indegree + unoriented edges."""
-    from orientkit.orientation import PartialOrientation
-
     sset = frozenset(s)
     p = PartialOrientation(g)
     for v in sorted(sset):
@@ -290,13 +312,12 @@ def uniform_block_orient_oracle(g, k):
                                      _orient_compensated, _piece_feasible,
                                      _piece_shape)
     from orientkit.errors import ConstructionError
-    from orientkit.orientation import PartialOrientation
     from orientkit.recognize import block_cut_tree
 
     def children_map(rooted):
         out = {}
         for v, kids in rooted.cut_children_blocks.items():
-            out[v] = [(bi, rooted.subtree_vertices(bi) - {v}) for bi in kids]
+            out[v] = [(bi, subtree_vertices(rooted, bi) - {v}) for bi in kids]
         return out
 
     def is_path_subtree(rooted, block_id):
@@ -416,7 +437,7 @@ def uniform_block_orient_oracle(g, k):
         for attempt, assignment in enumerate(assignments(0, total)):
             if attempt >= 500:
                 break
-            trial = p.copy()
+            trial = copy_partial(p)
             ok = True
             for (bi, verts), is_path, shape, b in zip(kids, flags, shapes,
                                                       assignment):
@@ -656,6 +677,117 @@ def random_cotree_graph_oracle(rng, n, single_vertex_joins):
         return disjoint_union(*parts)
 
     return build(n)
+
+
+# -- the strip recognizer with its ring checks and ear peel ------------------
+
+
+def outerplanar_strip_oracle(g):
+    """The strip recognizer as it was before its dual-path walk was taken as
+    proof: it also checks that the edges on one triangle form a Hamiltonian
+    cycle, and peels ears down to a single edge (quadratic)."""
+    n = g.n
+    if n < 3 or g.m != 2 * n - 3 or not g.is_connected():
+        return None
+    adjset = [set(a) for a in g.adj]
+    tri_of_edge = {}
+    triangles = set()
+    for u, v in g.edges:
+        common = adjset[u] & adjset[v]
+        if not 1 <= len(common) <= 2:
+            return None
+        tri_of_edge[(u, v)] = [tuple(sorted((u, v, w))) for w in sorted(common)]
+        triangles.update(tri_of_edge[(u, v)])
+    if len(triangles) != n - 2:
+        return None
+    outer = [e for e, ts in tri_of_edge.items() if len(ts) == 1]
+    if len(outer) != n:
+        return None
+    ring = {v: [] for v in range(n)}
+    for u, v in outer:
+        ring[u].append(v)
+        ring[v].append(u)
+    if any(len(nb) != 2 for nb in ring.values()):
+        return None
+    cycle = [0, min(ring[0])]
+    while len(cycle) < n:
+        prev, cur = cycle[-2], cycle[-1]
+        nxt = ring[cur][0] if ring[cur][0] != prev else ring[cur][1]
+        cycle.append(nxt)
+    if len(set(cycle)) != n or cycle[0] not in ring[cycle[-1]]:
+        return None
+    tris = sorted(triangles)
+    tix = {t: i for i, t in enumerate(tris)}
+    dual = {i: set() for i in range(len(tris))}
+    for e, ts in tri_of_edge.items():
+        if len(ts) == 2:
+            a, b = tix[ts[0]], tix[ts[1]]
+            dual[a].add(b)
+            dual[b].add(a)
+    if any(len(nb) > 2 for nb in dual.values()):
+        return None
+    ends = [i for i, nb in dual.items() if len(nb) <= 1]
+    if len(tris) == 1:
+        order = [0]
+    else:
+        if len(ends) != 2:
+            return None
+        start = min(ends)
+        order = [start]
+        seen = {start}
+        while len(order) < len(tris):
+            cur = order[-1]
+            nxt = [x for x in dual[cur] if x not in seen]
+            if not nxt:
+                return None
+            order.append(nxt[0])
+            seen.add(nxt[0])
+    if not _peels_to_edge(g):
+        return None
+    return StripDecomposition(tuple(tris[i] for i in order), tuple(cycle))
+
+
+def _peels_to_edge(g):
+    """Repeatedly delete a degree-2 vertex whose neighbours are adjacent;
+    True when exactly one edge remains."""
+    adj = [set(a) for a in g.adj]
+    alive = set(range(g.n))
+    while len(alive) > 2:
+        ear = None
+        for v in sorted(alive):
+            if len(adj[v]) == 2:
+                a, b = sorted(adj[v])
+                if b in adj[a]:
+                    ear = v
+                    break
+        if ear is None:
+            return False
+        for w in adj[ear]:
+            adj[w].discard(ear)
+        adj[ear].clear()
+        alive.discard(ear)
+    rest = sorted(alive)
+    return len(rest) == 2 and rest[1] in adj[rest[0]]
+
+
+def graphs_with_edges(n, m):
+    """Every labelled graph on n vertices with exactly m edges."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for chosen in itertools.combinations(pairs, m):
+        yield Graph(n, list(chosen))
+
+
+def moved_edges(g, rng, moves):
+    """g with up to moves edges each replaced by a random non-edge."""
+    edges = set(g.edges)
+    for _ in range(moves):
+        non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                     if (u, v) not in edges]
+        if not non_edges:
+            break
+        edges.remove(rng.choice(sorted(edges)))
+        edges.add(rng.choice(non_edges))
+    return Graph(g.n, sorted(edges))
 
 
 # -- checks under python -O ---------------------------------------------------

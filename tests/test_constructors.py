@@ -566,6 +566,10 @@ def _guard_cases():
                 Orientation(Graph(1), []))),
         "cograph_orient": (flip, lambda: cograph_orient(
             cograph, cograph_cotree(cograph).cotree)),
+        # a clique number of 1 leaves K_5's degree 4 above 3 * omega
+        "claw_free_chordal_bound": (
+            {"clique_number_chordal": lambda g, peo: 1},
+            lambda: claw_free_chordal_bound(Graph.complete(5))),
     }
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from orientkit.errors import BudgetExceeded, NotChordal
 from orientkit.exact import (clique_number, decide_k_orientation,
-                             disjoint_union_rule,
                              enumerate_proper_k_orientations, fpt_chordal,
                              proper_orientation_number)
 from orientkit.graph import Graph, join
@@ -94,14 +93,6 @@ def test_budget():
         decide_k_orientation(g, 5, node_budget=3)
     with pytest.raises(BudgetExceeded):
         list(enumerate_proper_k_orientations(g, 5, node_budget=10))
-
-
-def test_disjoint_union_rule():
-    assert disjoint_union_rule([2, 3]) == 3
-    assert disjoint_union_rule([0]) == 0
-    assert disjoint_union_rule([4, 4, 1]) == 4
-    with pytest.raises(ValueError):
-        disjoint_union_rule([])
 
 
 def test_fpt_chordal():

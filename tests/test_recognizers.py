@@ -1,10 +1,12 @@
 import random
+import time
 
 import pytest
 
-from orientkit.errors import InvalidPEO
+from orientkit.errors import InvalidPEO, PreconditionViolated
 from orientkit.graph import Graph, disjoint_union
-from orientkit.instances import block_tight_example, ladder_gadget
+from orientkit.instances import (block_tight_example, ladder_gadget,
+                                 random_class_instance)
 from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  clique_number_chordal, cograph_cotree,
                                  evaluate_cotree, find_induced_p4,
@@ -13,7 +15,9 @@ from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  outerplanar_strip, quasi_threshold_cotree,
                                  split_partition, twin_partition)
 from oracles import (brute_clique_number, brute_has_chordless_cycle,
-                     brute_is_quasi_threshold, brute_is_split, random_gnp)
+                     brute_is_quasi_threshold, brute_is_split,
+                     graphs_with_edges, moved_edges, outerplanar_strip_oracle,
+                     random_gnp, relabeled, run_optimized)
 
 
 def fan(n):
@@ -174,6 +178,40 @@ def test_outerplanar_strip_structure():
     assert sorted(cyc) == list(range(7))
 
 
+def test_outerplanar_strip_matches_oracle_on_every_small_graph():
+    # every labelled graph with n <= 6 and m = 2n - 3: 1 + 6 + 120 + 5005
+    graphs = strips = 0
+    for n in range(3, 7):
+        for g in graphs_with_edges(n, 2 * n - 3):
+            strip = outerplanar_strip(g)
+            assert strip == outerplanar_strip_oracle(g)
+            graphs += 1
+            strips += strip is not None
+    assert graphs == 5132 and strips > 0
+
+
+def test_outerplanar_strip_matches_oracle_with_moved_edges():
+    rng = random.Random(11)
+    found = 0
+    for seed in range(300):
+        g = relabeled(random_class_instance("strip", rng.randint(1, 25),
+                                            seed), seed)
+        g = moved_edges(g, rng, seed % 4)
+        strip = outerplanar_strip(g)
+        assert strip == outerplanar_strip_oracle(g)
+        found += strip is not None
+    assert 75 <= found < 300
+
+
+def test_outerplanar_strip_is_linear():
+    # the ear peel this recognizer used to end with took 6.4 s here
+    g = random_class_instance("strip", 20000, 1)
+    started = time.perf_counter()
+    strip = outerplanar_strip(g)
+    assert time.perf_counter() - started < 2.0
+    assert strip is not None and len(strip.triangles) == 20000
+
+
 def test_cograph_examples():
     check = cograph_cotree(Graph.path_graph(4))
     assert check.cotree is None
@@ -211,3 +249,21 @@ def test_twin_partition():
     assert classes == [(3, 4)]
     g2 = Graph(4, [(0, 2), (1, 3)])
     assert twin_partition(g2, [2, 3]) == [(2,), (3,)]
+
+
+def check_twin_partition_rejects_dependent_set():
+    """Uses no assert, so it also checks under -O."""
+    try:
+        twin_partition(Graph.path_graph(3), {0, 1})
+    except PreconditionViolated:
+        return
+    raise RuntimeError("a set with an edge inside was partitioned")
+
+
+def test_twin_partition_rejects_dependent_set():
+    check_twin_partition_rejects_dependent_set()
+
+
+def test_twin_partition_rejects_dependent_set_under_optimize():
+    run_optimized("test_recognizers",
+                  "check_twin_partition_rejects_dependent_set")
