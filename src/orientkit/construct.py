@@ -24,11 +24,13 @@ greedily.  It then re-attaches the pieces in reverse order, each with a
 compensated orientation: the piece carries a prescribed indegree at the
 attachment vertex and is proper when that vertex wears a prescribed color
 equal to the vertex's eventual global indegree.  The block-cut tree is
-built once; the reductions form an explicit stack over one undo log, so a
-failed re-attachment backtracks to its level's next candidate without
-recursion.  Local extensions are found by a small deterministic
-assignment search over clique positions, colors, and per-piece indegree
-splits.  Each re-attached piece is re-checked in the same way.
+built once, and each detached piece's clique path is read off it; a
+piece's graph is built from its cliques alone.  The reductions form an
+explicit stack over one undo log, so a failed re-attachment backtracks to
+its level's next candidate without recursion.  Local extensions are found
+by a small deterministic assignment search over clique positions, colors,
+and per-piece indegree splits, the splits from one iterative enumerator.
+Each re-attached piece is re-checked in the same way.
 """
 
 from __future__ import annotations
@@ -195,8 +197,8 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
     bound = max(2 * omega - 2, 0)
     p = PartialOrientation(g)
     heavy = [v for v in kv if g.degree(v) >= bound]
-    h = len(heavy)
-    light = [v for v in kv if v not in set(heavy)]
+    h, heavyset = len(heavy), set(heavy)
+    light = [v for v in kv if v not in heavyset]
     picked = {}
     for v in heavy:
         inb = [w for w in g.adj[v] if w in iv]
@@ -220,31 +222,17 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
         if h > 0:
             for w in picked[heavy[0]]:
                 p.orient(w, heavy[0], heavy[0])
-        heavyset = set(heavy)
-        pend = [0] * g.n
-        for u, v in g.edges:
-            if not p.is_oriented(u, v):
-                pend[u] += 1
-                pend[v] += 1
-        candidates = [v for v in range(g.n) if v not in heavyset]
-        rank = {}
-        alive = set(candidates)
-        for r in range(len(candidates), 0, -1):
-            pick = max(alive, key=lambda v: (pend[v], -v))
-            rank[pick] = r
-            alive.discard(pick)
-            for w in g.adj[pick]:
-                if not p.is_oriented(pick, w) and w in alive:
-                    pend[w] -= 1
+        # edges left at a heavy vertex point away from it, the rest greedily
+        pending = [0] * g.n
         for u, v in g.edges:
             if p.is_oriented(u, v):
                 continue
-            if u in heavyset:
-                p.orient(u, v, v)
-            elif v in heavyset:
-                p.orient(u, v, u)
+            if u in heavyset or v in heavyset:
+                p.orient(u, v, u if v in heavyset else v)
             else:
-                p.orient(u, v, v if rank[v] > rank[u] else u)
+                pending[u] += 1
+                pending[v] += 1
+        _greedy_inward(p, pending)
     return _verified(p.to_orientation(), "split_orient", bound)
 
 
@@ -300,7 +288,8 @@ def _clique_order(verts, placed):
     k = len(verts)
     order = [None] * k
     for v, pos in placed.items():
-        assert order[pos] is None
+        if order[pos] is not None:
+            raise ConstructionError(f"two vertices at clique position {pos}")
         order[pos] = v
     rest = sorted(v for v in verts if v not in placed)
     it = iter(rest)
@@ -369,37 +358,23 @@ class PieceShape:
         return self.target_index, len(self.blocks) - 1 - self.target_index
 
 
-def _piece_shape(g: Graph, verts, target) -> PieceShape:
-    sub, old = g.induced(verts)
+def _clique_union(cliques):
+    """The graph of a union of cliques on ids of its own: (graph, the old id
+    of each new id in increasing order, each clique as a sorted tuple of new
+    ids).  Cliques of a block graph give the subgraph they induce."""
+    old = sorted({v for c in cliques for v in c})
     pos = {v: i for i, v in enumerate(old)}
-    bct = block_cut_tree(sub)
-    blocks = list(bct.blocks)
-    if len(blocks) == 1:
-        ordered = blocks
-    else:
-        incidence = {i: set() for i in range(len(blocks))}
-        for v, bids in bct.blocks_of.items():
-            for a in bids:
-                for b in bids:
-                    if a != b:
-                        incidence[a].add(b)
-        if any(len(s) > 2 for s in incidence.values()):
-            raise BadShape("piece is not a path of cliques")
-        ends = sorted(i for i, s in incidence.items() if len(s) == 1)
-        if len(ends) != 2:
-            raise ConstructionError("piece's blocks do not form a path")
-        ordered, seen = [ends[0]], {ends[0]}
-        while len(ordered) < len(blocks):
-            nxt = [x for x in incidence[ordered[-1]] if x not in seen]
-            assert nxt
-            ordered.append(nxt[0])
-            seen.add(nxt[0])
-        ordered = [blocks[i] for i in ordered]
-    t = pos[target]
-    holding = [i for i, blk in enumerate(ordered) if t in blk]
-    if len(holding) != 1:
-        raise BadShape("attachment vertex must be a non-cut vertex")
-    return PieceShape(sub, old, ordered, t, holding[0])
+    local = [tuple(pos[v] for v in sorted(c)) for c in cliques]
+    edges = {e for c in local for e in itertools.combinations(c, 2)}
+    return Graph(len(old), edges), old, local
+
+
+def _piece_shape(cliques, target_index, target) -> PieceShape:
+    """The piece made of cliques in path order, attached at target, a vertex
+    of cliques[target_index] alone."""
+    graph, old, blocks = _clique_union(cliques)
+    return PieceShape(graph, old, blocks, bisect.bisect_left(old, target),
+                      target_index)
 
 
 def _piece_feasible(shape: PieceShape, c, d):
@@ -438,17 +413,12 @@ def _orient_compensated(shape: PieceShape, c, d) -> Orientation:
     y = (set(block) & set(blocks[bi + 1])).pop()
     p = PartialOrientation(g)
     _transitive(p, _clique_order(block, {shape.target: d, x: alpha, y: beta}))
-    left = sorted(set().union(*blocks[:bi]))
-    right = sorted(set().union(*blocks[bi + 1:]))
-    for verts, tgt, cc, dd, side_blocks in (
-            (left, x, cx, cx - alpha, blocks[:bi]),
-            (right, y, cy, cy - beta, blocks[bi + 1:])):
-        sub, old = g.induced(verts)
-        pos = {v: i for i, v in enumerate(old)}
-        loc_blocks = [tuple(sorted(pos[v] for v in blk)) for blk in side_blocks]
-        if loc_blocks and pos[tgt] not in loc_blocks[-1]:
-            loc_blocks = list(reversed(loc_blocks))
-        _copy_arcs(p, old, _orient_end(sub, k, loc_blocks, pos[tgt], cc, dd))
+    # each side in path order toward the target's clique
+    for side, tgt, cc, dd in ((blocks[:bi], x, cx, cx - alpha),
+                              (blocks[:bi:-1], y, cy, cy - beta)):
+        sub, old, loc_blocks = _clique_union(side)
+        _copy_arcs(p, old, _orient_end(sub, k, loc_blocks,
+                                       bisect.bisect_left(old, tgt), cc, dd))
     return _checked_compensated(shape, c, d, p.to_orientation())
 
 
@@ -471,17 +441,15 @@ def _orient_end(g: Graph, k, blocks, target, c, d) -> Orientation:
         _transitive(p, _clique_order(last, {target: d}))
         return p.to_orientation()
     connector = (set(last) & set(blocks[-2])).pop()
-    inner = sorted(v for blk in blocks[:-1] for v in blk)
-    sub, old = g.induced(inner)
-    pos = {v: i for i, v in enumerate(old)}
-    loc_blocks = [tuple(sorted(pos[v] for v in blk)) for blk in blocks[:-1]]
+    sub, old, loc_blocks = _clique_union(blocks[:-1])
+    loc_connector = bisect.bisect_left(old, connector)
     p = PartialOrientation(g)
     if d >= 1:
-        d_inner = extend_partial(sub, {pos[connector]}, {})
+        d_inner = extend_partial(sub, {loc_connector}, {})
         _transitive(p, _clique_order(last, {connector: 0, target: d}))
     else:
         c_sub = 2 * k - 2 if c != 2 * k - 2 else 2 * k - 3
-        d_inner = _orient_end(sub, k, loc_blocks, pos[connector], c_sub, k - 1)
+        d_inner = _orient_end(sub, k, loc_blocks, loc_connector, c_sub, k - 1)
         conn_pos = k - 1 if c != 2 * k - 2 else k - 2
         _transitive(p, _clique_order(last, {target: 0, connector: conn_pos}))
     _copy_arcs(p, old, d_inner)
@@ -505,12 +473,10 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
         raise BadShape("u must be a non-cut vertex of the last clique")
     if not ((c > k - 1 >= d >= 0) or (c == d == k - 1)):
         raise BadCompensation(f"(c, d) = ({c}, {d}) with k = {k}")
-    verts = sorted({v for blk in seq.cliques for v in blk})
+    g, verts, cliques = _clique_union(seq.cliques)
     if verts != list(range(len(verts))):
         raise BadShape("vertex ids must be dense 0..n-1")
-    g = Graph(len(verts), {(a, b) for blk in seq.cliques
-                           for a in blk for b in blk if a < b})
-    result = _orient_end(g, k, list(seq.cliques), u, c, d)
+    result = _orient_end(g, k, cliques, u, c, d)
     return _verified(result, "path_block_compensated", max(c, 2 * k - 2),
                      proper=False, holds=result.indegree[u] == d)
 
@@ -574,17 +540,44 @@ def _assign_crosspoint(p: PartialOrientation, k, u, block_verts, cut_pieces,
 
 def _feasible_split(shapes, k, c, total):
     """Indegree split of `total` over the pieces, respecting feasibility."""
-    if not 0 <= total <= (k - 1) * len(shapes):
-        return None
-    if not shapes:
-        return ()
-    for d1 in range(min(k - 1, total), -1, -1):
-        if not _piece_feasible(shapes[0], c, d1):
-            continue
-        rest = _feasible_split(shapes[1:], k, c, total - d1)
-        if rest is not None:
-            return (d1,) + rest
-    return None
+    return next(_splits([[d for d in range(k - 1, -1, -1)
+                          if _piece_feasible(shape, c, d)]
+                         for shape in shapes], total), None)
+
+
+def _splits(allowed, total):
+    """Every tuple t with t[i] in allowed[i] and sum(t) == total, in the
+    order of itertools.product(*allowed).  Depth first over an explicit
+    stack with a running sum; a value is skipped when the lists after it
+    cannot make up the rest of total."""
+    n = len(allowed)
+    lo, hi = [0] * (n + 1), [0] * (n + 1)   # sums of the lists' min, max
+    for i in reversed(range(n)):
+        if not allowed[i]:
+            return
+        lo[i] = lo[i + 1] + min(allowed[i])
+        hi[i] = hi[i + 1] + max(allowed[i])
+    if not lo[0] <= total <= hi[0]:
+        return
+    t, s, at = [], 0, [0]   # the prefix, its sum, next choice per level
+    while at:
+        i = len(t)
+        if i == n:
+            yield tuple(t)
+        else:
+            opts, j = allowed[i], at[i]
+            while j < len(opts) and not (lo[i + 1] <= total - s - opts[j]
+                                         <= hi[i + 1]):
+                j += 1
+            if j < len(opts):
+                at[i] = j + 1
+                t.append(opts[j])
+                s += opts[j]
+                at.append(0)
+                continue
+        at.pop()
+        if t:
+            s -= t.pop()
 
 
 class _LoggedOrientation(PartialOrientation):
@@ -614,8 +607,10 @@ class _Detached:
     u: int
     kids: list      # (child block, its subtree's vertices minus u), in order
     flags: list     # per child: its subtree is a path of cliques
-    cross: dict     # non-path child block -> {child cut: [piece vertex sets]}
-    shapes: list = None
+    paths: list     # per child: its clique path when a path, else {child
+                    # cut: [clique paths hanging there]}; one clique path is
+                    # (cliques in path order, index of the top clique)
+    shapes: list = None   # paths as PieceShapes, built on first use
 
 
 @dataclass
@@ -738,6 +733,30 @@ class _UniformReducer:
             return _RULE_A if len(self.child_blocks[v]) >= 3 else _REST
         return _RULE_B if not self.nbad[v] else _IRREDUCIBLE
 
+    def _path(self, bi):
+        """The subtree at block bi, a path of cliques, as (cliques in path
+        order, index of bi's clique).  The path runs down the chains below
+        bi's at most two live child cuts and starts at the end block that
+        sorts first."""
+        chains = []
+        for w in self.child_cuts[bi]:
+            if not self.is_cut[w]:
+                continue
+            chain = []
+            while w is not None:
+                b = self.child_blocks[w][0]
+                chain.append(b)
+                w = next((x for x in self.child_cuts[b] if self.is_cut[x]),
+                         None)
+            chains.append(chain)
+        up, down = (chains + [[], []])[:2]
+        order = up[::-1] + [bi] + down
+        index = len(up)
+        if order[-1] < order[0]:
+            order.reverse()
+            index = len(order) - 1 - index
+        return [self.blocks[b] for b in order], index
+
     def _subtree(self, bi):
         """Live vertices in blocks of the subtree rooted at block bi."""
         out, stack = set(), [bi]
@@ -766,16 +785,15 @@ class _UniformReducer:
 
     def _detach(self, u):
         """Remove u's hanging subtrees; recompute flags up u's ancestors."""
-        kids, flags, cross = [], [], {}
+        kids, flags, paths = [], [], []
         for bi in self.child_blocks[u]:
             verts = self._subtree(bi)
             verts.discard(u)
             kids.append((bi, verts))
             flags.append(self.path[bi])
-            if not self.path[bi]:
-                cross[bi] = {w: [self._subtree(bb)
-                                 for bb in self.child_blocks[w]]
-                             for w in self.child_cuts[bi] if self.is_cut[w]}
+            paths.append(self._path(bi) if self.path[bi] else
+                         {w: [self._path(bb) for bb in self.child_blocks[w]]
+                          for w in self.child_cuts[bi] if self.is_cut[w]})
         deg, over = self.deg, self.over
         for _, verts in kids:
             for x in verts:
@@ -807,17 +825,16 @@ class _UniformReducer:
             self._set(self.nbad, c, self.nbad[c] + was_ok - ok)
             self._reclassify(c)
             b = self.parent_block[c]
-        return _Detached(u, kids, flags, cross)
+        return _Detached(u, kids, flags, paths)
 
     def _shapes(self, det):
         """Per child: its PieceShape if a path, else cut -> [PieceShape]."""
         if det.shapes is None:
-            g, u = self.g, det.u
             det.shapes = [
-                _piece_shape(g, verts | {u}, u) if is_path else
-                {w: [_piece_shape(g, vs, w) for vs in pieces]
-                 for w, pieces in det.cross[bi].items()}
-                for (bi, verts), is_path in zip(det.kids, det.flags)]
+                _piece_shape(*path, det.u) if is_path else
+                {w: [_piece_shape(*piece, w) for piece in pieces]
+                 for w, pieces in path.items()}
+                for path, is_path in zip(det.paths, det.flags)]
         return det.shapes
 
     def _reattach(self, det):
@@ -856,27 +873,12 @@ class _UniformReducer:
     def _promote(self, det, c, total):
         """Give u indegree gains summing to `total` across all child blocks."""
         k, flags = self.k, det.flags
-        n_kids = len(det.kids)
-        if not 0 <= total <= (k - 1) * n_kids:
-            return False
         shapes = self._shapes(det)
-
-        def assignments(i, remaining):
-            if i == n_kids:
-                if remaining == 0:
-                    yield []
-                return
-            tail = (k - 1) * (n_kids - i - 1)
-            for b in range(min(k - 1, remaining), -1, -1):
-                if remaining - b > tail:
-                    continue
-                if flags[i] and not _piece_feasible(shapes[i], c, b):
-                    continue
-                for rest in assignments(i + 1, remaining - b):
-                    yield [b] + rest
-
+        allowed = [[b for b in range(k - 1, -1, -1)
+                    if not is_path or _piece_feasible(shape, c, b)]
+                   for is_path, shape in zip(flags, shapes)]
         p = self.p
-        for attempt, assignment in enumerate(assignments(0, total)):
+        for attempt, assignment in enumerate(_splits(allowed, total)):
             if attempt >= 500:
                 break
             mark = len(self.log)

@@ -41,26 +41,14 @@ def ladder_gadget(k: int):
     """
     if k < 0:
         raise BadParams("k must be non-negative")
-    spine = list(range(k + 1))
-    nxt = k + 1
-    extras = []
-    for j in range(k):
-        extras.append(list(range(nxt, nxt + k - j)))
-        nxt += k - j
-    edges = set()
-    for a, b in itertools.combinations(spine, 2):
-        edges.add((a, b))
-    for j in range(k):
-        side = [spine[j]] + extras[j]
-        for a, b in itertools.combinations(side, 2):
-            edges.add((min(a, b), max(a, b)))
-    for j in range(k):
-        for later in range(j + 1, k):
-            for x in extras[later]:
-                edges.add((spine[j], x))
-    g = Graph(nxt, edges)
-    meta = GadgetMeta("S", {"k": k}, spine=tuple(spine))
-    return g, meta
+    spine = tuple(range(k + 1))
+    meta = GadgetMeta("S", {"k": k}, spine=spine)
+    extras = _ladder_extras(meta)
+    edges = set(itertools.combinations(spine, 2))
+    for j, side in enumerate(extras):
+        edges.update(itertools.combinations((j, *side), 2))
+        edges.update((j, x) for later in extras[j + 1:] for x in later)
+    return Graph((k + 1) * (k + 2) // 2, edges), meta
 
 
 def _ladder_arcs(meta: GadgetMeta, extras):

@@ -126,7 +126,8 @@ def chordal_peo(g: Graph) -> ChordalCheck:
     if _verify_peo(g, peo) is None:
         return ChordalCheck(peo, None)
     cycle = find_chordless_cycle(g)
-    assert cycle is not None, "PEO verification failed but no chordless cycle found"
+    if cycle is None:
+        raise ConstructionError("a failed PEO check left no chordless cycle")
     return ChordalCheck(None, cycle)
 
 
@@ -451,7 +452,8 @@ def cograph_cotree(g: Graph) -> CographCheck:
     if tree is not None:
         return CographCheck(_assemble(tree), None)
     p4 = find_induced_p4(g)
-    assert p4 is not None
+    if p4 is None:
+        raise ConstructionError("a failed cotree left no induced P4")
     return CographCheck(None, p4)
 
 
@@ -599,7 +601,8 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                     if (a, b) == (u, v):
                         break
                 blocks.append(tuple(sorted(verts)))
-        assert not estack
+        if estack:
+            raise ConstructionError("edges left over after the last block")
     blocks.sort()
     cuts = frozenset(v for v in range(n) if is_cut[v])
     return BlockCutTree(g, blocks, cuts)

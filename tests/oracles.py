@@ -253,6 +253,68 @@ def random_tree(rng, n, no_adjacent_degree_at_least=None):
     return Graph(n, edges)
 
 
+# -- split graphs -------------------------------------------------------------
+
+
+def split_orient_oracle(g, part):
+    """Reference (2*omega - 2)-orientation of a split graph: the candidates'
+    ranks come from repeated linear scans for the vertex with the most
+    unoriented edges left, ties to the smallest id."""
+    kv = sorted(part.clique)
+    iv = frozenset(part.independent)
+    omega = len(kv)
+    bound = max(2 * omega - 2, 0)
+    p = PartialOrientation(g)
+    heavy = [v for v in kv if g.degree(v) >= bound]
+    h = len(heavy)
+    light = [v for v in kv if v not in set(heavy)]
+    picked = {v: [w for w in g.adj[v] if w in iv][:omega - 1] for v in heavy}
+    for v in heavy:
+        for u in light:
+            p.orient(u, v, v)
+    for i, v in enumerate(heavy):
+        if i == 0:
+            continue
+        for w in picked[v]:
+            p.orient(v, w, v)
+        for j in range(i):
+            p.orient(heavy[j], v, v)
+    if h == omega and h > 0:
+        for u, v in g.edges:
+            if not p.is_oriented(u, v):
+                p.orient(u, v, v if v in iv else u)
+        return p.to_orientation()
+    if h > 0:
+        for w in picked[heavy[0]]:
+            p.orient(w, heavy[0], heavy[0])
+    heavyset = set(heavy)
+    pend = [0] * g.n
+    for u, v in g.edges:
+        if not p.is_oriented(u, v):
+            pend[u] += 1
+            pend[v] += 1
+    candidates = [v for v in range(g.n) if v not in heavyset]
+    rank = {}
+    alive = set(candidates)
+    for r in range(len(candidates), 0, -1):
+        pick = max(alive, key=lambda v: (pend[v], -v))
+        rank[pick] = r
+        alive.discard(pick)
+        for w in g.adj[pick]:
+            if not p.is_oriented(pick, w) and w in alive:
+                pend[w] -= 1
+    for u, v in g.edges:
+        if p.is_oriented(u, v):
+            continue
+        if u in heavyset:
+            p.orient(u, v, v)
+        elif v in heavyset:
+            p.orient(u, v, u)
+        else:
+            p.orient(u, v, v if rank[v] > rank[u] else u)
+    return p.to_orientation()
+
+
 # -- the recursive 3k-2 construction for k-uniform block graphs ---------------
 
 
@@ -304,13 +366,51 @@ def extend_partial_oracle(g, s):
     return p.to_orientation()
 
 
+def piece_shape_oracle(g, verts, target):
+    """The PieceShape of the path of cliques g induces on verts, attached at
+    target: the path order comes from a block-cut tree of the induced
+    subgraph, walked from the end block that sorts first."""
+    from orientkit.construct import PieceShape
+    from orientkit.errors import BadShape, ConstructionError
+    from orientkit.recognize import block_cut_tree
+
+    sub, old = g.induced(verts)
+    pos = {v: i for i, v in enumerate(old)}
+    bct = block_cut_tree(sub)
+    blocks = list(bct.blocks)
+    if len(blocks) == 1:
+        ordered = blocks
+    else:
+        incidence = {i: set() for i in range(len(blocks))}
+        for v, bids in bct.blocks_of.items():
+            for a in bids:
+                for b in bids:
+                    if a != b:
+                        incidence[a].add(b)
+        if any(len(s) > 2 for s in incidence.values()):
+            raise BadShape("piece is not a path of cliques")
+        ends = sorted(i for i, s in incidence.items() if len(s) == 1)
+        if len(ends) != 2:
+            raise ConstructionError("piece's blocks do not form a path")
+        ordered, seen = [ends[0]], {ends[0]}
+        while len(ordered) < len(blocks):
+            nxt = [x for x in incidence[ordered[-1]] if x not in seen]
+            ordered.append(nxt[0])
+            seen.add(nxt[0])
+        ordered = [blocks[i] for i in ordered]
+    t = pos[target]
+    holding = [i for i, blk in enumerate(ordered) if t in blk]
+    if len(holding) != 1:
+        raise BadShape("attachment vertex must be a non-cut vertex")
+    return PieceShape(sub, old, ordered, t, holding[0])
+
+
 def uniform_block_orient_oracle(g, k):
     """Reference 3k-2 construction: one recursion level per reduction, each
     rebuilding the induced core, its block-cut tree and every flag, and
     each promotion attempt trying a copy of the partial orientation."""
     from orientkit.construct import (_assign_crosspoint, _copy_arcs,
-                                     _orient_compensated, _piece_feasible,
-                                     _piece_shape)
+                                     _orient_compensated, _piece_feasible)
     from orientkit.errors import ConstructionError
     from orientkit.recognize import block_cut_tree
 
@@ -390,7 +490,7 @@ def uniform_block_orient_oracle(g, k):
         if a == 0:
             if all(flags):
                 for _, verts in kids:
-                    shape = _piece_shape(g, verts | {u}, u)
+                    shape = piece_shape_oracle(g, verts | {u}, u)
                     _copy_arcs(p, shape.old_ids,
                                extend_partial_oracle(shape.graph,
                                                      {shape.target}))
@@ -417,7 +517,7 @@ def uniform_block_orient_oracle(g, k):
         flags = path_child[u]
         if not 0 <= total <= (k - 1) * len(kids):
             return False
-        shapes = [_piece_shape(g, verts | {u}, u) if is_path else bi
+        shapes = [piece_shape_oracle(g, verts | {u}, u) if is_path else bi
                   for (bi, verts), is_path in zip(kids, flags)]
 
         def assignments(i, remaining):
@@ -446,7 +546,8 @@ def uniform_block_orient_oracle(g, k):
                                _orient_compensated(shape, c, b))
                     continue
                 cut_pieces = {
-                    w: [_piece_shape(g, vs | {w}, w) for _, vs in kids_of[w]]
+                    w: [piece_shape_oracle(g, vs | {w}, w)
+                        for _, vs in kids_of[w]]
                     for w in rooted.block_children_cuts[bi]}
                 if not _assign_crosspoint(trial, k, u, rooted.bct.blocks[bi],
                                           cut_pieces, b, c):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orientkit import construct
 from orientkit.construct import (AlternatingMode, claw_free_chordal_bound,
@@ -19,7 +21,7 @@ from orientkit.errors import (BadCompensation, BadShape, ConstructionError,
 from orientkit.exact import decide_k_orientation, proper_orientation_number
 from orientkit.graph import Graph, disjoint_union, join
 from orientkit.instances import (block_tight_example, random_class_instance,
-                                 split_tight_example)
+                                 split_kernel, split_tight_example)
 from orientkit.orientation import (CompensationSpec, Orientation,
                                    PartialOrientation, is_compensated_proper,
                                    is_proper, max_indegree)
@@ -27,8 +29,9 @@ from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  clique_number_chordal, cograph_cotree,
                                  is_claw_free, outerplanar_strip,
                                  quasi_threshold_cotree, split_partition)
-from oracles import (extend_partial_oracle, quasi_threshold_orient_oracle,
-                     random_tree, run_optimized, threshold_graph)
+from oracles import (criterion_3_graphs, extend_partial_oracle,
+                     quasi_threshold_orient_oracle, random_tree,
+                     run_optimized, split_orient_oracle, threshold_graph)
 
 
 def fan(n):
@@ -188,6 +191,50 @@ def test_split_orient_seeded():
         d = split_orient(g, part)
         omega = len(part.clique)
         assert is_proper(d) and max_indegree(d) <= max(2 * omega - 2, 0)
+
+
+def assert_split_matches_oracle(g):
+    part = split_partition(g)
+    assert split_orient(g, part).heads == split_orient_oracle(g, part).heads
+
+
+def test_split_orient_matches_oracle_on_criterion_corpora():
+    for g in criterion_3_graphs():
+        assert_split_matches_oracle(g)
+    for seed in range(200):
+        assert_split_matches_oracle(
+            random_class_instance("split", 6 + (seed * 7) % 35, seed))
+    for seed in range(50):
+        g = random_class_instance("split", 6 + seed % 9, 800 + seed)
+        assert_split_matches_oracle(g)
+        assert_split_matches_oracle(split_kernel(g, 2 + seed % 3)[0])
+    for omega in (2, 3):
+        assert_split_matches_oracle(split_tight_example(omega))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_split_orient_matches_oracle_on_hypothesis_graphs(data):
+    omega = data.draw(st.integers(min_value=0, max_value=6))
+    free = data.draw(st.integers(min_value=0, max_value=8))
+    edges = [(u, v) for u in range(omega) for v in range(u + 1, omega)]
+    for i in range(free):
+        nbrs = data.draw(st.sets(st.integers(0, omega - 1), max_size=omega)
+                         if omega else st.just(set()))
+        edges += [(c, omega + i) for c in sorted(nbrs)]
+    assert_split_matches_oracle(Graph(omega + free, edges))
+
+
+def test_split_orient_matches_oracle_with_a_light_clique_vertex():
+    # clique vertex 0 has no neighbour in I, so it and all of I are ranked
+    rng = random.Random(5)
+    omega, n = 12, 1000
+    edges = [(u, v) for u in range(omega) for v in range(u + 1, omega)]
+    for x in range(omega, n):
+        edges += [(c, x) for c in rng.sample(range(1, omega), 3)]
+    g = Graph(n, edges)
+    assert not g.adj[0][omega - 1:]
+    assert_split_matches_oracle(g)
 
 
 # -- compensated path pieces --------------------------------------------------

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
-from orientkit.errors import InvalidPEO, PreconditionViolated
+from orientkit import recognize
+from orientkit.errors import (ConstructionError, InvalidPEO,
+                              PreconditionViolated)
 from orientkit.graph import Graph, disjoint_union
 from orientkit.instances import (block_tight_example, ladder_gadget,
                                  random_class_instance)
@@ -267,3 +269,26 @@ def test_twin_partition_rejects_dependent_set():
 def test_twin_partition_rejects_dependent_set_under_optimize():
     run_optimized("test_recognizers",
                   "check_twin_partition_rejects_dependent_set")
+
+
+def check_chordal_peo_raises_without_a_cycle():
+    """chordal_peo must raise when the PEO fails and no chordless cycle is
+    found.  Uses no assert, so it also checks under -O."""
+    real = recognize.find_chordless_cycle
+    recognize.find_chordless_cycle = lambda g: None
+    try:
+        chordal_peo(Graph.cycle_graph(4))
+    except ConstructionError:
+        return
+    finally:
+        recognize.find_chordless_cycle = real
+    raise RuntimeError("C4 was reported without a chordless cycle")
+
+
+def test_chordal_peo_raises_without_a_cycle():
+    check_chordal_peo_raises_without_a_cycle()
+
+
+def test_chordal_peo_raises_without_a_cycle_under_optimize():
+    run_optimized("test_recognizers",
+                  "check_chordal_peo_raises_without_a_cycle")

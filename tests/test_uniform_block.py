@@ -1,16 +1,23 @@
 """The 3k-2 construction for k-uniform block graphs.
 
 Its output is compared with the recursive reference in oracles.py,
-arc for arc.  Further tests cover a graph too deep for recursion, the
-absence of whole-graph rebuilds, and the explicit output checks, which must
-hold under ``python -O`` as well.
+arc for arc.  Further tests cover graphs too deep or too wide for
+recursion, the split enumerator, the absence of whole-graph rebuilds, and
+the explicit output checks, which must hold under ``python -O`` as well.
 """
+
+import contextlib
+import io
+import itertools
+import random
+import time
 
 import pytest
 
 from orientkit import construct
+from orientkit.cli import dispatch
 from orientkit.errors import ConstructionError
-from orientkit.graph import Graph
+from orientkit.graph import Graph, write_graph
 from orientkit.instances import block_tight_example, random_class_instance
 from orientkit.orientation import (PartialOrientation, is_proper,
                                    max_indegree)
@@ -57,9 +64,57 @@ def test_deep_graph_has_no_recursion_limit():
     assert is_proper(d) and max_indegree(d) <= 7
 
 
+def windmill(per_corner):
+    """A triangle whose three corners each hold per_corner hanging
+    triangles: 6 * per_corner + 3 vertices."""
+    edges, n = [(0, 1), (0, 2), (1, 2)], 3
+    for corner in range(3):
+        for _ in range(per_corner):
+            edges += [(corner, n), (corner, n + 1), (n, n + 1)]
+            n += 2
+    return Graph(n, edges)
+
+
+def test_windmill_matches_oracle():
+    assert_matches_oracle(windmill(300), 3)
+
+
+def test_wide_windmill_orients_within_the_recursion_limit(tmp_path):
+    # splitting a hub's gain over 1,200 pieces recursed once per piece
+    g = windmill(1200)
+    assert g.n == 7203
+    path = tmp_path / "windmill.graph"
+    write_graph(g, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(["orient", "--class", "auto", str(path)])
+    report = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+    assert code == 0 and report["class"] == "uniform-block"
+    assert int(report["max_indegree"]) <= 7
+
+
+def test_wide_windmill_is_fast():
+    # 7.9 s when every piece rebuilt an induced subgraph and a block-cut tree
+    g = windmill(5000)
+    started = time.perf_counter()
+    d = construct.uniform_block_orient(g, None, 3)
+    assert time.perf_counter() - started < 2.0
+    assert is_proper(d) and max_indegree(d) <= 7
+
+
+def test_splits_match_product():
+    rng = random.Random(3)
+    for _ in range(500):
+        allowed = [sorted(rng.sample(range(5), rng.randint(0, 4)),
+                          reverse=True) for _ in range(rng.randint(0, 5))]
+        total = rng.randint(-1, 4 * len(allowed) + 1)
+        want = [t for t in itertools.product(*allowed) if sum(t) == total]
+        assert list(construct._splits(allowed, total)) == want
+
+
 def test_reductions_do_not_rebuild_the_graph(monkeypatch):
     g = random_class_instance("uniform-block", 800, 1)
-    sizes, rooted = [], []
+    sizes, trees, rooted = [], [], []
     real_induced, real_bct = Graph.induced, construct.block_cut_tree
     real_rooted = BlockCutTree.rooted
 
@@ -69,7 +124,7 @@ def test_reductions_do_not_rebuild_the_graph(monkeypatch):
         return sub, old
 
     def block_cut_tree(h):
-        sizes.append(h.n)
+        trees.append(h.n)
         return real_bct(h)
 
     def counted_rooted(self, root_block):
@@ -83,9 +138,10 @@ def test_reductions_do_not_rebuild_the_graph(monkeypatch):
     # partial orientation
     assert not hasattr(PartialOrientation, "copy")
     construct.uniform_block_orient(g, None, 3)
-    assert sizes[0] == g.n and len(rooted) == 1
-    # every later subgraph or decomposition is one detached piece
-    assert all(n < 50 for n in sizes[1:])
+    # pieces are read off the one block-cut tree, and any subgraph taken is
+    # one detached piece
+    assert trees == [g.n] and len(rooted) == 1
+    assert all(n < 50 for n in sizes)
 
 
 # -- explicit checks that survive python -O ------------------------------------
