@@ -53,8 +53,8 @@ from .graph import Graph, join
 from .orientation import (CompensationSpec, Orientation, PartialOrientation,
                           is_compensated_proper, is_proper, max_indegree)
 from .recognize import (BlockCutTree, CotreeJoin, CotreeLeaf, CotreeUnion,
-                        SplitPartition, block_cut_tree, chordal_peo,
-                        clique_number_chordal, cograph_cotree,
+                        SplitPartition, StripDecomposition, block_cut_tree,
+                        chordal_peo, clique_number_chordal, cograph_cotree,
                         cotree_postorder, evaluate_cotree, is_claw_free,
                         is_k_uniform, max_cut_vertices_per_block,
                         outerplanar_strip, quasi_threshold_cotree,
@@ -202,7 +202,9 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
     picked = {}
     for v in heavy:
         inb = [w for w in g.adj[v] if w in iv]
-        assert len(inb) >= omega - 1
+        if len(inb) < omega - 1:
+            raise ConstructionError(f"heavy clique vertex {v} has only "
+                                    f"{len(inb)} independent neighbors")
         picked[v] = inb[:omega - 1]
     for v in heavy:
         for u in light:
@@ -434,7 +436,8 @@ def _checked_compensated(shape: PieceShape, c, d, out: Orientation):
 def _orient_end(g: Graph, k, blocks, target, c, d) -> Orientation:
     """blocks in path order with the target in the last clique."""
     q = len(blocks)
-    assert _end_feasible(q, k, c, d), (q, k, c, d)
+    if not _end_feasible(q, k, c, d):
+        raise ConstructionError(f"no end piece for (q={q}, k={k}, c={c}, d={d})")
     last = blocks[-1]
     if q == 1:
         p = PartialOrientation(g)
@@ -1074,6 +1077,14 @@ def extend_to_path(g: Graph, p: PartialOrientation, v, v0, path, vend) -> Orient
     v at least 4.  The remaining path edges are chosen by a parity and
     endpoint case analysis over the neighbors' indegrees.
     """
+    if p.unoriented != len(path) - 1:
+        raise HypothesisViolated("only the path edges may remain unoriented")
+    _extend_path(g, p, v, v0, path, vend)
+    return _verified(p.to_orientation(), "extend_to_path")
+
+
+def _extend_path(g: Graph, p: PartialOrientation, v, v0, path, vend):
+    """extend_to_path on p in place; edges outside the fan may be unoriented."""
     ell = len(path)
     if ell < 6:
         raise HypothesisViolated(f"path length {ell} < 6")
@@ -1087,8 +1098,6 @@ def extend_to_path(g: Graph, p: PartialOrientation, v, v0, path, vend) -> Orient
     for i in range(ell - 1):
         if p.is_oriented(path[i], path[i + 1]):
             raise HypothesisViolated("path edges must be unoriented")
-    if p.unoriented != ell - 1:
-        raise HypothesisViolated("only the path edges may remain unoriented")
     d1 = p.indegree[path[0]]
     if d1 not in (1, 2):
         raise HypothesisViolated(f"first path vertex has indegree {d1}")
@@ -1102,137 +1111,128 @@ def extend_to_path(g: Graph, p: PartialOrientation, v, v0, path, vend) -> Orient
     even = ell % 2 == 0
     M = AlternatingMode
 
-    def alt(mode, sub):
-        _write_alternating(p, sub, mode)
-
     if d1 == 2:
         if even:
             if d0 != 2 and dl != 3:
-                alt(M.LEFT_SOURCE_RIGHT_SINK, path)
+                _write_alternating(p, path, M.LEFT_SOURCE_RIGHT_SINK)
             elif d0 != 3 and dl != 2:
-                alt(M.LEFT_SINK_RIGHT_SOURCE, path)
+                _write_alternating(p, path, M.LEFT_SINK_RIGHT_SOURCE)
             elif d0 == 2 and dl == 2:
                 p.orient(path[0], path[1], path[0])
-                alt(M.SINK_ENDS, path[1:])
+                _write_alternating(p, path[1:], M.SINK_ENDS)
             else:
-                assert d0 == 3 and dl == 3
                 p.orient(path[0], path[1], path[1])
                 p.orient(path[1], path[2], path[1])
                 p.orient(path[-3], path[-2], path[-2])
                 p.orient(path[-2], path[-1], path[-2])
-                alt(M.LEFT_SOURCE_RIGHT_SINK, path[2:-2])
+                _write_alternating(p, path[2:-2], M.LEFT_SOURCE_RIGHT_SINK)
         else:
             if d0 != 3 and dl != 3:
-                alt(M.SINK_ENDS, path)
+                _write_alternating(p, path, M.SINK_ENDS)
             elif d0 != 2 and dl != 2:
-                alt(M.SOURCE_ENDS, path)
+                _write_alternating(p, path, M.SOURCE_ENDS)
             elif d0 == 2:
-                assert dl == 3
                 p.orient(path[0], path[1], path[0])
-                alt(M.LEFT_SINK_RIGHT_SOURCE, path[1:])
+                _write_alternating(p, path[1:], M.LEFT_SINK_RIGHT_SOURCE)
             else:
-                assert d0 == 3 and dl == 2
                 p.orient(path[-2], path[-1], path[-1])
-                alt(M.LEFT_SOURCE_RIGHT_SINK, path[:-1])
+                _write_alternating(p, path[:-1], M.LEFT_SOURCE_RIGHT_SINK)
     else:
         if even:
             if d0 != 1 and dl != 3:
-                alt(M.LEFT_SOURCE_RIGHT_SINK, path)
+                _write_alternating(p, path, M.LEFT_SOURCE_RIGHT_SINK)
             elif d0 != 2 and dl != 2:
-                alt(M.LEFT_SINK_RIGHT_SOURCE, path)
+                _write_alternating(p, path, M.LEFT_SINK_RIGHT_SOURCE)
             elif d0 == 1 and dl == 2:
                 p.orient(path[-2], path[-1], path[-1])
-                alt(M.SINK_ENDS, path[:-1])
+                _write_alternating(p, path[:-1], M.SINK_ENDS)
             else:
-                assert d0 == 2 and dl == 3
                 p.orient(path[-3], path[-2], path[-2])
                 p.orient(path[-2], path[-1], path[-2])
-                alt(M.LEFT_SOURCE_RIGHT_SINK, path[:-2])
+                _write_alternating(p, path[:-2], M.LEFT_SOURCE_RIGHT_SINK)
         else:
             if d0 != 2 and dl != 3:
-                alt(M.SINK_ENDS, path)
+                _write_alternating(p, path, M.SINK_ENDS)
             elif d0 != 1 and dl != 2:
-                alt(M.SOURCE_ENDS, path)
+                _write_alternating(p, path, M.SOURCE_ENDS)
             elif d0 == 2 and dl == 2:
                 p.orient(path[-2], path[-1], path[-1])
-                alt(M.LEFT_SOURCE_RIGHT_SINK, path[:-1])
+                _write_alternating(p, path[:-1], M.LEFT_SOURCE_RIGHT_SINK)
             else:
-                assert d0 == 1 and dl == 3
                 p.orient(path[-3], path[-2], path[-2])
                 p.orient(path[-2], path[-1], path[-2])
-                alt(M.SINK_ENDS, path[:-2])
-    return _verified(p.to_orientation(), "extend_to_path")
+                _write_alternating(p, path[:-2], M.SINK_ENDS)
 
 
-def _fan_order(g: Graph, v):
-    """Neighbors of v ordered along the induced path they form."""
-    nb = g.adj[v]
-    nbset = set(nb)
-    deg_in = {w: sum(1 for x in g.adj[w] if x in nbset) for w in nb}
-    ends = sorted(w for w in nb if deg_in[w] == 1)
-    assert len(ends) == 2, "neighborhood of a strip vertex must be a path"
-    order = [ends[0]]
-    seen = {ends[0]}
-    while len(order) < len(nb):
-        cur = order[-1]
-        nxt = [x for x in g.adj[cur] if x in nbset and x not in seen]
-        assert len(nxt) >= 1
-        order.append(nxt[0])
-        seen.add(nxt[0])
-    return order
-
-
-def _strip_orient(g: Graph) -> Orientation:
-    delta = g.max_degree()
-    if delta <= 13:
-        if g.m:
-            try:
-                d = decide_k_orientation(g, delta, node_budget=20000)
-                if d is not None:
-                    return d
-            except BudgetExceeded:
-                pass
-        return extend_partial(g, frozenset(), {})
-    v = min(w for w in range(g.n) if g.degree(w) == delta)
-    fan = _fan_order(g, v)
-    interior = fan[2:-2]
-    keep = set(range(g.n)) - {v} - set(interior)
-    sub, old = g.induced(keep)
-    comps = sub.connected_components()
-    assert len(comps) == 2
+def _strip_orient(g: Graph, strip: StripDecomposition) -> Orientation:
+    # A vertex's triangles are consecutive in the strip order, so its degree
+    # in a piece is 1 + its triangles there, and cutting a hub's triangles
+    # [a, b] out of its piece clips only the fan's two end pairs.  The heap
+    # replays the choice, in each piece, of the hub of largest degree, least
+    # id first.
+    tris = strip.triangles
+    first, last = [len(tris)] * g.n, [-1] * g.n
+    for i, tri in enumerate(tris):
+        for w in tri:
+            first[w] = min(first[w], i)
+            last[w] = i
+    heap = [(first[w] - last[w] - 2, w) for w in range(g.n)]
+    heapq.heapify(heap)
+    fans, cut = [], set()
+    while heap[0][0] < -13:
+        key, v = heapq.heappop(heap)
+        a, b = first[v], last[v]
+        if key != a - b - 2:
+            continue   # v's degree fell since this entry
+        fan = [w for w in tris[a] if w not in tris[a + 1]]
+        for tri in tris[a:b + 1]:
+            fan.append(next(w for w in tri if w != v and w != fan[-1]))
+        for w in fan[:2]:
+            last[w] = a - 1
+        for w in fan[-2:]:
+            first[w] = b + 1
+        for w in fan[:2] + fan[-2:]:
+            heapq.heappush(heap, (first[w] - last[w] - 2, w))
+        cut.update([v] + fan[2:-2])
+        fans.append((v, fan if fan[0] < fan[-1] else fan[::-1]))
+    # the pieces are what is left of g without the hubs and fan interiors
+    sub, old = g.induced([w for w in range(g.n) if w not in cut])
     p = PartialOrientation(g)
-    for comp in comps:
+    for comp in sub.connected_components():
         # old is increasing, so this is sub.induced(comp) under old ids
         part, part_old = g.induced([old[i] for i in comp])
-        _copy_arcs(p, part_old, _strip_orient(part))
-    for w in (fan[0], fan[1], fan[-2], fan[-1]):
-        p.orient(w, v, v)
-    p.orient(fan[1], fan[2], fan[2])
-    p.orient(fan[-2], fan[-3], fan[-3])
-    s_vals = {p.indegree[fan[0]], p.indegree[fan[1]],
-              p.indegree[fan[-2]], p.indegree[fan[-1]]}
-    t = next(t for t in range(5) if 4 + t not in s_vals)
-    for j, w in enumerate(interior):
-        p.orient(w, v, v if j < t else w)
-    for j in range(t):
-        w = fan[2 + j]
-        prev_final = p.indegree[fan[1 + j]]
-        nxt = fan[3 + j]
-        if p.indegree[w] == prev_final:
-            p.orient(w, nxt, w)
-        else:
-            p.orient(w, nxt, nxt)
-    return extend_to_path(g, p, v, fan[1 + t], fan[2 + t:-2], fan[-2])
+        try:
+            d = decide_k_orientation(part, part.max_degree(), node_budget=20000)
+        except BudgetExceeded:
+            d = extend_partial(part, frozenset(), {})
+        _copy_arcs(p, part_old, d)
+    # Inner fans first: a fan reads only the final indegrees of its four
+    # end vertices, and writes heads only on its hub and interior.
+    for v, fan in reversed(fans):
+        ends = fan[:2] + fan[-2:]
+        for w in ends:
+            p.orient(w, v, v)
+        p.orient(fan[1], fan[2], fan[2])
+        p.orient(fan[-2], fan[-3], fan[-3])
+        s_vals = {p.indegree[w] for w in ends}
+        t = next(t for t in range(5) if 4 + t not in s_vals)
+        for j, w in enumerate(fan[2:-2]):
+            p.orient(w, v, v if j < t else w)
+        for prev, w, nxt in zip(fan[1:], fan[2:2 + t], fan[3:]):
+            p.orient(w, nxt, w if p.indegree[w] == p.indegree[prev] else nxt)
+        _extend_path(g, p, v, fan[1 + t], fan[2 + t:-2], fan[-2])
+    return p.to_orientation()
 
 
 def outerplanar_strip_orient(g: Graph, strip=None) -> Orientation:
-    """Proper 13-orientation of a maximal outerplane graph with path dual."""
+    """Proper 13-orientation of a maximal outerplane graph with path dual,
+    in one pass over the recognizer's triangle order, with no recursion."""
     computed = outerplanar_strip(g)
     if computed is None:
         raise NotStrip("graph is not a triangle strip")
     if strip is not None and set(strip.triangles) != set(computed.triangles):
         raise NotStrip("supplied strip does not match the graph")
-    return _verified(_strip_orient(g), "outerplanar_strip_orient", 13)
+    return _verified(_strip_orient(g, computed), "outerplanar_strip_orient", 13)
 
 
 # -- cographs ---------------------------------------------------------------
@@ -1257,7 +1257,9 @@ def cograph_bounds(cotree):
                                 max((s[1] for s in subs), default=Fraction(0)),
                                 max((s[2] for s in subs), default=0))
             continue
-        assert isinstance(node, CotreeJoin)
+        if not isinstance(node, CotreeJoin):
+            raise PreconditionViolated(f"cotree node {node!r} is not a "
+                                       "leaf, union or join")
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         total_n = bounds[-1] - bounds[0]
         total_m = (sum(s[0] for s in subs)

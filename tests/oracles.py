@@ -871,6 +871,91 @@ def _peels_to_edge(g):
     return len(rest) == 2 and rest[1] in adj[rest[0]]
 
 
+# -- the strip constructor as a recursion over induced pieces ----------------
+
+
+def zigzag_strip(tops):
+    """A strip of 2 + 15 * tops vertices in which every top but the last
+    has degree 16-17.  From an edge a-b, each round joins 14 new vertices
+    to a and b, each becoming the new b, then one more that becomes the new
+    a, the round's top."""
+    edges, a, b, n = [(0, 1)], 0, 1, 2
+    for _ in range(tops):
+        for new_a in [False] * 14 + [True]:
+            edges += [(a, n), (b, n)]
+            a, b = (n, b) if new_a else (a, n)
+            n += 1
+    return Graph(n, edges)
+
+
+def _fan_order(g, v):
+    """Neighbors of v ordered along the induced path they form."""
+    nb = g.adj[v]
+    nbset = set(nb)
+    deg_in = {w: sum(1 for x in g.adj[w] if x in nbset) for w in nb}
+    ends = sorted(w for w in nb if deg_in[w] == 1)
+    assert len(ends) == 2, "neighborhood of a strip vertex must be a path"
+    order = [ends[0]]
+    seen = {ends[0]}
+    while len(order) < len(nb):
+        cur = order[-1]
+        nxt = [x for x in g.adj[cur] if x in nbset and x not in seen]
+        assert len(nxt) >= 1
+        order.append(nxt[0])
+        seen.add(nxt[0])
+    return order
+
+
+def strip_orient_oracle(g):
+    """The strip constructor before it became one pass over the triangle
+    order: it splits off the fan of the largest-degree hub (least id first)
+    by two induced copies and recurses on both pieces (quadratic)."""
+    from orientkit.construct import extend_partial, extend_to_path
+    from orientkit.exact import decide_k_orientation
+
+    delta = g.max_degree()
+    if delta <= 13:
+        if g.m:
+            try:
+                d = decide_k_orientation(g, delta, node_budget=20000)
+                if d is not None:
+                    return d
+            except BudgetExceeded:
+                pass
+        return extend_partial(g, frozenset(), {})
+    v = min(w for w in range(g.n) if g.degree(w) == delta)
+    fan = _fan_order(g, v)
+    interior = fan[2:-2]
+    keep = set(range(g.n)) - {v} - set(interior)
+    sub, old = g.induced(keep)
+    comps = sub.connected_components()
+    assert len(comps) == 2
+    p = PartialOrientation(g)
+    for comp in comps:
+        part, part_old = g.induced([old[i] for i in comp])
+        d = strip_orient_oracle(part)
+        for (lu, lv), h in zip(part.edges, d.heads):
+            p.orient(part_old[lu], part_old[lv], part_old[h])
+    for w in (fan[0], fan[1], fan[-2], fan[-1]):
+        p.orient(w, v, v)
+    p.orient(fan[1], fan[2], fan[2])
+    p.orient(fan[-2], fan[-3], fan[-3])
+    s_vals = {p.indegree[fan[0]], p.indegree[fan[1]],
+              p.indegree[fan[-2]], p.indegree[fan[-1]]}
+    t = next(t for t in range(5) if 4 + t not in s_vals)
+    for j, w in enumerate(interior):
+        p.orient(w, v, v if j < t else w)
+    for j in range(t):
+        w = fan[2 + j]
+        prev_final = p.indegree[fan[1 + j]]
+        nxt = fan[3 + j]
+        if p.indegree[w] == prev_final:
+            p.orient(w, nxt, w)
+        else:
+            p.orient(w, nxt, nxt)
+    return extend_to_path(g, p, v, fan[1 + t], fan[2 + t:-2], fan[-2])
+
+
 def graphs_with_edges(n, m):
     """Every labelled graph on n vertices with exactly m edges."""
     pairs = list(itertools.combinations(range(n), 2))

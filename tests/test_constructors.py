@@ -1,11 +1,16 @@
+import contextlib
+import io
 import random
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientkit import construct
+from orientkit.cli import dispatch
 from orientkit.construct import (AlternatingMode, claw_free_chordal_bound,
                                  cograph_bounds, cograph_join_orient,
                                  cograph_orient, extend_partial,
@@ -19,19 +24,21 @@ from orientkit.errors import (BadCompensation, BadShape, ConstructionError,
                               NotApplicable, NotStrip, PreconditionViolated,
                               UnsupportedK)
 from orientkit.exact import decide_k_orientation, proper_orientation_number
-from orientkit.graph import Graph, disjoint_union, join
+from orientkit.graph import Graph, disjoint_union, join, write_graph
 from orientkit.instances import (block_tight_example, random_class_instance,
                                  split_kernel, split_tight_example)
 from orientkit.orientation import (CompensationSpec, Orientation,
                                    PartialOrientation, is_compensated_proper,
                                    is_proper, max_indegree)
-from orientkit.recognize import (block_cut_tree, chordal_peo,
-                                 clique_number_chordal, cograph_cotree,
-                                 is_claw_free, outerplanar_strip,
-                                 quasi_threshold_cotree, split_partition)
+from orientkit.recognize import (CotreeLeaf, CotreeUnion, block_cut_tree,
+                                 chordal_peo, clique_number_chordal,
+                                 cograph_cotree, is_claw_free,
+                                 outerplanar_strip, quasi_threshold_cotree,
+                                 split_partition)
 from oracles import (criterion_3_graphs, extend_partial_oracle,
-                     quasi_threshold_orient_oracle, random_tree,
-                     run_optimized, split_orient_oracle, threshold_graph)
+                     quasi_threshold_orient_oracle, random_tree, relabeled,
+                     run_optimized, split_orient_oracle, strip_orient_oracle,
+                     threshold_graph, zigzag_strip)
 
 
 def fan(n):
@@ -431,7 +438,7 @@ def test_strip_orient_examples():
     assert is_proper(d) and max_indegree(d) <= 2
     d = outerplanar_strip_orient(fan(12))
     assert is_proper(d) and max_indegree(d) <= 13
-    d = outerplanar_strip_orient(fan(17))  # forces the recursive split
+    d = outerplanar_strip_orient(fan(17))  # splits off a fan
     assert is_proper(d) and max_indegree(d) <= 13
     with pytest.raises(NotStrip):
         outerplanar_strip_orient(Graph.complete(4))
@@ -452,9 +459,55 @@ def test_strip_orient_seeded():
 
 def test_strip_orient_snake_with_degree_sixteen():
     g = random_class_instance("strip", 30, 9)
-    assert g.max_degree() == 16  # frozen seed: forces the recursive split
+    assert g.max_degree() == 16  # frozen seed: splits off a fan
     d = outerplanar_strip_orient(g)
     assert is_proper(d) and max_indegree(d) <= 13
+
+
+def test_strip_orient_matches_recursive_oracle():
+    seeded = [random_class_instance("strip", 3 + seed % 50, seed)
+              for seed in range(40)]
+    graphs = (seeded + [relabeled(g, 1) for g in seeded]
+              + [zigzag_strip(tops) for tops in range(1, 101)]
+              + [fan(k) for k in range(2, 40)])
+    for g in graphs:
+        assert outerplanar_strip_orient(g).heads == strip_orient_oracle(g).heads
+
+
+def test_zigzag_strip_is_fast():
+    # 66.6 s when each fan made two induced copies and recursed on both
+    g = zigzag_strip(1200)
+    started = time.perf_counter()
+    d = outerplanar_strip_orient(g)
+    assert time.perf_counter() - started < 2.0
+    assert is_proper(d) and max_indegree(d) <= 13
+
+
+def test_zigzag_strip_orients_through_dispatch(tmp_path):
+    path = tmp_path / "zigzag.graph"
+    write_graph(zigzag_strip(2500), path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(["orient", str(path), "--class", "auto"])
+    report = dict(line.partition("=")[::2]
+                  for line in out.getvalue().splitlines())
+    assert code == 0 and report["class"] == "outerplanar-strip"
+    assert report["max_indegree"] == "5"
+
+
+def test_strip_pieces_are_induced_once(monkeypatch):
+    g = zigzag_strip(200)
+    sizes = []
+    real_induced = Graph.induced
+
+    def induced(self, vertices):
+        sub, old = real_induced(self, vertices)
+        sizes.append(sub.n)
+        return sub, old
+
+    monkeypatch.setattr(Graph, "induced", induced)
+    outerplanar_strip_orient(g)
+    assert sum(sizes) <= 2 * g.n
 
 
 # -- cographs -------------------------------------------------------------------
@@ -492,6 +545,22 @@ def test_cograph_sandwich_small():
         assert lo <= exact <= up
         d = cograph_orient(g, ct)
         assert is_proper(d) and exact <= max_indegree(d) <= up
+
+
+def check_cograph_bounds_rejects_foreign_nodes():
+    """Uses no assert, so it also checks under -O."""
+    node = SimpleNamespace(children=(CotreeLeaf(0), CotreeLeaf(1)))
+    try:
+        cograph_bounds(CotreeUnion((node, CotreeLeaf(2))))
+    except PreconditionViolated:
+        return
+    raise RuntimeError("cograph_bounds folded a node that is not a join")
+
+
+def test_cograph_bounds_rejects_foreign_nodes():
+    check_cograph_bounds_rejects_foreign_nodes()
+    run_optimized("test_constructors",
+                  "check_cograph_bounds_rejects_foreign_nodes")
 
 
 # -- claw-free chordal -----------------------------------------------------------
@@ -574,6 +643,7 @@ def _guard_cases():
     cut_fault = _builder(lambda d: Orientation(d.graph, [
         v if i == 2 else u for i, (u, v) in enumerate(d.graph.edges)]))
     strip = random_class_instance("strip", 10, 0)
+    snake = random_class_instance("strip", 30, 9)
     cograph = random_class_instance("cograph", 12, 3)
     flip = {"PartialOrientation": _builder(_flip_first)}
 
@@ -605,6 +675,10 @@ def _guard_cases():
             {"_strip_orient": _faulty_result(construct._strip_orient,
                                              _flip_first)},
             lambda: outerplanar_strip_orient(strip)),
+        # the fan paths of the one strip pass come from a faulty writer
+        "outerplanar_strip_orient fan paths": (
+            {"_write_alternating": _one_way},
+            lambda: outerplanar_strip_orient(snake)),
         # the join's first side comes from a faulty extend_partial
         "cograph_join_orient": (
             {"extend_partial": _faulty_result(extend_partial, _flip_first)},
