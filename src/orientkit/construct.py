@@ -1293,28 +1293,68 @@ def cograph_orient(g: Graph, cotree) -> Orientation:
 
     Each join is realized as a chain over its children: the vertices of
     the children already folded in form one side, the next child the
-    other, and every cross edge between them goes one way.
+    other, and every cross edge between them goes one way.  The fold is
+    acyclic, so it is read off one vertex rank: each join lays its
+    children out, the incoming child behind the folded ones when the cross
+    edges go into it and in front otherwise, and every edge points to the
+    endpoint laid out later.  One post-order pass gives each node's max
+    indegree and layout, and one pass over g.edges gives the heads.
 
     On a quasi-threshold cotree every join is Join((Leaf(v), rest)) and
     rest's max indegree is below |rest|, so every cross edge leaves v.  An
     indegree then counts the joins above a vertex: optimal, omega - 1.
+
+    The cotree must have the leaves 0..n-1 and as many cross pairs as g has
+    edges; PreconditionViolated otherwise.
     """
     leaves, nodes = cotree_postorder(cotree)
-    p = PartialOrientation(g)
+    n = g.n
+    if len(leaves) != n or set(leaves) != set(range(n)):
+        raise PreconditionViolated("cotree leaves are not the vertices "
+                                   f"0..{n - 1} of the graph")
+    shift = [0] * (n + 1)   # rank minus leaf position, as differences
+    maxin = []              # max indegree of each child of an open node
+    pairs = 0
     for node, bounds in nodes:
-        if not isinstance(node, CotreeJoin):
+        if isinstance(node, CotreeLeaf):
+            maxin.append(0)
             continue
-        start = bounds[0]
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            folded, incoming = leaves[start:lo], leaves[lo:hi]
-            a = max((p.indegree[v] for v in folded), default=0)
-            b = max((p.indegree[v] for v in incoming), default=0)
-            into_incoming = _cross_into_second(a, len(folded),
-                                               b, len(incoming))
-            for x in folded:
-                for y in incoming:
-                    p.orient(x, y, y if into_incoming else x)
-    return _verified(p.to_orientation(), "cograph_orient")
+        k = len(bounds) - 1
+        subs = maxin[len(maxin) - k:]
+        del maxin[len(maxin) - k:]
+        if isinstance(node, CotreeJoin) and k > 1:
+            a, n_a = subs[0], bounds[1] - bounds[0]
+            front, back = [], []
+            for i in range(1, k):
+                b, n_b = subs[i], bounds[i + 1] - bounds[i]
+                pairs += n_a * n_b
+                if _cross_into_second(a, n_a, b, n_b):
+                    a = max(a, b + n_a)
+                    back.append(i)
+                else:
+                    a = max(a + n_b, b)
+                    front.append(i)
+                n_a += n_b
+            maxin.append(a)
+            at = bounds[0]
+            for i in itertools.chain(reversed(front), (0,), back):
+                lo, hi = bounds[i], bounds[i + 1]
+                shift[lo] += at - lo
+                shift[hi] -= at - lo
+                at += hi - lo
+        elif isinstance(node, (CotreeUnion, CotreeJoin)):
+            maxin.append(max(subs, default=0))
+        else:
+            raise PreconditionViolated(f"cotree node {node!r} is not a "
+                                       "leaf, union or join")
+    if pairs != g.m:
+        raise PreconditionViolated(f"cotree has {pairs} cross pairs, the "
+                                   f"graph {g.m} edges")
+    rank = [0] * n
+    for pos, (v, s) in enumerate(zip(leaves, itertools.accumulate(shift))):
+        rank[v] = pos + s
+    heads = [v if rank[v] > rank[u] else u for u, v in g.edges]
+    return _verified(Orientation(g, heads), "cograph_orient")
 
 
 def cograph_join_orient(g1: Graph, g2: Graph, d1: Orientation,

@@ -2,7 +2,9 @@
 
 Vertices are 0..n-1.  Edges are stored canonically as (min, max) pairs in a
 sorted list, and each vertex keeps a sorted neighbor list.  Instances are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads; the one
+cache a graph holds, its cotree insertion tree (filled by recognize on first
+use), is a pure function of the graph, so a racing fill stores an equal value.
 
 Text format: first line "n m", then m lines "u v" (0-based endpoints).
 Blank lines and '#' comments are ignored; token spacing is free-form.
@@ -15,7 +17,7 @@ from itertools import pairwise
 
 
 class Graph:
-    __slots__ = ("n", "m", "adj", "edges", "_eix")
+    __slots__ = ("n", "m", "adj", "edges", "_eix", "_cotree")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -42,6 +44,7 @@ class Graph:
         self.adj = adj
         self.edges = canon
         self._eix = {e: i for i, e in enumerate(canon)}
+        self._cotree = None
 
     # -- basic queries ------------------------------------------------
 
@@ -193,9 +196,20 @@ def generic_bounds(g: Graph, omega: int):
 # -- text I/O ----------------------------------------------------------
 
 
+def id_strings(n):
+    """The two halves of a pair line, "i " and "i\\n", for every id i < n."""
+    ids = list(map(str, range(n)))
+    return [s + " " for s in ids], [s + "\n" for s in ids]
+
+
 def parse_pairs(text, what, header=None):
     """(n, m, pairs) from the text of a graph or an orientation (what): a
-    header "n m", equal to header when given, then m pairs of ints."""
+    header "n m", equal to header when given, then m pairs of ints.
+
+    Endpoint tokens are looked up in a table of the ids' plain decimal
+    strings, sized by the smaller of n and the token count; on any miss
+    (another spelling, a sign, an out-of-range id, a non-number) the whole
+    body is parsed with int() instead, so results and errors are int()'s."""
     if "#" in text:
         text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
     toks = text.split()
@@ -208,8 +222,15 @@ def parse_pairs(text, what, header=None):
     if len(toks) - 2 != 2 * m:
         raise ValueError(f"expected {2 * m} endpoint tokens, "
                          f"got {len(toks) - 2}")
-    ints = map(int, toks[2:])
-    return n, m, list(zip(ints, ints))
+    body = toks[2:]
+    table = {s: i for i, s in enumerate(map(str, range(min(n, len(body)))))}
+    try:
+        ints = map(table.__getitem__, body)
+        pairs = list(zip(ints, ints))
+    except KeyError:
+        ints = map(int, body)
+        pairs = list(zip(ints, ints))
+    return n, m, pairs
 
 
 def parse_graph(text) -> Graph:
@@ -218,9 +239,10 @@ def parse_graph(text) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines += [f"{u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
+    first, second = id_strings(g.n)
+    lines = [f"{g.n} {g.m}\n"]
+    lines += [first[u] + second[v] for u, v in g.edges]
+    return "".join(lines)
 
 
 def read_graph(path) -> Graph:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated
-from .graph import Graph, parse_pairs
+from .graph import Graph, id_strings, parse_pairs
 
 
 class Orientation:
@@ -155,9 +155,12 @@ def parse_orientation(text, graph: Graph) -> Orientation:
 
 
 def format_orientation(d: Orientation) -> str:
-    lines = [f"{d.graph.n} {d.graph.m}"]
-    lines += [f"{t} {h}" for t, h in d.arcs()]
-    return "\n".join(lines) + "\n"
+    g = d.graph
+    first, second = id_strings(g.n)
+    lines = [f"{g.n} {g.m}\n"]
+    lines += [first[u] + second[v] if h == v else first[v] + second[u]
+              for (u, v), h in zip(g.edges, d.heads)]
+    return "".join(lines)
 
 
 def read_orientation(path, graph: Graph) -> Orientation:

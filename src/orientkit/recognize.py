@@ -371,6 +371,14 @@ def _insert_cotree(g: Graph):
     return root, kids, is_join
 
 
+def _graph_cotree(g: Graph):
+    """_insert_cotree(g), built once per graph: g holds the result, so the
+    quasi-threshold and cograph recognizers share it and it dies with g."""
+    if g._cotree is None:
+        g._cotree = (_insert_cotree(g),)   # boxed: None is a result
+    return g._cotree[0]
+
+
 def _assemble(tree, quasi_threshold=False):
     """Dataclass cotree with children ordered by their smallest vertex.
 
@@ -416,7 +424,7 @@ def quasi_threshold_cotree(g: Graph):
     """
     if g.n == 0:
         return CotreeUnion(())
-    tree = _insert_cotree(g)
+    tree = _graph_cotree(g)
     return None if tree is None else _assemble(tree, quasi_threshold=True)
 
 
@@ -448,7 +456,7 @@ def cograph_cotree(g: Graph) -> CographCheck:
     """
     if g.n == 0:
         return CographCheck(CotreeUnion(()), None)
-    tree = _insert_cotree(g)
+    tree = _graph_cotree(g)
     if tree is not None:
         return CographCheck(_assemble(tree), None)
     p4 = find_induced_p4(g)

@@ -734,7 +734,7 @@ def random_uniform_block_oracle(rng, blocks, k, two_cut):
     return Graph(nxt, edges)
 
 
-# -- cotree constructions before they shared cograph_orient's fold -----------
+# -- cotree constructions that cograph_orient has replaced ----------------
 
 
 def quasi_threshold_orient_oracle(cotree):
@@ -756,6 +756,50 @@ def quasi_threshold_orient_oracle(cotree):
     above = dict(zip(leaves, itertools.accumulate(step)))
     return Orientation(g, [v if above[v] > above[u] else u
                            for u, v in g.edges])
+
+
+def cograph_orient_oracle(g, cotree):
+    """The cograph fold one join step at a time: the max indegree of each
+    side is read off the partial orientation, and every cross edge goes
+    through PartialOrientation.orient."""
+    from orientkit.construct import _cross_into_second
+    from orientkit.recognize import cotree_postorder
+
+    leaves, nodes = cotree_postorder(cotree)
+    p = PartialOrientation(g)
+    for node, bounds in nodes:
+        if not isinstance(node, CotreeJoin):
+            continue
+        start = bounds[0]
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            folded, incoming = leaves[start:lo], leaves[lo:hi]
+            a = max((p.indegree[v] for v in folded), default=0)
+            b = max((p.indegree[v] for v in incoming), default=0)
+            into_incoming = _cross_into_second(a, len(folded),
+                                               b, len(incoming))
+            for x in folded:
+                for y in incoming:
+                    p.orient(x, y, y if into_incoming else x)
+    return p.to_orientation()
+
+
+def is_acyclic(d):
+    """Whether the orientation d has no directed cycle (Kahn's algorithm)."""
+    g = d.graph
+    out = [[] for _ in range(g.n)]
+    indeg = list(d.indegree)
+    for t, h in d.arcs():
+        out[t].append(h)
+    ready = [v for v in range(g.n) if indeg[v] == 0]
+    done = 0
+    while ready:
+        v = ready.pop()
+        done += 1
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    return done == g.n
 
 
 def random_cotree_graph_oracle(rng, n, single_vertex_joins):

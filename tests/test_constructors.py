@@ -35,7 +35,8 @@ from orientkit.recognize import (CotreeLeaf, CotreeUnion, block_cut_tree,
                                  cograph_cotree, is_claw_free,
                                  outerplanar_strip, quasi_threshold_cotree,
                                  split_partition)
-from oracles import (criterion_3_graphs, extend_partial_oracle,
+from oracles import (cograph_orient_oracle, criterion_3_graphs,
+                     extend_partial_oracle, is_acyclic,
                      quasi_threshold_orient_oracle, random_tree, relabeled,
                      run_optimized, split_orient_oracle, strip_orient_oracle,
                      threshold_graph, zigzag_strip)
@@ -547,6 +548,56 @@ def test_cograph_sandwich_small():
         assert is_proper(d) and exact <= max_indegree(d) <= up
 
 
+def cograph_orient_corpus():
+    """(graph, cotree) pairs: criterion 4's graphs, seeded cographs and
+    quasi-threshold graphs of many sizes with a relabelled copy of each, and
+    threshold graphs, each with its canonical cotree and, when it is
+    quasi-threshold, its nested one."""
+    def graphs():
+        for seed in range(100):
+            yield random_class_instance("quasi-threshold",
+                                        4 + (seed * 11) % 27, seed)
+        for kind in ("cograph", "quasi-threshold"):
+            for n in (1, 2, 3, 5, 10, 30, 80, 200, 800):
+                for seed in range(4 if n < 800 else 2):
+                    g = random_class_instance(kind, n, seed)
+                    yield g
+                    yield relabeled(g, seed)
+        for n in (*range(1, 21), 250):
+            yield threshold_graph(n)
+
+    for g in graphs():
+        yield g, cograph_cotree(g).cotree
+        nested = quasi_threshold_cotree(g)
+        if nested is not None:
+            yield g, nested
+
+
+def test_cograph_orient_matches_oracle():
+    # the rank holds the fold's heads because the fold is acyclic
+    cases = 0
+    for g, cotree in cograph_orient_corpus():
+        want = cograph_orient_oracle(g, cotree)
+        assert is_acyclic(want)
+        assert cograph_orient(g, cotree).heads == want.heads
+        cases += 1
+    assert cases > 400
+
+
+def test_cograph_orient_rejects_a_foreign_cotree():
+    g = random_class_instance("cograph", 12, 3)
+    other = random_class_instance("cograph", 12, 4)
+    assert other.n == g.n and other.m != g.m
+    foreign = [cograph_cotree(other).cotree,
+               cograph_cotree(Graph.complete(11)).cotree,
+               CotreeUnion((CotreeLeaf(0),) * 12),
+               CotreeUnion(tuple(map(CotreeLeaf, range(12)))
+                           + (SimpleNamespace(children=()),))]
+    for cotree in foreign:
+        with pytest.raises(PreconditionViolated):
+            cograph_orient(g, cotree)
+
+
 def check_cograph_bounds_rejects_foreign_nodes():
     """Uses no assert, so it also checks under -O."""
     node = SimpleNamespace(children=(CotreeLeaf(0), CotreeLeaf(1)))
@@ -646,6 +697,8 @@ def _guard_cases():
     snake = random_class_instance("strip", 30, 9)
     cograph = random_class_instance("cograph", 12, 3)
     flip = {"PartialOrientation": _builder(_flip_first)}
+    # the cotree constructor builds its Orientation from heads directly
+    flip_heads = {"Orientation": _faulty_result(Orientation, _flip_first)}
 
     def fan_path():
         g, p = _fan_path_fixture(6, 2, 0, 0)
@@ -658,7 +711,8 @@ def _guard_cases():
                                               Orientation.reversed)},
             lambda: low_degree_orient(star, 1)),
         "quasi_threshold_orient": (
-            flip, lambda: quasi_threshold_orient(quasi_threshold_cotree(star))),
+            flip_heads,
+            lambda: quasi_threshold_orient(quasi_threshold_cotree(star))),
         "split_orient": (flip, lambda: split_orient(split,
                                                     split_partition(split))),
         "path_block_compensated": (
@@ -685,7 +739,7 @@ def _guard_cases():
             lambda: cograph_join_orient(
                 p3, Graph(1), construct.extend_partial(p3, set(), {}),
                 Orientation(Graph(1), []))),
-        "cograph_orient": (flip, lambda: cograph_orient(
+        "cograph_orient": (flip_heads, lambda: cograph_orient(
             cograph, cograph_cotree(cograph).cotree)),
         # a clique number of 1 leaves K_5's degree 4 above 3 * omega
         "claw_free_chordal_bound": (

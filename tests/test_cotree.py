@@ -12,9 +12,13 @@ import tracemalloc
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from orientkit import recognize
 from orientkit.cli import dispatch
-from orientkit.graph import Graph, write_graph
+from orientkit.graph import Graph, read_graph, write_graph
 from orientkit.instances import RANDOM_CLASSES, random_class_instance
+from orientkit.orientation import read_orientation
 from orientkit.recognize import (CotreeJoin, CotreeLeaf, cograph_cotree,
                                  evaluate_cotree, quasi_threshold_cotree)
 from oracles import (cograph_cotree_oracle, quasi_threshold_cotree_oracle,
@@ -134,21 +138,53 @@ def test_deep_threshold_graph_memory():
     assert peak < 50 * 2 ** 20
 
 
+def run_cli(argv):
+    """(exit code, report as a dict) of one CLI command."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = dispatch(argv)
+    return code, dict(line.partition("=")[::2]
+                      for line in buf.getvalue().splitlines())
+
+
 def test_deep_threshold_graph_orient(tmp_path):
     n = 2100
     g = threshold_graph(n)
     assert quasi_threshold_cotree(g) is not None
     assert cograph_cotree(g).cotree is not None
-    path = tmp_path / "threshold.graph"
+    path, out = tmp_path / "threshold.graph", tmp_path / "threshold.orient"
     write_graph(g, path)
     del g
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = dispatch(["orient", str(path), "--class", "auto"])
-    report = dict(line.partition("=")[::2]
-                  for line in buf.getvalue().splitlines())
+    code, report = run_cli(["orient", str(path), "--class", "auto",
+                            "--out", str(out)])
     omega = n // 2 + 1   # the dominating vertices plus vertex 0
     assert code == 0
     assert report["class"] == "quasi-threshold"
     assert report["proper"] == "true"
     assert int(report["max_indegree"]) == omega - 1
+    # the 1.1 M arcs written, read back and counted again
+    indeg = read_orientation(out, read_graph(path)).recompute_indegree()
+    assert max(indeg) == omega - 1
+    assert sorted(set(indeg)) == list(range(omega))
+
+
+@pytest.mark.parametrize("argv, graph, cls", [
+    (["orient"], random_class_instance("cograph", 30, 2), "cograph"),
+    (["orient"], random_class_instance("quasi-threshold", 30, 1),
+     "quasi-threshold"),
+    (["orient"], Graph.cycle_graph(5), "low-degree"),
+    (["recognize"], random_class_instance("cograph", 30, 2), None),
+])
+def test_one_insertion_tree_per_graph(argv, graph, cls, monkeypatch,
+                                      tmp_path):
+    # the quasi-threshold and cograph recognizers share one insertion tree
+    built = []
+    insert = recognize._insert_cotree
+    monkeypatch.setattr(recognize, "_insert_cotree",
+                        lambda g: built.append(g) or insert(g))
+    path = tmp_path / "g.graph"
+    write_graph(graph, path)
+    code, report = run_cli([*argv, str(path)])
+    assert code == 0
+    assert report.get("class") == cls
+    assert len(built) == 1

@@ -1,11 +1,13 @@
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientkit.graph import (Graph, disjoint_union, format_graph,
-                             generic_bounds, join, parse_graph)
+                             generic_bounds, join, parse_graph, parse_pairs)
 from orientkit.orientation import (CompensationSpec, Orientation,
                                    format_orientation, is_compensated_proper,
                                    is_proper, max_indegree, parse_orientation)
@@ -86,6 +88,32 @@ def test_graph_text_roundtrip():
     assert parse_graph(format_graph(g)) == g
     text = "# comment\n5   3\n0 1\n\n1 4  # arc\n2 3\n"
     assert parse_graph(text) == g
+
+
+def test_endpoint_tokens_parse_as_int_does():
+    # only plain decimal ids below n are in the parse table; any other
+    # token sends the whole body through int(), with int()'s results and
+    # messages
+    for tok, value in (("007", 7), ("+3", 3), ("1_0", 10)):
+        assert parse_pairs(f"11 1\n0 {tok}\n", "graph") == (11, 1,
+                                                             [(0, value)])
+        assert parse_graph(f"11 1\n{tok} 0\n") == Graph(11, [(0, value)])
+    for tok in ("-1", "11"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge (0,{tok}) out of range for n=11")):
+            parse_graph(f"11 1\n0 {tok}\n")
+    for tok in ("1.5", "x"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"invalid literal for int() with base 10: '{tok}'")):
+            parse_graph(f"11 2\n0 1\n{tok} 0\n")
+    # the table is sized by the tokens too, so a huge n costs nothing
+    tracemalloc.start()
+    try:
+        assert parse_pairs("1000000000 0\n", "graph") == (10 ** 9, 0, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_orientation_text_roundtrip():
