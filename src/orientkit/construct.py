@@ -11,11 +11,12 @@ the class bound:
     outerplane strip         13
     cograph (cotree), join   the smaller of the two cross directions, per join
 
-Before it is returned, every result is re-checked for what its function
-promises (properness, the bound, a stated indegree); the check also runs
-under ``python -O`` and raises ConstructionError.  ORIENT_CLASSES pairs each
-class with its recognizer, its constructor and the bound ``orient``
-reports, in the order ``orient --class auto`` tries them.
+Before it is returned, every result passes the library's one result check,
+orientation._verified, for what its function promises (properness, the
+bound, a stated indegree); the check also runs under ``python -O`` and
+raises ConstructionError.  ORIENT_CLASSES pairs each class with its
+recognizer, its constructor and the bound ``orient`` reports, in the order
+``orient --class auto`` tries them.
 
 The k-uniform block construction detaches the hanging path pieces or
 crossroad structures around a deepest reducible cut vertex, again and
@@ -51,7 +52,7 @@ from .errors import (BadCompensation, BadShape, BudgetExceeded,
 from .exact import decide_k_orientation
 from .graph import Graph, join
 from .orientation import (CompensationSpec, Orientation, PartialOrientation,
-                          is_compensated_proper, is_proper, max_indegree)
+                          _verified, is_compensated_proper, max_indegree)
 from .recognize import (BlockCutTree, CotreeJoin, CotreeLeaf, CotreeUnion,
                         SplitPartition, StripDecomposition, block_cut_tree,
                         chordal_peo, clique_number_chordal, cograph_cotree,
@@ -59,22 +60,6 @@ from .recognize import (BlockCutTree, CotreeJoin, CotreeLeaf, CotreeUnion,
                         is_k_uniform, max_cut_vertices_per_block,
                         outerplanar_strip, quasi_threshold_cotree,
                         split_partition)
-
-
-def _verified(d: Orientation, what, bound=None, *, proper=True, holds=True):
-    """d, once an explicit check that also runs under ``python -O`` passes:
-    d is proper (skipped when proper is False), its max indegree is at most
-    bound (when given), and holds, the caller's own condition on d, is true.
-    Raises ConstructionError naming what otherwise."""
-    if proper and not is_proper(d):
-        why = "is improper"
-    elif bound is not None and max_indegree(d) > bound:
-        why = f"exceeds indegree {bound}"
-    elif not holds:
-        why = "breaks its stated property"
-    else:
-        return d
-    raise ConstructionError(f"{what} built an orientation that {why}")
 
 
 # -- greedy extension of a partial orientation ----------------------------
@@ -350,9 +335,6 @@ class PieceShape:
     def k(self):
         return len(self.blocks[0])
 
-    def q(self):
-        return len(self.blocks)
-
     def is_end(self):
         return self.target_index in (0, len(self.blocks) - 1)
 
@@ -382,7 +364,7 @@ def _piece_shape(cliques, target_index, target) -> PieceShape:
 def _piece_feasible(shape: PieceShape, c, d):
     k = shape.k
     if shape.is_end():
-        return _end_feasible(shape.q(), k, c, d)
+        return _end_feasible(len(shape.blocks), k, c, d)
     ql, qr = shape.side_sizes()
     return next(_mid_choices(k, ql, qr, c, d), None) is not None
 
@@ -439,14 +421,13 @@ def _orient_end(g: Graph, k, blocks, target, c, d) -> Orientation:
     if not _end_feasible(q, k, c, d):
         raise ConstructionError(f"no end piece for (q={q}, k={k}, c={c}, d={d})")
     last = blocks[-1]
+    p = PartialOrientation(g)
     if q == 1:
-        p = PartialOrientation(g)
         _transitive(p, _clique_order(last, {target: d}))
         return p.to_orientation()
     connector = (set(last) & set(blocks[-2])).pop()
     sub, old, loc_blocks = _clique_union(blocks[:-1])
     loc_connector = bisect.bisect_left(old, connector)
-    p = PartialOrientation(g)
     if d >= 1:
         d_inner = extend_partial(sub, {loc_connector}, {})
         _transitive(p, _clique_order(last, {connector: 0, target: d}))
@@ -476,12 +457,10 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
         raise BadShape("u must be a non-cut vertex of the last clique")
     if not ((c > k - 1 >= d >= 0) or (c == d == k - 1)):
         raise BadCompensation(f"(c, d) = ({c}, {d}) with k = {k}")
-    g, verts, cliques = _clique_union(seq.cliques)
-    if verts != list(range(len(verts))):
+    shape = _piece_shape(seq.cliques, len(seq.cliques) - 1, u)
+    if shape.old_ids != list(range(len(shape.old_ids))):
         raise BadShape("vertex ids must be dense 0..n-1")
-    result = _orient_end(g, k, cliques, u, c, d)
-    return _verified(result, "path_block_compensated", max(c, 2 * k - 2),
-                     proper=False, holds=result.indegree[u] == d)
+    return _orient_compensated(shape, c, d)
 
 
 # -- k-uniform block graphs: the general 3k-2 construction -----------------
@@ -1274,18 +1253,21 @@ def cograph_bounds(cotree):
                                    ad_rest + Fraction(ni, 2)))
         upper, seen_n = subs[0][2], sizes[0]
         for ni, (_, _, upper_ch) in zip(sizes[1:], subs[1:]):
-            upper = min(upper + ni, upper_ch + seen_n)
+            upper, _ = _join_step(upper, seen_n, upper_ch, ni)
             seen_n += ni
         folded[id(node)] = (total_m, lower, upper)
     _, lower, upper = folded[id(cotree)]
     return lower, upper
 
 
-def _cross_into_second(a, n_a, b, n_b):
-    """Whether the cross edges of a join go into the second side: sides of
-    n_a and n_b vertices whose own max indegrees are a and b take the one
-    direction whose max indegree is smaller, ties into the second."""
-    return max(a, b + n_a) <= max(b, a + n_b)
+def _join_step(a, n_a, b, n_b):
+    """(max indegree, whether the cross edges go into the second side) of
+    the join of sides of n_a and n_b vertices whose own max indegrees are a
+    and b.  The cross edges take the direction whose max indegree is
+    smaller, ties into the second.  A side's max indegree is below its size
+    (or 0), so sending them into the second side gives b + n_a, into the
+    first a + n_b."""
+    return min(b + n_a, a + n_b), b + n_a <= a + n_b
 
 
 def cograph_orient(g: Graph, cotree) -> Orientation:
@@ -1328,12 +1310,8 @@ def cograph_orient(g: Graph, cotree) -> Orientation:
             for i in range(1, k):
                 b, n_b = subs[i], bounds[i + 1] - bounds[i]
                 pairs += n_a * n_b
-                if _cross_into_second(a, n_a, b, n_b):
-                    a = max(a, b + n_a)
-                    back.append(i)
-                else:
-                    a = max(a + n_b, b)
-                    front.append(i)
+                a, into_second = _join_step(a, n_a, b, n_b)
+                (back if into_second else front).append(i)
                 n_a += n_b
             maxin.append(a)
             at = bounds[0]
@@ -1363,8 +1341,8 @@ def cograph_join_orient(g1: Graph, g2: Graph, d1: Orientation,
     if d1.graph != g1 or d2.graph != g2:
         raise PreconditionViolated("orientations must match the given graphs")
     jg = join(g1, g2)
-    into_second = _cross_into_second(max_indegree(d1), g1.n,
-                                     max_indegree(d2), g2.n)
+    _, into_second = _join_step(max_indegree(d1), g1.n,
+                                max_indegree(d2), g2.n)
     heads = []
     for u, v in jg.edges:
         if v < g1.n:

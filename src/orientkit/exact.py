@@ -42,7 +42,9 @@ not computed.
 
 Everything is deterministic: no randomization, fixed tie-breaks, and the
 optimizer climbs k upward from the capacity floor, so No answers at cheap
-small k are settled first.
+small k are settled first.  Every witness and enumerated orientation
+passes orientation._verified, the library's one result check, which also
+runs under ``python -O``.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ from __future__ import annotations
 from itertools import combinations
 from math import inf
 
-from .errors import BudgetExceeded, ConstructionError, NotChordal
+from .errors import BudgetExceeded, NotChordal
 from .graph import Graph
-from .orientation import Orientation, is_proper, max_indegree
+from .orientation import Orientation, _verified
 from .recognize import chordal_peo, clique_number_chordal, split_partition
 
 
@@ -499,11 +501,7 @@ def decide_k_orientation(g: Graph, k: int, node_budget=None,
         heads = next(_search(g, k, budget, True), None)
     if heads is None:
         return None
-    d = Orientation(g, heads)
-    if not is_proper(d) or max_indegree(d) > k:
-        raise ConstructionError(f"the search returned an orientation that "
-                                f"is not a proper {k}-orientation")
-    return d
+    return _verified(Orientation(g, heads), "the search", k)
 
 
 def _clique_floor(g: Graph, part):
@@ -597,7 +595,7 @@ def enumerate_proper_k_orientations(g: Graph, k: int, node_budget=None):
     """
     for heads in _search(g, k, _budget_box(node_budget),
                          symmetry_breaking=False):
-        yield Orientation(g, heads)
+        yield _verified(Orientation(g, heads), "the enumeration", k)
 
 
 def fpt_chordal(g: Graph, k: int, node_budget=None):

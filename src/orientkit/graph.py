@@ -34,11 +34,11 @@ class Graph:
         for e, f in pairwise(canon):
             if e == f:
                 raise ValueError(f"duplicate edge {e}")
+        # canon is sorted, so each vertex receives its smaller neighbours
+        # first, ascending, then its larger ones, ascending: adj is sorted
         for u, v in canon:
             adj[u].append(v)
             adj[v].append(u)
-        for lst in adj:
-            lst.sort()
         self.n = n
         self.m = len(canon)
         self.adj = adj

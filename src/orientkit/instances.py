@@ -19,7 +19,7 @@ from .errors import (BadK, BadParams, ConstructionError, NotACover,
                      NotCobipartite, NotCubic, NotSplit)
 from .exact import clique_number
 from .graph import Graph
-from .orientation import Orientation, is_proper, max_indegree
+from .orientation import Orientation, _verified
 from .recognize import split_partition, twin_partition
 
 
@@ -250,11 +250,8 @@ def build_vc_certificate(red: ReductionOutput, cover) -> Orientation:
                 arcs.append((w, ev))
             else:
                 arcs.append((ev, w))
-    d = Orientation.from_arcs(red.graph, arcs)
-    if not is_proper(d) or max_indegree(d) > red.k_prime:
-        raise ConstructionError(f"the certificate is not a proper "
-                                f"{red.k_prime}-orientation")
-    return d
+    return _verified(Orientation.from_arcs(red.graph, arcs),
+                     "build_vc_certificate", red.k_prime)
 
 
 # -- kernels ----------------------------------------------------------------

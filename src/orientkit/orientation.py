@@ -1,11 +1,13 @@
-"""Edge orientations: full, partial, and the properness verifier.
+"""Edge orientations: full, partial, and the library's one result check.
 
 Both kinds store one head per edge, indexed like graph.edges; a partial
 orientation marks an unoriented edge with -1.  An orientation is proper
 when adjacent vertices receive distinct indegrees.  A compensated check
 replaces one vertex's indegree with an override color before testing
 properness; it is the interface used by the block-graph constructors to
-stitch locally-built pieces together.
+stitch locally-built pieces together.  Every orientation the library
+returns passes _verified first: properness, a bound on the max indegree
+and the caller's stated property, checked also under ``python -O``.
 
 Text format: first line "n m", then m lines "u v" meaning the arc u -> v.
 Comments start with '#'.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionViolated
+from .errors import ConstructionError, PreconditionViolated
 from .graph import Graph, id_strings, parse_pairs
 
 
@@ -144,6 +146,22 @@ def is_compensated_proper(d: Orientation, spec: CompensationSpec) -> bool:
     color = list(d.indegree)
     color[spec.u] = spec.c
     return all(color[u] != color[v] for u, v in g.edges)
+
+
+def _verified(d: Orientation, what, bound=None, *, proper=True, holds=True):
+    """d, once an explicit check that also runs under ``python -O`` passes:
+    d is proper (skipped when proper is False), its max indegree is at most
+    bound (when given), and holds, the caller's own condition on d, is true.
+    Raises ConstructionError naming what otherwise."""
+    if proper and not is_proper(d):
+        why = "is improper"
+    elif bound is not None and max_indegree(d) > bound:
+        why = f"exceeds indegree {bound}"
+    elif not holds:
+        why = "breaks its stated property"
+    else:
+        return d
+    raise ConstructionError(f"{what} built an orientation that {why}")
 
 
 # -- text I/O ----------------------------------------------------------

@@ -21,41 +21,49 @@ from .graph import Graph
 
 
 def lex_bfs(g: Graph):
-    """Lexicographic BFS visit order (ties broken by smallest vertex id)."""
+    """Lexicographic BFS visit order (ties broken by smallest vertex id).
+
+    Partition refinement over a linked list of classes, front first: a
+    visit moves its unvisited neighbours in each class to a new class right
+    in front of that one.  A class stacks its members by decreasing id (the
+    first class is n-1..0, and a split takes them in reverse adjacency
+    order), so its least live id is on top once the entries of vertices
+    visited or moved on are popped, each once: the pass is O(n + m).
+    """
     n = g.n
-    if n == 0:
-        return []
-    cls_of = [0] * n
-    classes = {0: set(range(n))}
-    seq = [0]
-    next_id = 1
-    visited = [False] * n
+    cls_of = [0] * n            # -1 once visited
+    stack = [list(range(n - 1, -1, -1))]
+    prev, nxt = [-1], [-1]      # the class list; -1 ends it
+    front = 0 if n else -1
     order = []
-    while seq:
-        cid = seq[0]
-        bucket = classes[cid]
-        v = min(bucket)
-        bucket.discard(v)
-        if not bucket:
-            del classes[cid]
-            seq.pop(0)
-        visited[v] = True
+    while front >= 0:
+        top = stack[front]
+        while top and cls_of[top[-1]] != front:
+            top.pop()
+        if not top:
+            front = nxt[front]
+            if front >= 0:
+                prev[front] = -1
+            continue
+        v = top.pop()
+        cls_of[v] = -1
         order.append(v)
         moved = {}
-        for w in g.adj[v]:
-            if not visited[w]:
+        for w in reversed(g.adj[v]):
+            if cls_of[w] >= 0:
                 moved.setdefault(cls_of[w], []).append(w)
-        for bcid, members in moved.items():
-            src = classes.get(bcid)
-            if src is None or len(members) == len(src):
-                continue  # whole class is adjacent: its position is unchanged
-            nid = next_id
-            next_id += 1
-            classes[nid] = set(members)
-            for w in members:
-                src.discard(w)
+        for src, ws in moved.items():
+            nid, before = len(stack), prev[src]
+            stack.append(ws)
+            for w in ws:
                 cls_of[w] = nid
-            seq.insert(seq.index(bcid), nid)
+            prev.append(before)
+            nxt.append(src)
+            prev[src] = nid
+            if before < 0:
+                front = nid
+            else:
+                nxt[before] = nid
     return order
 
 

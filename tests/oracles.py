@@ -76,6 +76,46 @@ def brute_has_chordless_cycle(g):
     return False
 
 
+def lex_bfs_oracle(g):
+    """Lexicographic BFS visit order (ties broken by smallest vertex id),
+    taking each front vertex with min() over its whole class."""
+    n = g.n
+    if n == 0:
+        return []
+    cls_of = [0] * n
+    classes = {0: set(range(n))}
+    seq = [0]
+    next_id = 1
+    visited = [False] * n
+    order = []
+    while seq:
+        cid = seq[0]
+        bucket = classes[cid]
+        v = min(bucket)
+        bucket.discard(v)
+        if not bucket:
+            del classes[cid]
+            seq.pop(0)
+        visited[v] = True
+        order.append(v)
+        moved = {}
+        for w in g.adj[v]:
+            if not visited[w]:
+                moved.setdefault(cls_of[w], []).append(w)
+        for bcid, members in moved.items():
+            src = classes.get(bcid)
+            if src is None or len(members) == len(src):
+                continue  # whole class is adjacent: its position is unchanged
+            nid = next_id
+            next_id += 1
+            classes[nid] = set(members)
+            for w in members:
+                src.discard(w)
+                cls_of[w] = nid
+            seq.insert(seq.index(bcid), nid)
+    return order
+
+
 def brute_is_split(g):
     """Exhaustive partition check: some subset is a clique with stable rest."""
     verts = range(g.n)
@@ -760,9 +800,9 @@ def quasi_threshold_orient_oracle(cotree):
 
 def cograph_orient_oracle(g, cotree):
     """The cograph fold one join step at a time: the max indegree of each
-    side is read off the partial orientation, and every cross edge goes
-    through PartialOrientation.orient."""
-    from orientkit.construct import _cross_into_second
+    side is read off the partial orientation, the cross edges take the
+    direction whose max indegree is smaller (ties into the incoming side),
+    and every cross edge goes through PartialOrientation.orient."""
     from orientkit.recognize import cotree_postorder
 
     leaves, nodes = cotree_postorder(cotree)
@@ -775,8 +815,8 @@ def cograph_orient_oracle(g, cotree):
             folded, incoming = leaves[start:lo], leaves[lo:hi]
             a = max((p.indegree[v] for v in folded), default=0)
             b = max((p.indegree[v] for v in incoming), default=0)
-            into_incoming = _cross_into_second(a, len(folded),
-                                               b, len(incoming))
+            into_incoming = (max(a, b + len(folded))
+                             <= max(b, a + len(incoming)))
             for x in folded:
                 for y in incoming:
                     p.orient(x, y, y if into_incoming else x)

@@ -584,6 +584,13 @@ def test_cograph_orient_matches_oracle():
     assert cases > 400
 
 
+def test_cograph_bounds_upper_is_the_orient_max_indegree():
+    # both fold the same join step over the same cotree
+    for g, cotree in cograph_orient_corpus():
+        assert cograph_bounds(cotree)[1] == max_indegree(
+            cograph_orient(g, cotree))
+
+
 def test_cograph_orient_rejects_a_foreign_cotree():
     g = random_class_instance("cograph", 12, 3)
     other = random_class_instance("cograph", 12, 4)
@@ -661,6 +668,15 @@ def _flip_first(d):
     return Orientation(d.graph, (u + v - d.heads[0],) + d.heads[1:])
 
 
+def _flip_edge(u, v):
+    """A fault: the orientation with edge (u, v) turned around."""
+    def fault(d):
+        e = d.graph.edge_id(u, v)
+        return Orientation(d.graph, d.heads[:e] + (u + v - d.heads[e],)
+                           + d.heads[e + 1:])
+    return fault
+
+
 def _builder(fault):
     """A PartialOrientation whose finished orientation passes through fault."""
     class Faulty(PartialOrientation):
@@ -720,6 +736,14 @@ def _guard_cases():
                                            Orientation.reversed)},
             lambda: path_block_compensated(path_block_sequence([(0, 1, 2)]),
                                            1, 5, 0)),
+        # K_4 from source 1 is 1 -> 0 -> 2 -> 3 with 0 -> 3: turned around,
+        # 0, 2 and 3 all get indegree 2, while 1 keeps d = 0 and the max
+        # indegree stays within the bound
+        "path_block_compensated recolouring": (
+            {"_orient_end": _faulty_result(construct._orient_end,
+                                           _flip_edge(0, 3))},
+            lambda: path_block_compensated(
+                path_block_sequence([(0, 1, 2, 3)]), 1, 5, 0)),
         "two_cut_block_orient": (flip, lambda: two_cut_block_orient(blocks)),
         "two_cut_block_orient cut indegrees": (
             {"PartialOrientation": cut_fault},

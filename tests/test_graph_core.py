@@ -33,6 +33,22 @@ def test_graph_invariants():
         Graph(2, [(0, 5)])
 
 
+def test_neighbour_lists_are_sorted_for_any_edge_order():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < 0.3]
+        rng.shuffle(pairs)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        g = Graph(n, edges)
+        assert g.m == len(pairs)
+        for v in range(n):
+            assert g.adj[v] == sorted(g.adj[v])
+            assert set(g.adj[v]) == {b if a == v else a for a, b in pairs
+                                     if v in (a, b)}
+
+
 def test_is_proper_examples():
     edge = Graph(2, [(0, 1)])
     assert is_proper(Orientation(edge, [1]))

@@ -18,8 +18,9 @@ from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  split_partition, twin_partition)
 from oracles import (brute_clique_number, brute_has_chordless_cycle,
                      brute_is_quasi_threshold, brute_is_split,
-                     graphs_with_edges, moved_edges, outerplanar_strip_oracle,
-                     random_gnp, relabeled, run_optimized)
+                     graphs_with_edges, lex_bfs_oracle, moved_edges,
+                     outerplanar_strip_oracle, random_gnp, relabeled,
+                     run_optimized)
 
 
 def fan(n):
@@ -53,6 +54,41 @@ def test_chordal_matches_bruteforce_cycle_search():
                     if i == 0 and j == len(cyc) - 1:
                         continue
                     assert cyc[j] not in adj[cyc[i]]
+
+
+def lex_bfs_corpus():
+    """Seeded random graphs, every graph on 5 vertices with 4 or 6 edges,
+    and every class instance kind at three sizes with a relabelled copy."""
+    rng = random.Random(4)
+    for _ in range(300):
+        yield random_gnp(rng, rng.randint(0, 30), rng.uniform(0.05, 0.9))
+    for m in (4, 6):
+        yield from graphs_with_edges(5, m)
+    for kind in ("split", "quasi-threshold", "cograph", "uniform-block",
+                 "two-cut-block", "strip"):
+        for size in (5, 20, 100):
+            for seed in range(3):
+                g = random_class_instance(kind, size, seed)
+                yield g
+                yield relabeled(g, seed)
+
+
+def test_lex_bfs_matches_the_min_scan_order():
+    cases = 0
+    for g in lex_bfs_corpus():
+        assert recognize.lex_bfs(g) == lex_bfs_oracle(g)
+        cases += 1
+    assert cases > 800
+
+
+@pytest.mark.parametrize("g", [Graph(20000), Graph.star(20000)],
+                         ids=["isolated-20000", "star-20000"])
+def test_chordal_peo_is_linear_on_wide_classes(g):
+    # taking min() over the front class made these quadratic (1.3 s at 8,000)
+    started = time.perf_counter()
+    check = chordal_peo(g)
+    assert time.perf_counter() - started < 0.5
+    assert sorted(check.peo) == list(range(g.n))
 
 
 def test_clique_number_chordal():

@@ -5,7 +5,8 @@ its state incrementally (capacity, decided-neighbour masks, one undo step).
 Both must explore the same tree: the same stream of heads lists, and the
 same budget-box value after every yield and at every exit, including a
 ``BudgetExceeded`` exit, with symmetry breaking on and off.  Further tests
-cover the explicit witness check, which must hold under ``python -O``, and
+cover the result check on the witness and on every enumerated orientation,
+which must hold under ``python -O``, and
 ``clique_number`` on cliques deeper than the recursion limit.
 """
 
@@ -17,7 +18,8 @@ import pytest
 
 from orientkit import exact
 from orientkit.errors import BudgetExceeded, ConstructionError
-from orientkit.exact import clique_number, decide_k_orientation
+from orientkit.exact import (clique_number, decide_k_orientation,
+                             enumerate_proper_k_orientations)
 from orientkit.graph import Graph
 from orientkit.instances import ladder_gadget, random_class_instance
 from oracles import (random_gnp, relabeled, run_optimized, search_oracle,
@@ -114,25 +116,33 @@ def test_same_climb_over_a_shared_budget():
 
 def check_improper_witness_raises():
     """Make the search yield an improper heads list; decide_k_orientation
-    must raise ConstructionError.  Uses no assert, so it also checks
-    under -O."""
+    and enumerate_proper_k_orientations must raise ConstructionError.  Uses
+    no assert, so it also checks under -O."""
     g = Graph.complete(3)
     real = exact._search
+    callers = {
+        "decide_k_orientation": lambda: decide_k_orientation(g, 2),
+        "enumerate_proper_k_orientations":
+            lambda: list(enumerate_proper_k_orientations(g, 2)),
+    }
 
     def improper(g, k, budget, symmetry_breaking):
         # the directed triangle 0 -> 1 -> 2 -> 0: every indegree is 1
         yield [{(0, 1): 1, (1, 2): 2, (0, 2): 0}[e] for e in g.edges]
     exact._search = improper
     try:
-        decide_k_orientation(g, 2)
-    except ConstructionError:
-        pass
-    else:
-        raise RuntimeError("an improper witness was accepted")
+        for name, call in callers.items():
+            try:
+                call()
+            except ConstructionError:
+                continue
+            raise RuntimeError(f"{name} accepted an improper witness")
     finally:
         exact._search = real
     if decide_k_orientation(g, 2) is None:
         raise RuntimeError("K3 has a proper 2-orientation")
+    if len(callers["enumerate_proper_k_orientations"]()) != 6:
+        raise RuntimeError("K3 has six proper 2-orientations")
 
 
 def test_improper_witness_raises():
