@@ -12,7 +12,6 @@ The ORIENTKIT_SEED environment variable overrides --seed for generators.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import os
 import sys
@@ -51,10 +50,9 @@ class Report:
         return exit_code
 
 
-@functools.cache
-def _parser():
-    """The argument parser, built on first use and then reused: building it
-    costs about as much as a small solve."""
+def _build_parser():
+    """The argument parser.  Dispatch shares the one built at import:
+    building it costs about as much as a small solve."""
     top = argparse.ArgumentParser(
         prog="orientkit",
         description="proper orientations: exact solving, class constructors, "
@@ -113,6 +111,9 @@ def _parser():
     p.add_argument("--out", required=True)
     p.add_argument("--roles-out")
     return top
+
+
+_PARSER = _build_parser()
 
 
 def _cmd_solve(args, report):
@@ -300,7 +301,7 @@ def _cmd_reduce(args, report):
 
 
 def dispatch(argv) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     report = Report(["orientkit"] + list(argv))
     handler = {"solve": _cmd_solve, "orient": _cmd_orient,
                "verify": _cmd_verify, "recognize": _cmd_recognize,

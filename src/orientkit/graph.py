@@ -2,9 +2,10 @@
 
 Vertices are 0..n-1.  Edges are stored canonically as (min, max) pairs in a
 sorted list, and each vertex keeps a sorted neighbor list.  Instances are
-immutable after construction and safe to share across threads; the one
-cache a graph holds, its cotree insertion tree (filled by recognize on first
-use), is a pure function of the graph, so a racing fill stores an equal value.
+immutable after construction and safe to share across threads.  A graph
+holds two caches, each filled on first use and each a pure function of the
+graph, so a racing fill stores an equal value: the edge index behind
+edge_id and has_edge, and the cotree insertion tree that recognize builds.
 
 Text format: first line "n m", then m lines "u v" (0-based endpoints).
 Blank lines and '#' comments are ignored; token spacing is free-form.
@@ -43,7 +44,7 @@ class Graph:
         self.m = len(canon)
         self.adj = adj
         self.edges = canon
-        self._eix = {e: i for i, e in enumerate(canon)}
+        self._eix = None
         self._cotree = None
 
     # -- basic queries ------------------------------------------------
@@ -57,11 +58,22 @@ class Graph:
     def max_degree(self):
         return max((len(a) for a in self.adj), default=0)
 
+    def _edge_index(self):
+        """Canonical edge -> edge id; built on the first lookup."""
+        self._eix = {e: i for i, e in enumerate(self.edges)}
+        return self._eix
+
     def has_edge(self, u, v):
-        return ((u, v) if u < v else (v, u)) in self._eix
+        eix = self._eix
+        if eix is None:
+            eix = self._edge_index()
+        return ((u, v) if u < v else (v, u)) in eix
 
     def edge_id(self, u, v):
-        return self._eix[(u, v) if u < v else (v, u)]
+        eix = self._eix
+        if eix is None:
+            eix = self._edge_index()
+        return eix[(u, v) if u < v else (v, u)]
 
     def is_clique(self, vertices):
         vs = list(vertices)

@@ -123,14 +123,30 @@ class ReductionOutput:
 
 
 class _Builder:
+    """Edge list of the reduction under construction.  Each gadget shape is
+    built once per builder, as a template that paste copies onto fresh ids."""
+
     def __init__(self, n):
         self.n = n
         self.edges = []
+        self.templates = {}
 
-    def alloc(self, count):
-        ids = list(range(self.n, self.n + count))
-        self.n += count
-        return ids
+    def template(self, make, *args):
+        key = (make, args)
+        if key not in self.templates:
+            self.templates[key] = make(*args)
+        return self.templates[key]
+
+    def paste(self, local: Graph, host, port):
+        """Copy local onto the next local.n ids and join its vertex port to
+        host; returns the id that local's vertex 0 received."""
+        base = self.n
+        self.n += local.n
+        # one int object per new id, shared by all of its edges
+        ids = list(range(base, self.n))
+        self.edges += [(ids[u], ids[v]) for u, v in local.edges]
+        self.edges.append((host, ids[port]))
+        return base
 
     def add(self, u, v):
         self.edges.append((u, v))
@@ -140,32 +156,27 @@ class _Builder:
 
 
 def _attach_head_gadget(b: _Builder, host, i, k):
-    local, meta = head_gadget(i, k)
-    ids = b.alloc(local.n)
-    for u, v in local.edges:
-        b.add(ids[u], ids[v])
-    b.add(host, ids[meta.head])
-    shifted = GadgetMeta("F", dict(meta.params),
-                         spine=tuple(ids[x] for x in meta.spine),
-                         head=ids[meta.head])
-    return shifted
+    local, meta = b.template(head_gadget, i, k)
+    base = b.paste(local, host, meta.head)
+    return GadgetMeta("F", dict(meta.params),
+                      spine=tuple(base + x for x in meta.spine),
+                      head=base + meta.head)
 
 
 def _attach_double_clique(b: _Builder, host, size):
-    local, meta = double_clique_gadget(size)
-    ids = b.alloc(local.n)
-    for u, v in local.edges:
-        b.add(ids[u], ids[v])
-    b.add(host, ids[meta.shared])
-    return GadgetMeta("Z", dict(meta.params), shared=ids[meta.shared])
+    local, meta = b.template(double_clique_gadget, size)
+    base = b.paste(local, host, meta.shared)
+    return GadgetMeta("Z", dict(meta.params), shared=base + meta.shared)
 
 
 def reduce_vertex_cover(g: Graph, k: int) -> ReductionOutput:
     """Vertex-cover-to-proper-orientation reduction for cubic graphs.
 
-    Produces a chordal graph of diameter at most 9 together with
-    k' = n + 2 such that the input has a vertex cover of size k exactly
-    when the output admits a proper k'-orientation.
+    Produces a chordal graph together with k' = n + 2 such that the input
+    has a vertex cover of size k exactly when the output admits a proper
+    k'-orientation.  The paper states diameter at most 9; this construction
+    measures 11 (a side-clique vertex sits 4 hops from its host, and two
+    hosts can be 3 apart).
     """
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise NotCubic("every vertex must have degree 3")

@@ -41,7 +41,20 @@ class Orientation:
 
     @classmethod
     def from_arcs(cls, graph: Graph, arcs):
-        """arcs: iterable of (tail, head); must cover every edge exactly once."""
+        """arcs: iterable of (tail, head); must cover every edge exactly once.
+
+        Arcs listed in graph.edges order, as every file the library writes
+        lists them, give their heads by position after one pass of
+        endpoint checks; any other list takes the edge lookup per arc."""
+        arcs = list(arcs)
+        try:
+            in_order = len(arcs) == graph.m and all(
+                e == (t, h) or e == (h, t)
+                for e, (t, h) in zip(graph.edges, arcs))
+        except (TypeError, ValueError):
+            in_order = False  # malformed arcs: the lookup raises as it did
+        if in_order:
+            return cls(graph, [h for _, h in arcs])
         heads = [None] * graph.m
         for t, h in arcs:
             try:

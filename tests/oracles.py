@@ -10,7 +10,9 @@ from pathlib import Path
 
 from orientkit.errors import BudgetExceeded
 from orientkit.graph import Graph
-from orientkit.instances import random_class_instance
+from orientkit.instances import (GadgetMeta, ReductionOutput,
+                                 double_clique_gadget, head_gadget,
+                                 random_class_instance)
 from orientkit.orientation import PartialOrientation
 from orientkit.recognize import (CotreeJoin, CotreeLeaf, CotreeUnion,
                                  StripDecomposition)
@@ -1058,6 +1060,88 @@ def moved_edges(g, rng, moves):
         edges.remove(rng.choice(sorted(edges)))
         edges.add(rng.choice(non_edges))
     return Graph(g.n, sorted(edges))
+
+
+# -- vertex-cover reduction -----------------------------------------------
+
+
+def cubic_graph(n, seed):
+    """Seeded connected cubic graph: an n-cycle plus a random perfect
+    matching (the generator of the benchmark's reduction inputs)."""
+    rng = random.Random(seed)
+    cycle = {(i, (i + 1) % n) if i < (i + 1) % n else ((i + 1) % n, i)
+             for i in range(n)}
+    while True:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs = [tuple(sorted(perm[i:i + 2])) for i in range(0, n, 2)]
+        if not cycle.intersection(pairs):
+            return Graph(n, sorted(cycle) + pairs)
+
+
+def petersen_graph():
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)])
+
+
+def reduce_vertex_cover_oracle(g, k):
+    """The reduction with one freshly built gadget per attachment, each
+    copied edge by edge through an id list.  Valid inputs only: a connected
+    cubic g and 3 <= k <= g.n + 1."""
+    n = g.n
+    kp = n + 2
+    nxt = n + g.m
+    edges = list(itertools.combinations(range(n), 2))
+    iset_edge = {}
+    for idx, (u, v) in enumerate(g.edges):
+        iset_edge[n + idx] = (u, v)
+        edges += [(u, n + idx), (v, n + idx)]
+
+    def attach(host, local, port):
+        nonlocal nxt
+        ids = list(range(nxt, nxt + local.n))
+        nxt += local.n
+        edges.extend((ids[u], ids[v]) for u, v in local.edges)
+        edges.append((host, ids[port]))
+        return ids
+
+    def attach_head(host, i):
+        local, meta = head_gadget(i, kp)
+        ids = attach(host, local, meta.head)
+        return (host, GadgetMeta("F", dict(meta.params),
+                                 spine=tuple(ids[x] for x in meta.spine),
+                                 head=ids[meta.head]))
+
+    pendants, zgadgets = [], []
+    for v in range(n):
+        pendants += [attach_head(v, k), attach_head(v, k + 1)]
+    for ev in range(n, n + g.m):
+        pendants.append(attach_head(ev, k - 1))
+        for _ in range(k - 1):
+            local, meta = double_clique_gadget(kp)
+            ids = attach(ev, local, meta.shared)
+            zgadgets.append((ev, GadgetMeta("Z", dict(meta.params),
+                                            shared=ids[meta.shared])))
+    return ReductionOutput(Graph(nxt, edges), kp, tuple(range(n)),
+                           tuple(range(n, n + g.m)), iset_edge,
+                           pendants, zgadgets)
+
+
+def from_arcs_oracle(graph, arcs):
+    """Heads of arcs by one edge lookup per arc, with the library's errors."""
+    heads = [None] * graph.m
+    for t, h in arcs:
+        try:
+            e = graph.edge_id(t, h)
+        except KeyError:
+            raise ValueError(f"arc ({t},{h}) is not an edge") from None
+        if heads[e] is not None:
+            raise ValueError(f"edge ({t},{h}) oriented twice")
+        heads[e] = h
+    if any(h is None for h in heads):
+        raise ValueError("arcs do not cover every edge")
+    return heads
 
 
 # -- checks under python -O ---------------------------------------------------

@@ -1,0 +1,104 @@
+"""The vertex-cover reduction against its one-gadget-per-attachment oracle,
+its pinned output bytes, and the work it and the orientation reader do."""
+
+import hashlib
+import random
+
+import pytest
+
+from orientkit.errors import BadParams
+from orientkit.graph import Graph, format_graph, read_graph, write_graph
+from orientkit.instances import (build_vc_certificate, ladder_gadget,
+                                 reduce_vertex_cover)
+from orientkit.orientation import (Orientation, read_orientation,
+                                   write_orientation)
+from oracles import (cubic_graph, from_arcs_oracle, petersen_graph,
+                     reduce_vertex_cover_oracle)
+
+K4 = Graph.complete(4)
+K33 = Graph(6, [(i, 3 + j) for i in range(3) for j in range(3)])
+
+
+@pytest.mark.parametrize("name, g", [
+    ("K4", K4), ("K3,3", K33), ("petersen", petersen_graph()),
+    ("cubic10", cubic_graph(10, 10)), ("cubic12", cubic_graph(12, 12))])
+def test_reduction_matches_oracle_at_every_k(name, g):
+    for k in range(3, g.n + 2):
+        assert reduce_vertex_cover(g, k) == reduce_vertex_cover_oracle(g, k)
+    # k - 1 below 2 and k + 1 above k' name no head gadget
+    for k in (2, g.n + 2):
+        with pytest.raises(BadParams):
+            reduce_vertex_cover(g, k)
+
+
+@pytest.mark.parametrize("g, k, digest", [
+    (petersen_graph(), 6,
+     "6c26a366b9962e48db8de667d67bafd1000de4cde03678cb09d6e052e20e7285"),
+    (cubic_graph(10, 10), 6,
+     "d2b309a9827549175e88d75d37c7204790fdc3daa6a53922eff0f493e0a0d02c"),
+    (cubic_graph(12, 12), 7,
+     "f3f85450c7400480184b12cde061d69b24ae6ce55fe3b1c53da969a34d125ea7")])
+def test_reduction_bytes_at_minimum_cover(g, k, digest):
+    text = format_graph(reduce_vertex_cover(g, k).graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_reduction_builds_one_graph_per_gadget_shape(monkeypatch):
+    inputs = [(petersen_graph(), 6), (cubic_graph(12, 12), 7)]
+    built = []
+    init = Graph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting)
+    counts = []
+    for g, k in inputs:
+        built.clear()
+        reduce_vertex_cover(g, k)
+        counts.append(len(built))
+    # three head-gadget shapes (a ladder and its extension each), one
+    # double clique, and the output
+    assert counts == [8, 8]
+
+
+def test_read_orientation_by_position(tmp_path):
+    red = reduce_vertex_cover(K4, 3)
+    cert = build_vc_certificate(red, {0, 1, 2})
+    write_graph(red.graph, tmp_path / "g")
+    write_orientation(cert, tmp_path / "d")
+    g = read_graph(tmp_path / "g")
+    d = read_orientation(tmp_path / "d", g)
+    assert d.heads == cert.heads
+    assert g._eix is None  # canonical order: no edge index was built
+    arcs = list(d.arcs())
+    random.Random(3).shuffle(arcs)
+    assert Orientation.from_arcs(g, arcs) == d
+    assert g._eix is not None  # shuffled: the lookup path ran
+
+
+def _raised(fn, *args):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+def test_from_arcs_errors_match_the_lookup():
+    g = ladder_gadget(4)[0]
+    arcs = [(u, v) if (u + v) % 3 else (v, u) for u, v in g.edges]
+    non_edge = next((u, v) for u in range(g.n) for v in range(g.n)
+                    if u != v and not g.has_edge(u, v))
+    bad = {
+        "is not an edge": [arcs[:5] + [non_edge] + arcs[6:],
+                           arcs + [non_edge]],
+        "oriented twice": [arcs[:5] + [arcs[4]] + arcs[5:],
+                           arcs + [arcs[0][::-1]]],
+        "do not cover every edge": [arcs[:5] + arcs[6:], arcs[:-1]],
+    }
+    for text, copies in bad.items():
+        for copy in copies:
+            fresh = Graph(g.n, g.edges)
+            message = _raised(Orientation.from_arcs, fresh, copy)
+            assert text in message
+            assert message == _raised(from_arcs_oracle, fresh, copy)
