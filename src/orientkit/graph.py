@@ -3,9 +3,12 @@
 Vertices are 0..n-1.  Edges are stored canonically as (min, max) pairs in a
 sorted list, and each vertex keeps a sorted neighbor list.  Instances are
 immutable after construction and safe to share across threads.  A graph
-holds two caches, each filled on first use and each a pure function of the
-graph, so a racing fill stores an equal value: the edge index behind
-edge_id and has_edge, and the cotree insertion tree that recognize builds.
+holds one cache, the cotree insertion tree that recognize builds on first
+use; it is a pure function of the graph, so a racing fill stores an equal
+value.  Edge (u, v), u < v, has id _off[u] + bisect_left(adj[u], v): the
+edges with smaller endpoint u are contiguous in edges, ordered like u's
+larger neighbours, which end adj[u]; _off[u] is the first one's id minus
+the count of u's smaller neighbours.
 
 Text format: first line "n m", then m lines "u v" (0-based endpoints).
 Blank lines and '#' comments are ignored; token spacing is free-form.
@@ -13,12 +16,15 @@ Blank lines and '#' comments are ignored; token spacing is free-form.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import deque
-from itertools import pairwise
+from itertools import accumulate, compress, islice
+from operator import eq, lt, sub
 
 
 class Graph:
-    __slots__ = ("n", "m", "adj", "edges", "_eix", "_cotree")
+    __slots__ = ("n", "m", "adj", "edges", "_off", "_cotree")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -31,20 +37,23 @@ class Graph:
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for e, f in pairwise(canon):
-            if e == f:
-                raise ValueError(f"duplicate edge {e}")
+        if not all(map(lt, canon, islice(canon, 1, None))):
+            canon.sort()
+            for dup in compress(canon, map(eq, canon, islice(canon, 1, None))):
+                raise ValueError(f"duplicate edge {dup}")
         # canon is sorted, so each vertex receives its smaller neighbours
         # first, ascending, then its larger ones, ascending: adj is sorted
         for u, v in canon:
             adj[u].append(v)
             adj[v].append(u)
+        below = list(map(bisect_left, adj, range(n)))
+        above = map(sub, map(len, adj), below)
         self.n = n
         self.m = len(canon)
         self.adj = adj
         self.edges = canon
-        self._eix = None
+        # an array, not a list: offsets above 256 would each be an int object
+        self._off = array("q", map(sub, accumulate(above, initial=0), below))
         self._cotree = None
 
     # -- basic queries ------------------------------------------------
@@ -58,22 +67,19 @@ class Graph:
     def max_degree(self):
         return max((len(a) for a in self.adj), default=0)
 
-    def _edge_index(self):
-        """Canonical edge -> edge id; built on the first lookup."""
-        self._eix = {e: i for i, e in enumerate(self.edges)}
-        return self._eix
-
     def has_edge(self, u, v):
-        eix = self._eix
-        if eix is None:
-            eix = self._edge_index()
-        return ((u, v) if u < v else (v, u)) in eix
+        a = self.adj[u] if 0 <= u < self.n else ()  # adj[-1] would be read
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def edge_id(self, u, v):
-        eix = self._eix
-        if eix is None:
-            eix = self._edge_index()
-        return eix[(u, v) if u < v else (v, u)]
+        if u > v:
+            u, v = v, u
+        a = self.adj[u] if 0 <= u < self.n else ()
+        i = bisect_left(a, v)
+        if i < len(a) and a[i] == v:
+            return self._off[u] + i
+        raise KeyError((u, v))
 
     def is_clique(self, vertices):
         vs = list(vertices)

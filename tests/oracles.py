@@ -231,6 +231,60 @@ def relabeled(g, seed):
     return g.relabeled(perm)
 
 
+def graph_init_oracle(n, edges):
+    """(edges, adj) of Graph(n, edges), sorting every input and scanning it
+    for duplicates pair by pair, with the library's errors: range, then
+    loop, edge by edge in input order; then the first duplicate in sorted
+    order."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    adj = [[] for _ in range(n)]
+    canon = []
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        canon.append((u, v) if u < v else (v, u))
+    canon.sort()
+    for e, f in itertools.pairwise(canon):
+        if e == f:
+            raise ValueError(f"duplicate edge {e}")
+    for u, v in canon:
+        adj[u].append(v)
+        adj[v].append(u)
+    return canon, adj
+
+
+CLASS_KINDS = ("split", "quasi-threshold", "cograph", "uniform-block",
+               "two-cut-block", "strip")
+
+
+def recognizer_corpus():
+    """Seeded random graphs, every graph on 5 vertices with 4 or 6 edges,
+    and every class instance kind at three sizes with a relabelled copy."""
+    rng = random.Random(4)
+    for _ in range(300):
+        yield random_gnp(rng, rng.randint(0, 30), rng.uniform(0.05, 0.9))
+    for m in (4, 6):
+        yield from graphs_with_edges(5, m)
+    for kind in CLASS_KINDS:
+        for size in (5, 20, 100):
+            for seed in range(3):
+                g = random_class_instance(kind, size, seed)
+                yield g
+                yield relabeled(g, seed)
+
+
+def orient_large_corpus():
+    """The benchmark's orient --class auto inputs: every class instance kind
+    at sizes 200 and 800 with generator seed 1, and a deep threshold graph."""
+    for kind in CLASS_KINDS:
+        for size in (200, 800):
+            yield random_class_instance(kind, size, 1)
+    yield threshold_graph(250)
+
+
 def criterion_3_graphs():
     """The 80 split graphs with n <= 14 that criterion 3 solves exactly."""
     for s in range(200):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import tracemalloc
@@ -11,6 +12,7 @@ from orientkit.graph import (Graph, disjoint_union, format_graph,
 from orientkit.orientation import (CompensationSpec, Orientation,
                                    format_orientation, is_compensated_proper,
                                    is_proper, max_indegree, parse_orientation)
+from oracles import graph_init_oracle, orient_large_corpus, recognizer_corpus
 
 
 def transitive(g, order):
@@ -47,6 +49,80 @@ def test_neighbour_lists_are_sorted_for_any_edge_order():
             assert g.adj[v] == sorted(g.adj[v])
             assert set(g.adj[v]) == {b if a == v else a for a, b in pairs
                                      if v in (a, b)}
+
+
+def _outcome(build, n, make_edges):
+    """(edges, adj) that build makes of n and make_edges(), or the type and
+    message of the error it raises."""
+    try:
+        got = build(n, make_edges())
+    except (ValueError, TypeError) as err:
+        return type(err), str(err)
+    return (got.edges, got.adj) if isinstance(got, Graph) else got
+
+
+MALFORMED = [
+    (-1, []), (3, [(0, 3)]), (3, [(3, 0)]), (3, [(-1, 0)]), (3, [(0, -1)]),
+    (3, [(1, 1)]), (3, [(0, 1), (0, 1)]), (3, [(0, 1), (1, 0)]),
+    (3, [(1, 2), (0, 1), (2, 1)]), (3, [[0, 1], [1, 0]]),
+    (4, [(2, 3), (0, 1), (3, 2), (1, 0)]), (3, [(0, 1), (0, 1), (0, 5)]),
+    (3, [(2, 2), (0, 7)]), (3, [(0, 7), (2, 2)]), (3, [(0, 1), (1, 1)]),
+    (3, [(0, 1, 2)]), (3, [(0,)]), (3, [(0, "1")]),
+]
+
+
+def test_graph_init_matches_the_always_sorting_oracle():
+    rng = random.Random(17)
+    cases = 0
+    for g in itertools.chain(orient_large_corpus(), recognizer_corpus()):
+        shuffled = list(g.edges)
+        rng.shuffle(shuffled)
+        flipped = [(v, u) if rng.random() < 0.5 else (u, v)
+                   for u, v in shuffled]
+        for edges in (g.edges, shuffled, flipped,
+                      [list(e) for e in flipped]):
+            for make in (lambda: list(edges), lambda: iter(edges)):
+                want = _outcome(graph_init_oracle, g.n, make)
+                assert _outcome(Graph, g.n, make) == want
+                assert want[0] == g.edges
+                cases += 1
+    for n, edges in MALFORMED:
+        for make in (lambda: list(edges), lambda: iter(edges)):
+            want = _outcome(graph_init_oracle, n, make)
+            assert want[0] in (ValueError, TypeError)
+            assert _outcome(Graph, n, make) == want
+    assert cases > 6000
+
+
+def _lookups_agree(g, eix, u, v):
+    """edge_id and has_edge of g at (u, v) answer as the dict eix does."""
+    key = (u, v) if u < v else (v, u)
+    assert g.has_edge(u, v) == (key in eix), (u, v)
+    try:
+        got = g.edge_id(u, v)
+    except KeyError:
+        got = None
+    assert got == eix.get(key), (u, v)
+
+
+def test_edge_lookups_match_a_dict_index():
+    checked = 0
+    for g in itertools.chain(orient_large_corpus(), recognizer_corpus()):
+        eix = {e: i for i, e in enumerate(g.edges)}
+        for u, v in g.edges:
+            _lookups_agree(g, eix, u, v)
+            _lookups_agree(g, eix, v, u)
+        if g.n <= 30:
+            for u in range(-2, g.n + 2):
+                for v in range(-2, g.n + 2):
+                    _lookups_agree(g, eix, u, v)
+        checked += g.m
+    assert checked > 100000
+    # a list reads adj[-1] as vertex n - 1's neighbours: the range check
+    # must come before any list access
+    g = Graph.path_graph(4)
+    assert g.has_edge(3, 2) and not g.has_edge(-1, 2)
+    _lookups_agree(g, {e: i for i, e in enumerate(g.edges)}, -1, 2)
 
 
 def test_is_proper_examples():

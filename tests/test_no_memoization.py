@@ -1,6 +1,7 @@
 """No module of the package memoizes through functools: a process-wide
 cache would make a result depend on earlier calls, and a repeated command
-free.  Per-object caches, such as a Graph's edge index, stay allowed."""
+free.  Per-object caches, such as a Graph's cotree insertion tree, stay
+allowed."""
 
 import ast
 from pathlib import Path

@@ -19,8 +19,8 @@ from orientkit.recognize import (block_cut_tree, chordal_peo,
 from oracles import (brute_clique_number, brute_has_chordless_cycle,
                      brute_is_quasi_threshold, brute_is_split,
                      graphs_with_edges, lex_bfs_oracle, moved_edges,
-                     outerplanar_strip_oracle, random_gnp, relabeled,
-                     run_optimized)
+                     outerplanar_strip_oracle, random_gnp,
+                     recognizer_corpus, relabeled, run_optimized)
 
 
 def fan(n):
@@ -56,26 +56,9 @@ def test_chordal_matches_bruteforce_cycle_search():
                     assert cyc[j] not in adj[cyc[i]]
 
 
-def lex_bfs_corpus():
-    """Seeded random graphs, every graph on 5 vertices with 4 or 6 edges,
-    and every class instance kind at three sizes with a relabelled copy."""
-    rng = random.Random(4)
-    for _ in range(300):
-        yield random_gnp(rng, rng.randint(0, 30), rng.uniform(0.05, 0.9))
-    for m in (4, 6):
-        yield from graphs_with_edges(5, m)
-    for kind in ("split", "quasi-threshold", "cograph", "uniform-block",
-                 "two-cut-block", "strip"):
-        for size in (5, 20, 100):
-            for seed in range(3):
-                g = random_class_instance(kind, size, seed)
-                yield g
-                yield relabeled(g, seed)
-
-
 def test_lex_bfs_matches_the_min_scan_order():
     cases = 0
-    for g in lex_bfs_corpus():
+    for g in recognizer_corpus():
         assert recognize.lex_bfs(g) == lex_bfs_oracle(g)
         cases += 1
     assert cases > 800

@@ -1,8 +1,11 @@
 """The vertex-cover reduction against its one-gadget-per-attachment oracle,
 its pinned output bytes, and the work it and the orientation reader do."""
 
+import gc
 import hashlib
+import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -63,19 +66,49 @@ def test_reduction_builds_one_graph_per_gadget_shape(monkeypatch):
     assert counts == [8, 8]
 
 
-def test_read_orientation_by_position(tmp_path):
+def test_read_orientation_by_position(tmp_path, monkeypatch):
     red = reduce_vertex_cover(K4, 3)
     cert = build_vc_certificate(red, {0, 1, 2})
     write_graph(red.graph, tmp_path / "g")
     write_orientation(cert, tmp_path / "d")
     g = read_graph(tmp_path / "g")
+    lookups = []
+    edge_id = Graph.edge_id
+
+    def counting(self, u, v):
+        lookups.append((u, v))
+        return edge_id(self, u, v)
+
+    monkeypatch.setattr(Graph, "edge_id", counting)
     d = read_orientation(tmp_path / "d", g)
     assert d.heads == cert.heads
-    assert g._eix is None  # canonical order: no edge index was built
+    assert lookups == []  # canonical order: heads read by position
     arcs = list(d.arcs())
     random.Random(3).shuffle(arcs)
     assert Orientation.from_arcs(g, arcs) == d
-    assert g._eix is not None  # shuffled: the lookup path ran
+    assert sorted(lookups) == sorted(arcs)  # shuffled: one lookup per arc
+
+
+def test_lookups_leave_no_index_on_the_graph():
+    cubic = cubic_graph(12, 12)
+    cover = next(c for c in itertools.combinations(range(cubic.n), 7)
+                 if all(u in c or v in c for u, v in cubic.edges))
+    red = reduce_vertex_cover(cubic, 7)
+    arcs = list(build_vc_certificate(red, cover).arcs())
+    random.Random(12).shuffle(arcs)
+    g = Graph(red.graph.n, red.graph.edges)  # no lookup has touched it
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        d = Orientation.from_arcs(g, arcs)
+        assert [g.edge_id(u, v) for u, v in g.edges] == list(range(g.m))
+        del d
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
 
 
 def _raised(fn, *args):
