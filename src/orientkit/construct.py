@@ -25,8 +25,8 @@ greedily.  It then re-attaches the pieces in reverse order, each with a
 compensated orientation: the piece carries a prescribed indegree at the
 attachment vertex and is proper when that vertex wears a prescribed color
 equal to the vertex's eventual global indegree.  The block-cut tree is
-built once, and each detached piece's clique path is read off it; a
-piece's graph is built from its cliques alone.  The reductions form an
+built once, each detached piece's clique path is read off it, and each
+piece is oriented in place on the graph's own ids.  The reductions form an
 explicit stack over one undo log, so a failed re-attachment backtracks to
 its level's next candidate without recursion.  Local extensions are found
 by a small deterministic assignment search over clique positions, colors,
@@ -51,8 +51,8 @@ from .errors import (BadCompensation, BadShape, BudgetExceeded,
                      NotUniformBlock, PreconditionViolated, UnsupportedK)
 from .exact import decide_k_orientation
 from .graph import Graph, join
-from .orientation import (CompensationSpec, Orientation, PartialOrientation,
-                          _verified, is_compensated_proper, max_indegree)
+from .orientation import (Orientation, PartialOrientation, _verified,
+                          max_indegree)
 from .recognize import (BlockCutTree, CotreeJoin, CotreeLeaf, CotreeUnion,
                         SplitPartition, StripDecomposition, block_cut_tree,
                         chordal_peo, clique_number_chordal, cograph_cotree,
@@ -114,7 +114,7 @@ def extend_partial(g: Graph, s, ds) -> Orientation:
             if w not in sset:
                 p.orient(v, w, w)
 
-    pending = [0] * g.n
+    pending = dict.fromkeys(range(g.n), 0)
     for (u, v) in g.edges:
         if u not in sset and v not in sset:
             pending[u] += 1
@@ -126,26 +126,41 @@ def extend_partial(g: Graph, s, ds) -> Orientation:
 def _greedy_inward(p: PartialOrientation, pending):
     """Orient every edge joining two vertices with pending edges.
 
-    pending[v] counts v's unoriented edges to other vertices with pending
-    edges, and is 0 for every other vertex.  The vertex maximizing
-    indegree + pending (ties to the smallest id) takes all its pending
-    edges inward, until none is left.  Keys only fall, so a heap with lazy
-    deletion finds each pick.
+    pending maps v to the count of its unoriented edges to other vertices
+    with pending edges; a vertex it leaves out has none.  The vertex
+    maximizing indegree + pending (ties to the smallest id) takes all its
+    pending edges inward, until none is left.  Keys only fall, so a heap
+    with lazy deletion finds each pick.
     """
     adj, indeg = p.graph.adj, p.indegree
-    heap = [(-(indeg[v] + c), v) for v, c in enumerate(pending) if c]
+    heap = [(-(indeg[v] + c), v) for v, c in pending.items() if c]
     heapq.heapify(heap)
     while heap:
         key, v = heapq.heappop(heap)
         if not pending[v] or -key != indeg[v] + pending[v]:
             continue   # v was picked, or its key fell since this entry
         for w in adj[v]:
-            if pending[w]:
+            if pending.get(w):
                 p.orient(v, w, v)
                 pending[w] -= 1
                 if pending[w]:
                     heapq.heappush(heap, (-(indeg[w] + pending[w]), w))
         pending[v] = 0
+
+
+def _grow(p: PartialOrientation, source, rest):
+    """extend_partial(G[rest | {source}], {source}, {}) written into p,
+    without scanning the source's neighbour list.  Raises ConstructionError
+    unless the piece comes out proper under p's indegrees: extend_partial's
+    check, as long as no vertex of the piece has an arc in from outside."""
+    g, indeg = p.graph, p.indegree
+    for w in sorted(w for w in rest if g.has_edge(w, source)):
+        p.orient(source, w, w)
+    _greedy_inward(p, {v: sum(w in rest for w in g.adj[v]) for v in rest})
+    if any(indeg[v] == indeg[w] for v in rest for w in g.adj[v]
+           if w in rest or w == source):
+        raise ConstructionError(f"the piece grown from {source} built an "
+                                "orientation that is improper")
 
 
 def low_degree_orient(g: Graph, c: int) -> Orientation:
@@ -210,7 +225,7 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
             for w in picked[heavy[0]]:
                 p.orient(w, heavy[0], heavy[0])
         # edges left at a heavy vertex point away from it, the rest greedily
-        pending = [0] * g.n
+        pending = dict.fromkeys(range(g.n), 0)
         for u, v in g.edges:
             if p.is_oriented(u, v):
                 continue
@@ -321,15 +336,14 @@ def _mid_choices(k, q_left, q_right, c, d):
                     return  # deterministic: first admissible choice
 
 
-@dataclass
-class PieceShape:
-    """Structure of a path-of-cliques piece around its attachment vertex."""
+class PieceShape(NamedTuple):
+    """A path-of-cliques piece on its host's ids: its cliques in path order,
+    the index of the clique holding the attachment vertex, and that vertex,
+    which lies in no other clique."""
 
-    graph: Graph
-    old_ids: list
-    blocks: list        # local vertex tuples in path order
-    target: int         # local id of the attachment vertex
-    target_index: int   # position of the target's block on the path
+    blocks: list
+    target_index: int
+    target: int
 
     @property
     def k(self):
@@ -342,25 +356,6 @@ class PieceShape:
         return self.target_index, len(self.blocks) - 1 - self.target_index
 
 
-def _clique_union(cliques):
-    """The graph of a union of cliques on ids of its own: (graph, the old id
-    of each new id in increasing order, each clique as a sorted tuple of new
-    ids).  Cliques of a block graph give the subgraph they induce."""
-    old = sorted({v for c in cliques for v in c})
-    pos = {v: i for i, v in enumerate(old)}
-    local = [tuple(pos[v] for v in sorted(c)) for c in cliques]
-    edges = {e for c in local for e in itertools.combinations(c, 2)}
-    return Graph(len(old), edges), old, local
-
-
-def _piece_shape(cliques, target_index, target) -> PieceShape:
-    """The piece made of cliques in path order, attached at target, a vertex
-    of cliques[target_index] alone."""
-    graph, old, blocks = _clique_union(cliques)
-    return PieceShape(graph, old, blocks, bisect.bisect_left(old, target),
-                      target_index)
-
-
 def _piece_feasible(shape: PieceShape, c, d):
     k = shape.k
     if shape.is_end():
@@ -369,23 +364,16 @@ def _piece_feasible(shape: PieceShape, c, d):
     return next(_mid_choices(k, ql, qr, c, d), None) is not None
 
 
-def _copy_arcs(p: PartialOrientation, old_ids, d_sub: Orientation):
-    """Orient in p the edges of d_sub's graph as d_sub does; old_ids maps
-    that graph's vertex ids to p's."""
-    for (lu, lv), h in zip(d_sub.graph.edges, d_sub.heads):
-        p.orient(old_ids[lu], old_ids[lv], old_ids[h])
-
-
-def _orient_compensated(shape: PieceShape, c, d) -> Orientation:
-    """Orientation of the piece with indegree d at the target, proper under
-    color c, max indegree <= max(c, 2k-2).  Caller checks feasibility."""
-    g, k = shape.graph, shape.k
-    blocks = shape.blocks
+def _orient_compensated(p: PartialOrientation, shape: PieceShape, c, d):
+    """Orient the piece in p: indegree d at the target from the piece's
+    edges, proper under color c, max indegree <= max(c, 2k-2).  Caller
+    checks feasibility."""
+    k, blocks = shape.k, shape.blocks
     if shape.is_end():
         if shape.target_index == 0:
-            blocks = list(reversed(blocks))
-        return _checked_compensated(
-            shape, c, d, _orient_end(g, k, blocks, shape.target, c, d))
+            blocks = blocks[::-1]
+        _orient_end(p, k, blocks, shape.target, c, d)
+        return _checked_compensated(p, shape, c, d)
     ql, qr = shape.side_sizes()
     choice = next(_mid_choices(k, ql, qr, c, d), None)
     if choice is None:
@@ -395,49 +383,52 @@ def _orient_compensated(shape: PieceShape, c, d) -> Orientation:
     block = blocks[bi]
     x = (set(block) & set(blocks[bi - 1])).pop()
     y = (set(block) & set(blocks[bi + 1])).pop()
-    p = PartialOrientation(g)
     _transitive(p, _clique_order(block, {shape.target: d, x: alpha, y: beta}))
     # each side in path order toward the target's clique
-    for side, tgt, cc, dd in ((blocks[:bi], x, cx, cx - alpha),
-                              (blocks[:bi:-1], y, cy, cy - beta)):
-        sub, old, loc_blocks = _clique_union(side)
-        _copy_arcs(p, old, _orient_end(sub, k, loc_blocks,
-                                       bisect.bisect_left(old, tgt), cc, dd))
-    return _checked_compensated(shape, c, d, p.to_orientation())
+    _orient_end(p, k, blocks[:bi], x, cx, cx - alpha)
+    _orient_end(p, k, blocks[:bi:-1], y, cy, cy - beta)
+    return _checked_compensated(p, shape, c, d)
 
 
-def _checked_compensated(shape: PieceShape, c, d, out: Orientation):
-    """out, once verified: indegree d at the target, proper when the target
-    is recolored c, and max indegree at most max(c, 2k-2)."""
-    return _verified(out, f"the piece for (c={c}, d={d})",
-                     max(c, 2 * shape.k - 2), proper=False,
-                     holds=is_compensated_proper(
-                         out, CompensationSpec(shape.target, c, d)))
+def _checked_compensated(p: PartialOrientation, shape: PieceShape, c, d):
+    """Raise ConstructionError unless the piece, as oriented in p, has
+    indegree d at the target from its own edges, is proper when the target
+    is recolored c, and has max indegree at most max(c, 2k-2).  Its other
+    vertices must have no arc in from outside it yet."""
+    t, indeg = shape.target, p.indegree
+    d_t = sum(p.head_of(t, w) == t
+              for w in shape.blocks[shape.target_index] if w != t)
+    # the target's indegree from the piece is below k, and c within bound
+    colors = [[c if v == t else indeg[v] for v in b] for b in shape.blocks]
+    bound = max(c, 2 * shape.k - 2)
+    if max(map(max, colors)) > bound:
+        why = f"exceeds indegree {bound}"
+    elif d_t != d or any(len(set(b)) < len(b) for b in colors):
+        why = "breaks its stated property"
+    else:
+        return
+    raise ConstructionError(f"the piece for (c={c}, d={d}) built an "
+                            f"orientation that {why}")
 
 
-def _orient_end(g: Graph, k, blocks, target, c, d) -> Orientation:
-    """blocks in path order with the target in the last clique."""
+def _orient_end(p: PartialOrientation, k, blocks, target, c, d):
+    """Orient in p the path of blocks, the target in its last clique."""
     q = len(blocks)
     if not _end_feasible(q, k, c, d):
         raise ConstructionError(f"no end piece for (q={q}, k={k}, c={c}, d={d})")
-    last = blocks[-1]
-    p = PartialOrientation(g)
-    if q == 1:
-        _transitive(p, _clique_order(last, {target: d}))
-        return p.to_orientation()
-    connector = (set(last) & set(blocks[-2])).pop()
-    sub, old, loc_blocks = _clique_union(blocks[:-1])
-    loc_connector = bisect.bisect_left(old, connector)
-    if d >= 1:
-        d_inner = extend_partial(sub, {loc_connector}, {})
-        _transitive(p, _clique_order(last, {connector: 0, target: d}))
-    else:
-        c_sub = 2 * k - 2 if c != 2 * k - 2 else 2 * k - 3
-        d_inner = _orient_end(sub, k, loc_blocks, loc_connector, c_sub, k - 1)
-        conn_pos = k - 1 if c != 2 * k - 2 else k - 2
-        _transitive(p, _clique_order(last, {target: 0, connector: conn_pos}))
-    _copy_arcs(p, old, d_inner)
-    return p.to_orientation()
+    placed = {target: d}
+    if q > 1:
+        connector = (set(blocks[-1]) & set(blocks[-2])).pop()
+        # the rest of the path first, while the connector has no arc in
+        if d >= 1:
+            _grow(p, connector,
+                  {v for b in blocks[:-1] for v in b} - {connector})
+            placed[connector] = 0
+        else:
+            c_sub = 2 * k - 2 if c != 2 * k - 2 else 2 * k - 3
+            _orient_end(p, k, blocks[:-1], connector, c_sub, k - 1)
+            placed[connector] = k - 1 if c != 2 * k - 2 else k - 2
+    _transitive(p, _clique_order(blocks[-1], placed))
 
 
 def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
@@ -446,7 +437,8 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
     u must be a non-cut vertex of the last clique; requires either
     c > k-1 >= d or c = d = k-1.  The result has indegree d at u, maximum
     indegree at most max(c, 2k-2), and the indegree coloring with u
-    recolored to c is proper.
+    recolored to c is proper; the piece check raises ConstructionError
+    otherwise.
     """
     seq = path_block_sequence(seq.cliques)
     k = seq.k
@@ -457,10 +449,14 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
         raise BadShape("u must be a non-cut vertex of the last clique")
     if not ((c > k - 1 >= d >= 0) or (c == d == k - 1)):
         raise BadCompensation(f"(c, d) = ({c}, {d}) with k = {k}")
-    shape = _piece_shape(seq.cliques, len(seq.cliques) - 1, u)
-    if shape.old_ids != list(range(len(shape.old_ids))):
+    verts = sorted({v for clique in seq.cliques for v in clique})
+    if verts != list(range(len(verts))):
         raise BadShape("vertex ids must be dense 0..n-1")
-    return _orient_compensated(shape, c, d)
+    p = PartialOrientation(Graph(len(verts), {
+        e for clique in seq.cliques for e in itertools.combinations(clique, 2)}))
+    _orient_compensated(p, PieceShape(seq.cliques, len(seq.cliques) - 1, u),
+                        c, d)
+    return p.to_orientation()
 
 
 # -- k-uniform block graphs: the general 3k-2 construction -----------------
@@ -514,8 +510,7 @@ def _assign_crosspoint(p: PartialOrientation, k, u, block_verts, cut_pieces,
         _transitive(p, _clique_order(block_verts, placed))
         for w, cw, _, split in chosen:
             for shape, dd in zip(cut_pieces[w], split):
-                _copy_arcs(p, shape.old_ids,
-                           _orient_compensated(shape, cw, dd))
+                _orient_compensated(p, shape, cw, dd)
         return True
     return False
 
@@ -589,10 +584,8 @@ class _Detached:
     u: int
     kids: list      # (child block, its subtree's vertices minus u), in order
     flags: list     # per child: its subtree is a path of cliques
-    paths: list     # per child: its clique path when a path, else {child
-                    # cut: [clique paths hanging there]}; one clique path is
-                    # (cliques in path order, index of the top clique)
-    shapes: list = None   # paths as PieceShapes, built on first use
+    paths: list     # per child: its PieceShape at u when a path, else
+                    # {child cut w: [PieceShapes hanging at w]}
 
 
 @dataclass
@@ -618,7 +611,7 @@ class _UniformReducer:
     """
 
     def __init__(self, g: Graph, bct: BlockCutTree, k: int):
-        self.g, self.k, self.bound = g, k, 3 * k - 2
+        self.k, self.bound = k, 3 * k - 2
         self.blocks = bct.blocks
         root = min(range(len(bct.blocks)), key=lambda i: bct.blocks[i])
         rooted = bct.rooted(root)
@@ -773,8 +766,9 @@ class _UniformReducer:
             verts.discard(u)
             kids.append((bi, verts))
             flags.append(self.path[bi])
-            paths.append(self._path(bi) if self.path[bi] else
-                         {w: [self._path(bb) for bb in self.child_blocks[w]]
+            paths.append(PieceShape(*self._path(bi), u) if self.path[bi] else
+                         {w: [PieceShape(*self._path(bb), w)
+                              for bb in self.child_blocks[w]]
                           for w in self.child_cuts[bi] if self.is_cut[w]})
         deg, over = self.deg, self.over
         for _, verts in kids:
@@ -809,16 +803,6 @@ class _UniformReducer:
             b = self.parent_block[c]
         return _Detached(u, kids, flags, paths)
 
-    def _shapes(self, det):
-        """Per child: its PieceShape if a path, else cut -> [PieceShape]."""
-        if det.shapes is None:
-            det.shapes = [
-                _piece_shape(*path, det.u) if is_path else
-                {w: [_piece_shape(*piece, w) for piece in pieces]
-                 for w, pieces in path.items()}
-                for path, is_path in zip(det.paths, det.flags)]
-        return det.shapes
-
     def _reattach(self, det):
         """Orient u's detached structure around the oriented core.
 
@@ -827,23 +811,15 @@ class _UniformReducer:
         clique; the gains are split across the children by a
         feasibility-guided search.
         """
-        p, k, u, g = self.p, self.k, det.u, self.g
+        p, k, u = self.p, self.k, det.u
         a = p.indegree[u]
         if a > k - 1:   # only the parent clique survives around u
             raise ConstructionError(f"cut vertex {u} has core indegree {a}")
-        if a == 0:
-            if all(det.flags):
-                # hanging paths only: make u a source of each piece
-                for shape in self._shapes(det):
-                    _copy_arcs(p, shape.old_ids,
-                               extend_partial(shape.graph, {shape.target}, {}))
-                return
-            if len(det.kids) <= 3:
-                # the whole hanging star has max degree <= 3k-3
-                sub, old = g.induced(set().union(*(verts for _, verts
-                                                   in det.kids)) | {u})
-                _copy_arcs(p, old, extend_partial(sub, {old.index(u)}, {}))
-                return
+        if a == 0 and (all(det.flags) or len(det.kids) <= 3):
+            # u a source of all it holds: hanging paths, or a hanging star
+            # of max degree <= 3k-3
+            _grow(p, u, set().union(*(verts for _, verts in det.kids)))
+            return
         forbidden = {p.indegree[w] for w in self.blocks[self.parent_block[u]]
                      if w != u}
         cap = min(a + len(det.kids) * (k - 1), self.bound)
@@ -854,8 +830,7 @@ class _UniformReducer:
 
     def _promote(self, det, c, total):
         """Give u indegree gains summing to `total` across all child blocks."""
-        k, flags = self.k, det.flags
-        shapes = self._shapes(det)
+        k, flags, shapes = self.k, det.flags, det.paths
         allowed = [[b for b in range(k - 1, -1, -1)
                     if not is_path or _piece_feasible(shape, c, b)]
                    for is_path, shape in zip(flags, shapes)]
@@ -867,8 +842,7 @@ class _UniformReducer:
             for (bi, _), is_path, shape, b in zip(det.kids, flags, shapes,
                                                   assignment):
                 if is_path:
-                    _copy_arcs(p, shape.old_ids,
-                               _orient_compensated(shape, c, b))
+                    _orient_compensated(p, shape, c, b)
                 elif not _assign_crosspoint(p, k, det.u, self.blocks[bi],
                                             shape, b, c):
                     self._undo_to(mark)
@@ -901,7 +875,7 @@ class _UniformReducer:
                 else:
                     error = _exhausted(frame)
             if error is None:
-                _greedy_inward(self.p, list(self.deg))
+                _greedy_inward(self.p, dict(enumerate(self.deg)))
             while frames:
                 frame = frames[-1]
                 if error is None:
@@ -1184,7 +1158,8 @@ def _strip_orient(g: Graph, strip: StripDecomposition) -> Orientation:
             d = decide_k_orientation(part, part.max_degree(), node_budget=20000)
         except BudgetExceeded:
             d = extend_partial(part, frozenset(), {})
-        _copy_arcs(p, part_old, d)
+        for (lu, lv), h in zip(part.edges, d.heads):
+            p.orient(part_old[lu], part_old[lv], part_old[h])
     # Inner fans first: a fan reads only the final indegrees of its four
     # end vertices, and writes heads only on its hub and interior.
     for v, fan in reversed(fans):
@@ -1205,7 +1180,9 @@ def _strip_orient(g: Graph, strip: StripDecomposition) -> Orientation:
 
 def outerplanar_strip_orient(g: Graph, strip=None) -> Orientation:
     """Proper 13-orientation of a maximal outerplane graph with path dual,
-    in one pass over the recognizer's triangle order, with no recursion."""
+    in one pass over the recognizer's triangle order, with no recursion.
+    A supplied strip is only compared, as a set of triangles, with the
+    recognizer's (NotStrip when they differ); its order is not used."""
     computed = outerplanar_strip(g)
     if computed is None:
         raise NotStrip("graph is not a triangle strip")

@@ -257,6 +257,8 @@ def _spent(budget):
 def _budget_box(node_budget):
     if node_budget is None:
         return None
+    if node_budget < 0:
+        raise ValueError("node_budget must be non-negative")
     return [node_budget, node_budget]
 
 
@@ -488,13 +490,13 @@ def decide_k_orientation(g: Graph, k: int, node_budget=None,
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    budget = _budget if _budget is not None else _budget_box(node_budget)
     part = split_partition(g)
     if _floor is None:
         _floor = (0 if k >= g.max_degree()
                   else _capacity_floor(g, _clique_floor(g, part)))
     if k < _floor:
         return None
-    budget = _budget if _budget is not None else _budget_box(node_budget)
     if part is not None and any(g.adj[v] for v in part.independent):
         heads = _split_decide(g, k, part, budget)
     else:
@@ -607,13 +609,14 @@ def fpt_chordal(g: Graph, k: int, node_budget=None):
     Returns a witness Orientation or None, like decide_k_orientation.
     Raises NotChordal for non-chordal input.
     """
+    budget = _budget_box(node_budget)
     check = chordal_peo(g)
     if check.peo is None:
         raise NotChordal(f"input has chordless cycle {check.chordless_cycle}")
     omega = clique_number_chordal(g, check.peo)
     if omega >= k + 2:
         return None
-    return decide_k_orientation(g, k, node_budget,
+    return decide_k_orientation(g, k, _budget=budget,
                                 _floor=_capacity_floor(g, omega))
 
 

@@ -1,19 +1,28 @@
 """Brute-force reference implementations, independent of the library's
 search and recognizer code paths.  Only feasible for tiny inputs."""
 
+import bisect
 import itertools
 import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
-from orientkit.errors import BudgetExceeded
+# the clique orders and feasibility rules that choose each piece's layout
+from orientkit.construct import (_clique_order, _end_feasible,
+                                 _feasible_split, _mid_choices,
+                                 _piece_feasible, _transitive,
+                                 path_block_sequence)
+from orientkit.errors import (BadCompensation, BadShape, BudgetExceeded,
+                              ConstructionError)
 from orientkit.graph import Graph
 from orientkit.instances import (GadgetMeta, ReductionOutput,
                                  double_clique_gadget, head_gadget,
                                  random_class_instance)
-from orientkit.orientation import PartialOrientation
+from orientkit.orientation import (CompensationSpec, PartialOrientation,
+                                   _verified, is_compensated_proper)
 from orientkit.recognize import (CotreeJoin, CotreeLeaf, CotreeUnion,
                                  StripDecomposition)
 
@@ -462,12 +471,195 @@ def extend_partial_oracle(g, s):
     return p.to_orientation()
 
 
+# -- uniform-block pieces on graphs of their own, as before they were ----------
+# -- oriented in place on the host's ids ----------------------------------------
+
+
+@dataclass
+class PieceShape:
+    """Structure of a path-of-cliques piece around its attachment vertex."""
+
+    graph: Graph
+    old_ids: list
+    blocks: list        # local vertex tuples in path order
+    target: int         # local id of the attachment vertex
+    target_index: int   # position of the target's block on the path
+
+    @property
+    def k(self):
+        return len(self.blocks[0])
+
+    def is_end(self):
+        return self.target_index in (0, len(self.blocks) - 1)
+
+    def side_sizes(self):
+        return self.target_index, len(self.blocks) - 1 - self.target_index
+
+
+def _clique_union(cliques):
+    """The graph of a union of cliques on ids of its own: (graph, the old id
+    of each new id in increasing order, each clique as a sorted tuple of new
+    ids).  Cliques of a block graph give the subgraph they induce."""
+    old = sorted({v for c in cliques for v in c})
+    pos = {v: i for i, v in enumerate(old)}
+    local = [tuple(pos[v] for v in sorted(c)) for c in cliques]
+    edges = {e for c in local for e in itertools.combinations(c, 2)}
+    return Graph(len(old), edges), old, local
+
+
+def _piece_shape(cliques, target_index, target):
+    """The piece made of cliques in path order, attached at target, a vertex
+    of cliques[target_index] alone."""
+    graph, old, blocks = _clique_union(cliques)
+    return PieceShape(graph, old, blocks, bisect.bisect_left(old, target),
+                      target_index)
+
+
+def _copy_arcs(p, old_ids, d_sub):
+    """Orient in p the edges of d_sub's graph as d_sub does; old_ids maps
+    that graph's vertex ids to p's."""
+    for (lu, lv), h in zip(d_sub.graph.edges, d_sub.heads):
+        p.orient(old_ids[lu], old_ids[lv], old_ids[h])
+
+
+def _orient_compensated(shape, c, d):
+    """Orientation of the piece with indegree d at the target, proper under
+    color c, max indegree <= max(c, 2k-2).  Caller checks feasibility."""
+    g, k = shape.graph, shape.k
+    blocks = shape.blocks
+    if shape.is_end():
+        if shape.target_index == 0:
+            blocks = list(reversed(blocks))
+        return _checked_compensated(
+            shape, c, d, _orient_end(g, k, blocks, shape.target, c, d))
+    ql, qr = shape.side_sizes()
+    choice = next(_mid_choices(k, ql, qr, c, d), None)
+    if choice is None:
+        raise ConstructionError(f"no compensated extension for (c={c}, d={d})")
+    alpha, beta, cx, cy = choice
+    bi = shape.target_index
+    block = blocks[bi]
+    x = (set(block) & set(blocks[bi - 1])).pop()
+    y = (set(block) & set(blocks[bi + 1])).pop()
+    p = PartialOrientation(g)
+    _transitive(p, _clique_order(block, {shape.target: d, x: alpha, y: beta}))
+    for side, tgt, cc, dd in ((blocks[:bi], x, cx, cx - alpha),
+                              (blocks[:bi:-1], y, cy, cy - beta)):
+        sub, old, loc_blocks = _clique_union(side)
+        _copy_arcs(p, old, _orient_end(sub, k, loc_blocks,
+                                       bisect.bisect_left(old, tgt), cc, dd))
+    return _checked_compensated(shape, c, d, p.to_orientation())
+
+
+def _checked_compensated(shape, c, d, out):
+    """out, once verified: indegree d at the target, proper when the target
+    is recolored c, and max indegree at most max(c, 2k-2)."""
+    return _verified(out, f"the piece for (c={c}, d={d})",
+                     max(c, 2 * shape.k - 2), proper=False,
+                     holds=is_compensated_proper(
+                         out, CompensationSpec(shape.target, c, d)))
+
+
+def _orient_end(g, k, blocks, target, c, d):
+    """blocks in path order with the target in the last clique."""
+    q = len(blocks)
+    if not _end_feasible(q, k, c, d):
+        raise ConstructionError(f"no end piece for (q={q}, k={k}, c={c}, d={d})")
+    last = blocks[-1]
+    p = PartialOrientation(g)
+    if q == 1:
+        _transitive(p, _clique_order(last, {target: d}))
+        return p.to_orientation()
+    connector = (set(last) & set(blocks[-2])).pop()
+    sub, old, loc_blocks = _clique_union(blocks[:-1])
+    loc_connector = bisect.bisect_left(old, connector)
+    if d >= 1:
+        d_inner = extend_partial_oracle(sub, {loc_connector})
+        _transitive(p, _clique_order(last, {connector: 0, target: d}))
+    else:
+        c_sub = 2 * k - 2 if c != 2 * k - 2 else 2 * k - 3
+        d_inner = _orient_end(sub, k, loc_blocks, loc_connector, c_sub, k - 1)
+        conn_pos = k - 1 if c != 2 * k - 2 else k - 2
+        _transitive(p, _clique_order(last, {target: 0, connector: conn_pos}))
+    _copy_arcs(p, old, d_inner)
+    return p.to_orientation()
+
+
+def path_block_compensated_oracle(seq, u, c, d):
+    """path_block_compensated on the piece's own graph, the way the library
+    built it before pieces were oriented in place."""
+    seq = path_block_sequence(seq.cliques)
+    k = seq.k
+    if k < 3:
+        raise BadShape("cliques must have size at least 3")
+    last = seq.cliques[-1]
+    if u not in last or (len(seq.cliques) > 1 and u == seq.connectors[-1]):
+        raise BadShape("u must be a non-cut vertex of the last clique")
+    if not ((c > k - 1 >= d >= 0) or (c == d == k - 1)):
+        raise BadCompensation(f"(c, d) = ({c}, {d}) with k = {k}")
+    shape = _piece_shape(seq.cliques, len(seq.cliques) - 1, u)
+    if shape.old_ids != list(range(len(shape.old_ids))):
+        raise BadShape("vertex ids must be dense 0..n-1")
+    return _orient_compensated(shape, c, d)
+
+
+def _assign_crosspoint(p, k, u, block_verts, cut_pieces, u_pos, u_final):
+    """Orient one clique plus the path pieces hanging from its cut vertices.
+
+    cut_pieces: cut vertex -> list of PieceShape (its hanging pieces).
+    u sits at position u_pos of the transitive clique; u_final is u's
+    eventual global indegree.  Returns True and writes the arcs on
+    success, False when no assignment exists.
+    """
+    cuts = sorted(cut_pieces)
+    slots = sorted(set(range(k)) - {u_pos})
+
+    def colors_for(shapes, pos):
+        hi = min(pos + (k - 1) * len(shapes), 3 * k - 2)
+        return range(pos, hi + 1)
+
+    for pos_tuple in itertools.permutations(slots, len(cuts)):
+        noncut = set(slots) - set(pos_tuple)
+        if u_final in noncut:
+            continue
+        chosen = []
+
+        def solve(i):
+            if i == len(cuts):
+                return True
+            w = cuts[i]
+            pos = pos_tuple[i]
+            shapes = cut_pieces[w]
+            for cw in colors_for(shapes, pos):
+                if cw == u_final or cw in noncut or cw in (x[1] for x in chosen):
+                    continue
+                split = _feasible_split(shapes, k, cw, cw - pos)
+                if split is None:
+                    continue
+                chosen.append((w, cw, pos, split))
+                if solve(i + 1):
+                    return True
+                chosen.pop()
+            return False
+
+        if not solve(0):
+            continue
+        placed = {u: u_pos}
+        for w, _, pos, _ in chosen:
+            placed[w] = pos
+        _transitive(p, _clique_order(block_verts, placed))
+        for w, cw, _, split in chosen:
+            for shape, dd in zip(cut_pieces[w], split):
+                _copy_arcs(p, shape.old_ids,
+                           _orient_compensated(shape, cw, dd))
+        return True
+    return False
+
+
 def piece_shape_oracle(g, verts, target):
     """The PieceShape of the path of cliques g induces on verts, attached at
     target: the path order comes from a block-cut tree of the induced
     subgraph, walked from the end block that sorts first."""
-    from orientkit.construct import PieceShape
-    from orientkit.errors import BadShape, ConstructionError
     from orientkit.recognize import block_cut_tree
 
     sub, old = g.induced(verts)
@@ -503,11 +695,9 @@ def piece_shape_oracle(g, verts, target):
 
 def uniform_block_orient_oracle(g, k):
     """Reference 3k-2 construction: one recursion level per reduction, each
-    rebuilding the induced core, its block-cut tree and every flag, and
-    each promotion attempt trying a copy of the partial orientation."""
-    from orientkit.construct import (_assign_crosspoint, _copy_arcs,
-                                     _orient_compensated, _piece_feasible)
-    from orientkit.errors import ConstructionError
+    rebuilding the induced core, its block-cut tree and every flag; each
+    promotion attempt tries a copy of the partial orientation, and each
+    piece is oriented on a graph of its own."""
     from orientkit.recognize import block_cut_tree
 
     def children_map(rooted):

@@ -151,6 +151,15 @@ def test_budget_exit_code(tmp_path):
     assert code == 3 and rep["budget_exceeded"] == "true"
 
 
+def test_negative_budget_is_a_precondition_failure(tmp_path):
+    gpath = tmp_path / "c5.graph"
+    write_graph(Graph.cycle_graph(5), gpath)
+    for how in (["--opt"], ["--k", "1"], ["--k", "2"]):
+        code, rep, _ = run(["solve", str(gpath), *how, "--budget", "-1"])
+        assert code == 2 and "budget_exceeded" not in rep
+        assert rep["error"] == "node_budget must be non-negative"
+
+
 def test_reports_are_reproducible(tmp_path):
     gpath = tmp_path / "g.graph"
     write_graph(split_tight_example(2), gpath)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -37,6 +38,7 @@ from orientkit.recognize import (CotreeLeaf, CotreeUnion, block_cut_tree,
                                  split_partition)
 from oracles import (cograph_orient_oracle, criterion_3_graphs,
                      extend_partial_oracle, is_acyclic,
+                     path_block_compensated_oracle,
                      quasi_threshold_orient_oracle, random_tree, relabeled,
                      run_optimized, split_orient_oracle, strip_orient_oracle,
                      threshold_graph, zigzag_strip)
@@ -269,6 +271,31 @@ def test_path_block_compensated_recursive_cases():
         d = path_block_compensated(long, 8, c, dd)
         assert is_compensated_proper(d, CompensationSpec(8, c, dd))
         assert max_indegree(d) <= max(c, 6)
+
+
+def _outcome(fn, *args):
+    """fn(*args)'s heads, or the type and message of what it raised."""
+    try:
+        return fn(*args).heads
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_path_block_compensated_matches_oracle():
+    # every path of 1-5 k-cliques, k = 3-5, every vertex u of its last
+    # clique, every c in 0..2k+1 and d in 0..k
+    calls = 0
+    for k in (3, 4, 5):
+        for q in range(1, 6):
+            seq = path_block_sequence([range(i * (k - 1), i * (k - 1) + k)
+                                       for i in range(q)])
+            for u, c, d in itertools.product(seq.cliques[-1], range(2 * k + 2),
+                                             range(k + 1)):
+                calls += 1
+                assert (_outcome(path_block_compensated, seq, u, c, d)
+                        == _outcome(path_block_compensated_oracle,
+                                    seq, u, c, d)), (k, q, u, c, d)
+    assert calls == 3280
 
 
 def test_path_block_compensated_rejections():
@@ -668,13 +695,14 @@ def _flip_first(d):
     return Orientation(d.graph, (u + v - d.heads[0],) + d.heads[1:])
 
 
-def _flip_edge(u, v):
-    """A fault: the orientation with edge (u, v) turned around."""
-    def fault(d):
-        e = d.graph.edge_id(u, v)
-        return Orientation(d.graph, d.heads[:e] + (u + v - d.heads[e],)
-                           + d.heads[e + 1:])
-    return fault
+def _transitive_with(head):
+    """A faulty _transitive: the arc between u and a later v of the clique
+    order points at head(u, v) instead of at v."""
+    def transitive(p, clique_in_order):
+        for i, u in enumerate(clique_in_order):
+            for v in clique_in_order[i + 1:]:
+                p.orient(u, v, head(u, v))
+    return transitive
 
 
 def _builder(fault):
@@ -731,17 +759,17 @@ def _guard_cases():
             lambda: quasi_threshold_orient(quasi_threshold_cotree(star))),
         "split_orient": (flip, lambda: split_orient(split,
                                                     split_partition(split))),
+        # the clique turned around: the target 1 gets indegree 2, not d = 0
         "path_block_compensated": (
-            {"_orient_end": _faulty_result(construct._orient_end,
-                                           Orientation.reversed)},
+            {"_transitive": _transitive_with(lambda u, v: u)},
             lambda: path_block_compensated(path_block_sequence([(0, 1, 2)]),
                                            1, 5, 0)),
-        # K_4 from source 1 is 1 -> 0 -> 2 -> 3 with 0 -> 3: turned around,
-        # 0, 2 and 3 all get indegree 2, while 1 keeps d = 0 and the max
-        # indegree stays within the bound
+        # K_4 from source 1 is 1 -> 0 -> 2 -> 3 with 0 -> 3: with that arc
+        # turned around, 0, 2 and 3 all get indegree 2, while 1 keeps d = 0
+        # and the max indegree stays within the bound
         "path_block_compensated recolouring": (
-            {"_orient_end": _faulty_result(construct._orient_end,
-                                           _flip_edge(0, 3))},
+            {"_transitive": _transitive_with(
+                lambda u, v: u if {u, v} == {0, 3} else v)},
             lambda: path_block_compensated(
                 path_block_sequence([(0, 1, 2, 3)]), 1, 5, 0)),
         "two_cut_block_orient": (flip, lambda: two_cut_block_orient(blocks)),

@@ -95,6 +95,19 @@ def test_budget():
         list(enumerate_proper_k_orientations(g, 5, node_budget=10))
 
 
+def test_negative_budget_is_a_precondition_error():
+    # raised before any shortcut, so k below the floor (C5 at k = 1) or
+    # above the clique ceiling (K6 at k = 3) answers the same way
+    c5, k6 = Graph.cycle_graph(5), Graph.complete(6)
+    for call in (lambda: decide_k_orientation(c5, 1, node_budget=-1),
+                 lambda: decide_k_orientation(c5, 2, node_budget=-1),
+                 lambda: proper_orientation_number(c5, node_budget=-5),
+                 lambda: list(enumerate_proper_k_orientations(c5, 2, -1)),
+                 lambda: fpt_chordal(k6, 3, node_budget=-1)):
+        with pytest.raises(ValueError, match="node_budget must be non-negative"):
+            call()
+
+
 def test_fpt_chordal():
     # above the clique ceiling: answered without any search at all
     assert fpt_chordal(Graph.complete(6), 3, node_budget=0) is None

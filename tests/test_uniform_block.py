@@ -2,8 +2,9 @@
 
 Its output is compared with the recursive reference in oracles.py,
 arc for arc.  Further tests cover graphs too deep or too wide for
-recursion, the split enumerator, the absence of whole-graph rebuilds, and
-the explicit output checks, which must hold under ``python -O`` as well.
+recursion, the split enumerator, the absence of whole-graph rebuilds and
+of piece graphs, and the explicit output checks, which must hold under
+``python -O`` as well.
 """
 
 import contextlib
@@ -138,40 +139,74 @@ def test_reductions_do_not_rebuild_the_graph(monkeypatch):
     # partial orientation
     assert not hasattr(PartialOrientation, "copy")
     construct.uniform_block_orient(g, None, 3)
-    # pieces are read off the one block-cut tree, and any subgraph taken is
-    # one detached piece
+    # pieces are read off the one block-cut tree and oriented in place
     assert trees == [g.n] and len(rooted) == 1
-    assert all(n < 50 for n in sizes)
+    assert sizes == []
+
+
+@pytest.mark.parametrize("seed", [None, 14, 39])
+def test_orient_builds_only_the_graph_it_reads(monkeypatch, tmp_path, seed):
+    # every piece is oriented on the host's ids: no graph of its own
+    g = random_class_instance("uniform-block", 200, 1)
+    path = tmp_path / "g.graph"
+    write_graph(g if seed is None else relabeled(g, seed), path)
+    builds = []
+    real_init = Graph.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(["orient", str(path), "--class", "auto"])
+    assert code == 0 and "class=uniform-block" in out.getvalue().splitlines()
+    assert builds == [g.n]
 
 
 # -- explicit checks that survive python -O ------------------------------------
 
 
-def _reversed_result(fn):
-    return lambda *args: fn(*args).reversed()
-
-
 def check_improper_pieces_raise():
-    """Feed the construction improper piece orientations; it must raise
-    ConstructionError.  Uses no assert, so it also checks under -O."""
+    """Feed the construction improper pieces; it must raise
+    ConstructionError from the check each case names.  Uses no assert, so
+    it also checks under -O."""
+    transitive = construct._transitive
+
+    def reversed_transitive(p, clique_in_order):
+        transitive(p, clique_in_order[::-1])
+
     cases = [
         # the piece check in _orient_compensated rejects the piece
-        ("_orient_end", random_class_instance("uniform-block", 6, 2)),
-        # the final check of uniform_block_orient rejects the whole
-        ("_orient_compensated", random_class_instance("uniform-block", 11, 7)),
+        ({"_transitive": reversed_transitive},
+         random_class_instance("uniform-block", 6, 2), "the piece for"),
+        # a piece grown from a source whose greedy step orients nothing
+        # leaves its other vertices tied: the check in _grow rejects it
+        ({"_greedy_inward": lambda p, pending: None},
+         random_class_instance("uniform-block", 6, 2), "the piece grown from"),
+        # with the piece check off, the final check of uniform_block_orient
+        # rejects the whole
+        ({"_transitive": reversed_transitive,
+          "_checked_compensated": lambda *args: None},
+         random_class_instance("uniform-block", 11, 7),
+         "uniform_block_orient built"),
     ]
-    for name, g in cases:
+    for faults, g, check in cases:
         construct.uniform_block_orient(g, None, 3)   # fine unpatched
-        real = getattr(construct, name)
-        setattr(construct, name, _reversed_result(real))
+        real = {name: getattr(construct, name) for name in faults}
+        for name, faulty in faults.items():
+            setattr(construct, name, faulty)
         try:
             construct.uniform_block_orient(g, None, 3)
-        except ConstructionError:
-            pass
+        except ConstructionError as exc:
+            if check not in str(exc):
+                raise RuntimeError(f"not rejected by {check!r}: {exc}")
         else:
-            raise RuntimeError(f"improper {name} result was accepted")
+            raise RuntimeError(f"improper pieces were accepted ({check!r})")
         finally:
-            setattr(construct, name, real)
+            for name, fn in real.items():
+                setattr(construct, name, fn)
 
 
 def test_improper_pieces_raise():
