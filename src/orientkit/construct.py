@@ -88,7 +88,7 @@ def extend_partial(g: Graph, s, ds) -> Orientation:
         if h not in e:
             raise PreconditionViolated(f"{h} is not an endpoint of {e}")
         heads[e] = h
-    inside = {(u, v) for (u, v) in g.edges if u in sset and v in sset}
+    inside = {(u, v) for u, v in zip(g.lo, g.hi) if u in sset and v in sset}
     if set(heads) != inside:
         raise PreconditionViolated("ds must cover exactly the edges inside S")
 
@@ -115,7 +115,7 @@ def extend_partial(g: Graph, s, ds) -> Orientation:
                 p.orient(v, w, w)
 
     pending = dict.fromkeys(range(g.n), 0)
-    for (u, v) in g.edges:
+    for u, v in zip(g.lo, g.hi):
         if u not in sset and v not in sset:
             pending[u] += 1
             pending[v] += 1
@@ -168,7 +168,7 @@ def low_degree_orient(g: Graph, c: int) -> Orientation:
     if c < 1:
         raise ValueError("the degree threshold c must be positive")
     s = {v for v in range(g.n) if g.degree(v) >= c + 1}
-    for u, v in g.edges:
+    for u, v in zip(g.lo, g.hi):
         if u in s and v in s:
             raise DegreeConditionViolated((u, v))
     return _verified(extend_partial(g, s, {}), "low_degree_orient", c)
@@ -217,7 +217,7 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
         for j in range(i):
             p.orient(heavy[j], v, v)
     if h == omega and h > 0:
-        for u, v in g.edges:
+        for u, v in zip(g.lo, g.hi):
             if not p.is_oriented(u, v):
                 p.orient(u, v, v if v in iv else u)
     else:
@@ -226,7 +226,7 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
                 p.orient(w, heavy[0], heavy[0])
         # edges left at a heavy vertex point away from it, the rest greedily
         pending = dict.fromkeys(range(g.n), 0)
-        for u, v in g.edges:
+        for u, v in zip(g.lo, g.hi):
             if p.is_oriented(u, v):
                 continue
             if u in heavyset or v in heavyset:
@@ -1158,7 +1158,7 @@ def _strip_orient(g: Graph, strip: StripDecomposition) -> Orientation:
             d = decide_k_orientation(part, part.max_degree(), node_budget=20000)
         except BudgetExceeded:
             d = extend_partial(part, frozenset(), {})
-        for (lu, lv), h in zip(part.edges, d.heads):
+        for lu, lv, h in zip(part.lo, part.hi, d.heads):
             p.orient(part_old[lu], part_old[lv], part_old[h])
     # Inner fans first: a fan reads only the final indegrees of its four
     # end vertices, and writes heads only on its hub and interior.
@@ -1198,20 +1198,19 @@ def cograph_bounds(cotree):
     """(lower, upper) sandwich on the orientation number of a cograph.
 
     The lower bound is exact at unions and uses the edge-density argument
-    at joins; the upper bound folds the one-sided cross orientation over
-    the join children.  Lower is an exact rational, upper an integer.
+    at joins; the upper bound is cograph_upper_bound.  Lower is an exact
+    rational, upper an integer.
     """
     _, nodes = cotree_postorder(cotree)
-    folded = {}   # id(node) -> (edge count, lower, upper)
+    folded = {}   # id(node) -> (edge count, lower)
     for node, bounds in nodes:
         if isinstance(node, CotreeLeaf):
-            folded[id(node)] = (0, Fraction(0), 0)
+            folded[id(node)] = (0, Fraction(0))
             continue
         subs = [folded[id(ch)] for ch in node.children]
         if isinstance(node, CotreeUnion):
             folded[id(node)] = (sum(s[0] for s in subs),
-                                max((s[1] for s in subs), default=Fraction(0)),
-                                max((s[2] for s in subs), default=0))
+                                max((s[1] for s in subs), default=Fraction(0)))
             continue
         if not isinstance(node, CotreeJoin):
             raise PreconditionViolated(f"cotree node {node!r} is not a "
@@ -1221,20 +1220,40 @@ def cograph_bounds(cotree):
         total_m = (sum(s[0] for s in subs)
                    + (total_n * total_n - sum(ni * ni for ni in sizes)) // 2)
         lower = Fraction(0)
-        for ni, (mi, _, _) in zip(sizes, subs):
+        for ni, (mi, _) in zip(sizes, subs):
             rest_n = total_n - ni
             rest_m = total_m - mi - ni * rest_n
             ad_i = Fraction(mi, ni)
             ad_rest = Fraction(rest_m, rest_n)
             lower = max(lower, min(ad_i + Fraction(rest_n, 2),
                                    ad_rest + Fraction(ni, 2)))
-        upper, seen_n = subs[0][2], sizes[0]
-        for ni, (_, _, upper_ch) in zip(sizes[1:], subs[1:]):
-            upper, _ = _join_step(upper, seen_n, upper_ch, ni)
-            seen_n += ni
-        folded[id(node)] = (total_m, lower, upper)
-    _, lower, upper = folded[id(cotree)]
-    return lower, upper
+        folded[id(node)] = (total_m, lower)
+    return folded[id(cotree)][1], cograph_upper_bound(cotree)
+
+
+def cograph_upper_bound(cotree) -> int:
+    """The upper bound of cograph_bounds, in integers alone: a union's is
+    its children's max, and a join's folds the one-sided cross orientation
+    over its children, as cograph_orient orients them."""
+    _, nodes = cotree_postorder(cotree)
+    folded = {}   # id(node) -> upper bound
+    for node, bounds in nodes:
+        if isinstance(node, CotreeLeaf):
+            folded[id(node)] = 0
+            continue
+        subs = [folded[id(ch)] for ch in node.children]
+        if isinstance(node, CotreeUnion):
+            folded[id(node)] = max(subs, default=0)
+            continue
+        if not isinstance(node, CotreeJoin):
+            raise PreconditionViolated(f"cotree node {node!r} is not a "
+                                       "leaf, union or join")
+        upper = subs[0]
+        for i in range(1, len(subs)):
+            upper, _ = _join_step(upper, bounds[i] - bounds[0], subs[i],
+                                  bounds[i + 1] - bounds[i])
+        folded[id(node)] = upper
+    return folded[id(cotree)]
 
 
 def _join_step(a, n_a, b, n_b):
@@ -1257,7 +1276,7 @@ def cograph_orient(g: Graph, cotree) -> Orientation:
     children out, the incoming child behind the folded ones when the cross
     edges go into it and in front otherwise, and every edge points to the
     endpoint laid out later.  One post-order pass gives each node's max
-    indegree and layout, and one pass over g.edges gives the heads.
+    indegree and layout, and one pass over the edges gives the heads.
 
     On a quasi-threshold cotree every join is Join((Leaf(v), rest)) and
     rest's max indegree is below |rest|, so every cross edge leaves v.  An
@@ -1308,7 +1327,7 @@ def cograph_orient(g: Graph, cotree) -> Orientation:
     rank = [0] * n
     for pos, (v, s) in enumerate(zip(leaves, itertools.accumulate(shift))):
         rank[v] = pos + s
-    heads = [v if rank[v] > rank[u] else u for u, v in g.edges]
+    heads = [v if rank[v] > rank[u] else u for u, v in zip(g.lo, g.hi)]
     return _verified(Orientation(g, heads), "cograph_orient")
 
 
@@ -1321,7 +1340,7 @@ def cograph_join_orient(g1: Graph, g2: Graph, d1: Orientation,
     _, into_second = _join_step(max_indegree(d1), g1.n,
                                 max_indegree(d2), g2.n)
     heads = []
-    for u, v in jg.edges:
+    for u, v in zip(jg.lo, jg.hi):
         if v < g1.n:
             heads.append(d1.heads[g1.edge_id(u, v)])
         elif u >= g1.n:
@@ -1408,7 +1427,8 @@ def _degree_threshold(g: Graph, c):
     of degree above c."""
     if c is not None:
         return c
-    worst = max((min(g.degree(u), g.degree(v)) for u, v in g.edges), default=0)
+    worst = max((min(g.degree(u), g.degree(v)) for u, v in zip(g.lo, g.hi)),
+                default=0)
     return max(worst, 1)
 
 
@@ -1427,7 +1447,7 @@ ORIENT_CLASSES = (
     OrientClass("outerplanar-strip", lambda g, c: outerplanar_strip(g),
                 outerplanar_strip_orient, lambda strip, d: 13),
     OrientClass("cograph", lambda g, c: cograph_cotree(g).cotree,
-                cograph_orient, lambda cotree, d: cograph_bounds(cotree)[1]),
+                cograph_orient, lambda cotree, d: cograph_upper_bound(cotree)),
     OrientClass("low-degree", _degree_threshold, low_degree_orient,
                 lambda c, d: c),
 )

@@ -60,13 +60,12 @@ from .recognize import chordal_peo, clique_number_chordal, split_partition
 
 def _edge_order(g: Graph):
     """Edge ids, those with the highest-degree endpoints first."""
-    deg = g.degrees()
+    deg, lo, hi = g.degrees(), g.lo, g.hi
 
     def key(e):
-        u, v = g.edges[e]
+        u, v = lo[e], hi[e]
         a, b = deg[u], deg[v]
-        hi, lo = (a, b) if a >= b else (b, a)
-        return (-hi, -lo, u, v)
+        return (-max(a, b), -min(a, b), u, v)
 
     return sorted(range(g.m), key=key)
 
@@ -104,8 +103,8 @@ def _search(g: Graph, k, budget, symmetry_breaking):
         yield []
         return
     order = _edge_order(g)
-    eu = [g.edges[e][0] for e in order]
-    ev = [g.edges[e][1] for e in order]
+    eu = [g.lo[e] for e in order]
+    ev = [g.hi[e] for e in order]
     adj = g.adj
     indeg = [0] * n
     rem = g.degrees()
@@ -626,7 +625,7 @@ def fpt_chordal(g: Graph, k: int, node_budget=None):
 def _neighbour_bits(g: Graph):
     """bits[v]: the neighbours of v as a bitset."""
     bits = [0] * g.n
-    for u, v in g.edges:
+    for u, v in zip(g.lo, g.hi):
         bits[u] |= 1 << v
         bits[v] |= 1 << u
     return bits

@@ -89,7 +89,8 @@ def head_gadget(i: int, k: int):
         raise BadParams(f"need 2 <= i <= k, got i={i}, k={k}")
     g, meta = ladder_gadget(k)
     head = g.n
-    edges = list(g.edges) + [(meta.spine[j], head) for j in range(1, i)]
+    edges = itertools.chain(zip(g.lo, g.hi),
+                            ((meta.spine[j], head) for j in range(1, i)))
     out = Graph(g.n + 1, edges)
     return out, GadgetMeta("F", {"i": i, "k": k}, spine=meta.spine, head=head)
 
@@ -123,12 +124,13 @@ class ReductionOutput:
 
 
 class _Builder:
-    """Edge list of the reduction under construction.  Each gadget shape is
-    built once per builder, as a template that paste copies onto fresh ids."""
+    """Edge columns of the reduction under construction: edge e is
+    (lo[e], hi[e]), lo[e] < hi[e].  Each gadget shape is built once per
+    builder, as a template that paste copies onto fresh ids."""
 
     def __init__(self, n):
         self.n = n
-        self.edges = []
+        self.lo, self.hi = [], []
         self.templates = {}
 
     def template(self, make, *args):
@@ -144,15 +146,19 @@ class _Builder:
         self.n += local.n
         # one int object per new id, shared by all of its edges
         ids = list(range(base, self.n))
-        self.edges += [(ids[u], ids[v]) for u, v in local.edges]
-        self.edges.append((host, ids[port]))
+        self.lo += [ids[u] for u in local.lo]
+        self.hi += [ids[v] for v in local.hi]
+        self.add(host, ids[port])
         return base
 
     def add(self, u, v):
-        self.edges.append((u, v))
+        """Edge (u, v) with u < v; a host is below every id pasted after
+        it, so paste's edges to hosts qualify."""
+        self.lo.append(u)
+        self.hi.append(v)
 
     def graph(self):
-        return Graph(self.n, self.edges)
+        return Graph._of_columns(self.n, self.lo, self.hi)
 
 
 def _attach_head_gadget(b: _Builder, host, i, k):
@@ -192,8 +198,7 @@ def reduce_vertex_cover(g: Graph, k: int) -> ReductionOutput:
     iset_edge = {}
     for u, v in itertools.combinations(clique, 2):
         b.add(u, v)
-    for idx, (u, v) in enumerate(g.edges):
-        ev = n + idx
+    for ev, u, v in zip(iset, g.lo, g.hi):
         iset_edge[ev] = (u, v)
         b.add(u, ev)
         b.add(v, ev)
@@ -410,26 +415,34 @@ def _random_split(rng, n):
 
 
 def _random_cotree_graph(rng, n, single_vertex_joins):
-    edges = []
+    # the recursion is a module-level function, not a closure: a closure
+    # that calls itself is a reference cycle, which would keep the unsorted
+    # columns alive until the next cycle collection
+    ids, lo, hi = list(range(n)), [], []
+    _random_cotree_edges(rng, single_vertex_joins, ids, 0, n, lo, hi)
+    return Graph._of_columns(n, lo, hi)
 
-    def build(base, sz):
-        """Append the edges of a random cotree graph on base..base+sz-1."""
-        if sz == 1:
-            return
-        if single_vertex_joins and rng.random() < 0.6:
-            build(base + 1, sz - 1)
-            a, joined = 1, True
-        else:
-            a = rng.randint(1, sz - 1)
-            build(base, a)
-            build(base + a, sz - a)
-            joined = not single_vertex_joins and rng.random() < 0.5
-        if joined:
-            edges.extend((u, v) for u in range(base, base + a)
-                         for v in range(base + a, base + sz))
 
-    build(0, n)
-    return Graph(n, edges)
+def _random_cotree_edges(rng, single_vertex_joins, ids, base, sz, lo, hi):
+    """Append to the columns lo, hi the edges of a random cotree graph on
+    ids[base:base + sz]."""
+    if sz == 1:
+        return
+    if single_vertex_joins and rng.random() < 0.6:
+        _random_cotree_edges(rng, single_vertex_joins, ids, base + 1, sz - 1,
+                             lo, hi)
+        a, joined = 1, True
+    else:
+        a = rng.randint(1, sz - 1)
+        _random_cotree_edges(rng, single_vertex_joins, ids, base, a, lo, hi)
+        _random_cotree_edges(rng, single_vertex_joins, ids, base + a, sz - a,
+                             lo, hi)
+        joined = not single_vertex_joins and rng.random() < 0.5
+    if joined:
+        later = ids[base + a:base + sz]
+        for u in ids[base:base + a]:
+            lo += itertools.repeat(u, len(later))
+            hi += later
 
 
 def _random_uniform_block(rng, blocks, k, two_cut):

@@ -1,6 +1,6 @@
 """Edge orientations: full, partial, and the library's one result check.
 
-Both kinds store one head per edge, indexed like graph.edges; a partial
+Both kinds store one head per edge, indexed by edge id; a partial
 orientation marks an unoriented edge with -1.  An orientation is proper
 when adjacent vertices receive distinct indegrees.  A compensated check
 replaces one vertex's indegree with an override color before testing
@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, PreconditionViolated
-from .graph import Graph, id_strings, parse_pairs
+from .graph import Graph, format_pairs, parse_pairs
 
 
 class Orientation:
-    """Immutable direction assignment: heads[e] is the head of edge e, with
-    edges indexed like graph.edges."""
+    """Immutable direction assignment: heads[e] is the head of edge e, the
+    pair (graph.lo[e], graph.hi[e])."""
 
     __slots__ = ("graph", "heads", "indegree")
 
@@ -31,7 +31,7 @@ class Orientation:
         if len(heads) != graph.m:
             raise ValueError("need one head per edge")
         indeg = [0] * graph.n
-        for (u, v), h in zip(graph.edges, heads):
+        for u, v, h in zip(graph.lo, graph.hi, heads):
             if h != u and h != v:
                 raise ValueError(f"head {h} is not an endpoint of ({u},{v})")
             indeg[h] += 1
@@ -43,34 +43,18 @@ class Orientation:
     def from_arcs(cls, graph: Graph, arcs):
         """arcs: iterable of (tail, head); must cover every edge exactly once.
 
-        Arcs listed in graph.edges order, as every file the library writes
+        Arcs listed in edge-id order, as every file the library writes
         lists them, give their heads by position after one pass of
         endpoint checks; any other list takes the edge lookup per arc."""
         arcs = list(arcs)
-        try:
-            in_order = len(arcs) == graph.m and all(
-                e == (t, h) or e == (h, t)
-                for e, (t, h) in zip(graph.edges, arcs))
-        except (TypeError, ValueError):
-            in_order = False  # malformed arcs: the lookup raises as it did
-        if in_order:
+        if len(arcs) == graph.m and _in_edge_order(graph, arcs):
             return cls(graph, [h for _, h in arcs])
-        heads = [None] * graph.m
-        for t, h in arcs:
-            try:
-                e = graph.edge_id(t, h)
-            except KeyError:
-                raise ValueError(f"arc ({t},{h}) is not an edge") from None
-            if heads[e] is not None:
-                raise ValueError(f"edge ({t},{h}) oriented twice")
-            heads[e] = h
-        if any(h is None for h in heads):
-            raise ValueError("arcs do not cover every edge")
-        return cls(graph, heads)
+        return cls(graph, _looked_up(graph, arcs))
 
     def arcs(self):
-        for (u, v), h in zip(self.graph.edges, self.heads):
-            yield u + v - h, h
+        g = self.graph
+        for u, v, h in zip(g.lo, g.hi, self.heads):
+            yield (v if h == u else u), h
 
     def recompute_indegree(self):
         """Audit path: indegrees rebuilt from scratch, bypassing the cache."""
@@ -80,13 +64,40 @@ class Orientation:
         return indeg
 
     def reversed(self):
-        return Orientation(self.graph, [u + v - h for (u, v), h
-                                        in zip(self.graph.edges, self.heads)])
+        g = self.graph
+        return Orientation(g, [v if h == u else u
+                               for u, v, h in zip(g.lo, g.hi, self.heads)])
 
     def __eq__(self, other):
         if not isinstance(other, Orientation):
             return NotImplemented
         return self.graph == other.graph and self.heads == other.heads
+
+
+def _in_edge_order(graph: Graph, arcs):
+    """True iff arc e of arcs, (tail, head) pairs, is edge e either way
+    round, for every edge e that arcs reaches."""
+    try:
+        return all((t == u and h == v) or (t == v and h == u)
+                   for (t, h), u, v in zip(arcs, graph.lo, graph.hi))
+    except (TypeError, ValueError):
+        return False  # malformed arcs: the lookup raises as it did
+
+
+def _looked_up(graph: Graph, arcs):
+    """Heads of arcs, (tail, head) pairs, by one edge lookup per arc."""
+    heads = [None] * graph.m
+    for t, h in arcs:
+        try:
+            e = graph.edge_id(t, h)
+        except KeyError:
+            raise ValueError(f"arc ({t},{h}) is not an edge") from None
+        if heads[e] is not None:
+            raise ValueError(f"edge ({t},{h}) oriented twice")
+        heads[e] = h
+    if any(h is None for h in heads):
+        raise ValueError("arcs do not cover every edge")
+    return heads
 
 
 class PartialOrientation:
@@ -137,8 +148,8 @@ class CompensationSpec:
 
 def is_proper(d: Orientation) -> bool:
     """True iff every edge joins vertices of distinct indegrees."""
-    indeg = d.indegree
-    return all(indeg[u] != indeg[v] for u, v in d.graph.edges)
+    indeg, g = d.indegree, d.graph
+    return all(indeg[u] != indeg[v] for u, v in zip(g.lo, g.hi))
 
 
 def max_indegree(d: Orientation) -> int:
@@ -158,7 +169,7 @@ def is_compensated_proper(d: Orientation, spec: CompensationSpec) -> bool:
         return False
     color = list(d.indegree)
     color[spec.u] = spec.c
-    return all(color[u] != color[v] for u, v in g.edges)
+    return all(color[u] != color[v] for u, v in zip(g.lo, g.hi))
 
 
 def _verified(d: Orientation, what, bound=None, *, proper=True, holds=True):
@@ -181,17 +192,16 @@ def _verified(d: Orientation, what, bound=None, *, proper=True, holds=True):
 
 
 def parse_orientation(text, graph: Graph) -> Orientation:
-    _, _, arcs = parse_pairs(text, "orientation", (graph.n, graph.m))
-    return Orientation.from_arcs(graph, arcs)
+    _, _, tails, heads = parse_pairs(text, "orientation", (graph.n, graph.m))
+    if not _in_edge_order(graph, zip(tails, heads)):
+        heads = _looked_up(graph, zip(tails, heads))
+    return Orientation(graph, heads)
 
 
 def format_orientation(d: Orientation) -> str:
     g = d.graph
-    first, second = id_strings(g.n)
-    lines = [f"{g.n} {g.m}\n"]
-    lines += [first[u] + second[v] if h == v else first[v] + second[u]
-              for (u, v), h in zip(g.edges, d.heads)]
-    return "".join(lines)
+    tails = [v if h == u else u for u, v, h in zip(g.lo, g.hi, d.heads)]
+    return format_pairs(g.n, tails, d.heads)
 
 
 def read_orientation(path, graph: Graph) -> Orientation:

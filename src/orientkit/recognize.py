@@ -444,7 +444,7 @@ class CographCheck(NamedTuple):
 def find_induced_p4(g: Graph):
     """Vertices (a, b, c, d) of an induced path, or None."""
     adjset = [set(x) for x in g.adj]
-    for b, c in g.edges:
+    for b, c in zip(g.lo, g.hi):
         for b_, c_ in ((b, c), (c, b)):
             for a in g.adj[b_]:
                 if a == c_ or a in adjset[c_]:
@@ -657,7 +657,7 @@ def outerplanar_strip(g: Graph) -> Optional[StripDecomposition]:
     # every subgraph triangle of a maximal outerplane graph is an inner face
     tri_of_edge = {}
     triangles = set()
-    for u, v in g.edges:
+    for u, v in zip(g.lo, g.hi):
         common = adjset[u] & adjset[v]
         if not 1 <= len(common) <= 2:
             return None

@@ -864,16 +864,17 @@ def search_oracle(g, k, budget, symmetry_breaking):
         yield []
         return
     deg = g.degrees()
+    edges = g.edges  # a new list on every read: read it once
 
     def edge_key(e):
-        u, v = g.edges[e]
+        u, v = edges[e]
         a, b = deg[u], deg[v]
         hi, lo = (a, b) if a >= b else (b, a)
         return (-hi, -lo, u, v)
 
     order = sorted(range(m), key=edge_key)
-    eu = [g.edges[e][0] for e in order]
-    ev = [g.edges[e][1] for e in order]
+    eu = [edges[e][0] for e in order]
+    ev = [edges[e][1] for e in order]
     adj = g.adj
     indeg = [0] * n
     rem = g.degrees()

@@ -14,8 +14,9 @@ from orientkit import construct
 from orientkit.cli import dispatch
 from orientkit.construct import (AlternatingMode, claw_free_chordal_bound,
                                  cograph_bounds, cograph_join_orient,
-                                 cograph_orient, extend_partial,
-                                 extend_to_path, low_degree_orient,
+                                 cograph_orient, cograph_upper_bound,
+                                 extend_partial, extend_to_path,
+                                 low_degree_orient,
                                  orient_alternating, outerplanar_strip_orient,
                                  path_block_compensated, path_block_sequence,
                                  quasi_threshold_orient, split_orient,
@@ -616,6 +617,18 @@ def test_cograph_bounds_upper_is_the_orient_max_indegree():
     for g, cotree in cograph_orient_corpus():
         assert cograph_bounds(cotree)[1] == max_indegree(
             cograph_orient(g, cotree))
+
+
+def test_cograph_upper_bound_is_the_bounds_upper():
+    # the orient table's bound: cograph_bounds' upper, without its rationals
+    cases = 0
+    for _, cotree in cograph_orient_corpus():
+        assert cograph_upper_bound(cotree) == cograph_bounds(cotree)[1]
+        cases += 1
+    assert cases > 400
+    node = SimpleNamespace(children=(CotreeLeaf(0), CotreeLeaf(1)))
+    with pytest.raises(PreconditionViolated, match="is not a leaf"):
+        cograph_upper_bound(CotreeUnion((node, CotreeLeaf(2))))
 
 
 def test_cograph_orient_rejects_a_foreign_cotree():

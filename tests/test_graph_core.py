@@ -53,12 +53,15 @@ def test_neighbour_lists_are_sorted_for_any_edge_order():
 
 def _outcome(build, n, make_edges):
     """(edges, adj) that build makes of n and make_edges(), or the type and
-    message of the error it raises."""
+    message of the error it raises; a Graph's edges are read off its
+    columns."""
     try:
         got = build(n, make_edges())
     except (ValueError, TypeError) as err:
         return type(err), str(err)
-    return (got.edges, got.adj) if isinstance(got, Graph) else got
+    if isinstance(got, Graph):
+        return list(zip(got.lo, got.hi)), got.adj
+    return got
 
 
 MALFORMED = [
@@ -187,8 +190,8 @@ def test_endpoint_tokens_parse_as_int_does():
     # token sends the whole body through int(), with int()'s results and
     # messages
     for tok, value in (("007", 7), ("+3", 3), ("1_0", 10)):
-        assert parse_pairs(f"11 1\n0 {tok}\n", "graph") == (11, 1,
-                                                             [(0, value)])
+        assert parse_pairs(f"11 1\n0 {tok}\n", "graph") == (11, 1, [0],
+                                                             [value])
         assert parse_graph(f"11 1\n{tok} 0\n") == Graph(11, [(0, value)])
     for tok in ("-1", "11"):
         with pytest.raises(ValueError, match=re.escape(
@@ -201,7 +204,7 @@ def test_endpoint_tokens_parse_as_int_does():
     # the table is sized by the tokens too, so a huge n costs nothing
     tracemalloc.start()
     try:
-        assert parse_pairs("1000000000 0\n", "graph") == (10 ** 9, 0, [])
+        assert parse_pairs("1000000000 0\n", "graph") == (10 ** 9, 0, [], [])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -49,13 +49,13 @@ def test_reduction_bytes_at_minimum_cover(g, k, digest):
 def test_reduction_builds_one_graph_per_gadget_shape(monkeypatch):
     inputs = [(petersen_graph(), 6), (cubic_graph(12, 12), 7)]
     built = []
-    init = Graph.__init__
+    store = Graph._store  # every build ends here, from pairs or columns
 
-    def counting(self, *args, **kwargs):
+    def counting(self, *args):
         built.append(1)
-        init(self, *args, **kwargs)
+        store(self, *args)
 
-    monkeypatch.setattr(Graph, "__init__", counting)
+    monkeypatch.setattr(Graph, "_store", counting)
     counts = []
     for g, k in inputs:
         built.clear()

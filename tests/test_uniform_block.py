@@ -151,13 +151,13 @@ def test_orient_builds_only_the_graph_it_reads(monkeypatch, tmp_path, seed):
     path = tmp_path / "g.graph"
     write_graph(g if seed is None else relabeled(g, seed), path)
     builds = []
-    real_init = Graph.__init__
+    real_store = Graph._store  # every build ends here, from pairs or columns
 
-    def counted_init(self, *args, **kwargs):
-        builds.append(args[0])
-        real_init(self, *args, **kwargs)
+    def counted_store(self, ids, lo, hi):
+        builds.append(len(ids))
+        real_store(self, ids, lo, hi)
 
-    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(Graph, "_store", counted_store)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = dispatch(["orient", str(path), "--class", "auto"])
