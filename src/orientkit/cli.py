@@ -16,6 +16,7 @@ import hashlib
 import os
 import sys
 import time
+from functools import partial
 
 from . import construct, instances, recognize
 from .errors import BudgetExceeded, OrientkitError
@@ -30,8 +31,11 @@ EXIT_BUDGET = 3
 
 
 def _hash_file(path):
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:12]
+        for block in iter(partial(fh.read, 1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()[:12]
 
 
 class Report:

@@ -19,10 +19,17 @@ racing fill stores an equal value.
 
 Text format: first line "n m", then m lines "u v" (0-based endpoints).
 Blank lines and '#' comments are ignored; token spacing is free-form.
+Text is read a piece of about 64 Ki characters at a time, each piece
+ending at a newline, and written 64 Ki lines at a time, so no read or
+write holds the token list or the text of a whole large file.  The id
+table is sized by the smallest of n, 2m and the text's length (a file's
+size), so a header larger than its body allocates nothing large, and the
+errors come in the order they would from the whole text at once.
 """
 
 from __future__ import annotations
 
+import os
 from array import array
 from bisect import bisect_left
 from collections import deque
@@ -276,19 +283,105 @@ def generic_bounds(g: Graph, omega: int):
 
 # -- text I/O ----------------------------------------------------------
 
+# Text is read a piece of about this many characters at a time, each piece
+# ending at a newline, and written this many lines to a piece.
+_PIECE = 1 << 16
 
-def format_pairs(n, firsts, seconds):
-    """Text of a graph or an orientation: the header "n m", then one line
-    per pair (firsts[i], seconds[i]) of ids below n.  Each line is joined
-    from its two halves, "i " and "j\\n", made once per id."""
+
+def format_pairs(n, m, firsts, seconds):
+    """Pieces of the text of a graph or an orientation: the header "n m",
+    then one line per pair (firsts[i], seconds[i]) of the m pairs of ids
+    below n, _PIECE lines to a piece.  Each line is joined from its two
+    halves, "i " and "j\\n", made once per id."""
     ids = list(map(str, range(n)))
     first = [s + " " for s in ids]
     second = [s + "\n" for s in ids]
-    lines = [None] * (2 * len(firsts) + 1)
-    lines[0] = f"{n} {len(firsts)}\n"
-    lines[1::2] = [first[u] for u in firsts]
-    lines[2::2] = [second[v] for v in seconds]
-    return "".join(lines)
+    yield f"{n} {m}\n"
+    firsts, seconds = iter(firsts), iter(seconds)
+    for done in range(0, m, _PIECE):
+        lines = [None] * (2 * min(_PIECE, m - done))
+        lines[0::2] = [first[u] for u in islice(firsts, _PIECE)]
+        lines[1::2] = [second[v] for v in islice(seconds, _PIECE)]
+        yield "".join(lines)
+
+
+def _split(piece):
+    """The tokens of a piece of text, '#' comments dropped line by line."""
+    if "#" in piece:
+        piece = "\n".join(line.split("#", 1)[0]
+                          for line in piece.splitlines())
+    return piece.split()
+
+
+def _text_pieces(text):
+    """text cut after the first newline past every _PIECE characters."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _PIECE - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _file_pieces(fh):
+    """The text file fh in pieces of _PIECE characters, each read on to
+    the end of its line."""
+    while piece := fh.read(_PIECE):
+        yield piece + fh.readline()
+
+
+def _parse_pieces(pieces, size, what, header):
+    """parse_pairs on a text of at most size characters, given as pieces
+    that each end at a line break, so that no line spans two of them."""
+    splits = map(_split, pieces)
+    toks = []
+    for more in splits:
+        toks = toks + more if toks else more
+        if len(toks) >= 2:
+            break
+    more = None  # the first piece's tokens are held by toks alone
+    if len(toks) < 2:
+        raise ValueError(f"{what} text needs a header 'n m'")
+    n, m = int(toks[0]), int(toks[1])
+    if header is not None and (n, m) != header:
+        raise ValueError(f"{what} header ({n},{m}) does not match graph "
+                         f"({header[0]},{header[1]})")
+    # no more ids than the text has characters, however large the header
+    table = {s: i for i, s in enumerate(map(str, range(min(n, 2 * m,
+                                                           size))))}
+    get = table.__getitem__
+    firsts, seconds = [], []
+    # body tokens so far, the first in toks, int()'s first error message
+    count, start, bad = 0, 2, None
+    while toks is not None:
+        # tokens past the 2m-th are counted, not stored
+        end = min(len(toks), start + max(2 * m - count, 0))
+        if start < end:
+            evens, odds = (firsts, seconds) if count % 2 == 0 else (
+                seconds, firsts)
+            kept = len(evens), len(odds)
+            try:
+                evens += map(get, islice(toks, start, end, 2))
+                odds += map(get, islice(toks, start + 1, end, 2))
+            except KeyError:  # another spelling, or no id: int() decides
+                del evens[kept[0]:], odds[kept[1]:]
+                ids = []
+                for tok in islice(toks, start, end):
+                    i = table.get(tok)
+                    if i is None:
+                        try:
+                            i = int(tok)
+                        except ValueError as err:
+                            bad = bad or str(err)
+                    ids.append(i)
+                evens += islice(ids, 0, None, 2)
+                odds += islice(ids, 1, None, 2)
+        count += len(toks) - start
+        start, toks = 0, next(splits, None)
+    if count != 2 * m:
+        raise ValueError(f"expected {2 * m} endpoint tokens, got {count}")
+    if bad is not None:
+        raise ValueError(bad)
+    return n, m, firsts, seconds
 
 
 def parse_pairs(text, what, header=None):
@@ -296,30 +389,25 @@ def parse_pairs(text, what, header=None):
     (what): a header "n m", equal to header when given, then m pairs of
     ints, pair i being (firsts[i], seconds[i]).
 
-    Endpoint tokens are looked up in a table of the ids' plain decimal
-    strings, sized by the smaller of n and the token count; on any miss
-    (another spelling, a sign, an out-of-range id, a non-number) the whole
-    body is parsed with int() instead, so results and errors are int()'s."""
-    if "#" in text:
-        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    toks = text.split()
-    if len(toks) < 2:
-        raise ValueError(f"{what} text needs a header 'n m'")
-    n, m = int(toks[0]), int(toks[1])
-    if header is not None and (n, m) != header:
-        raise ValueError(f"{what} header ({n},{m}) does not match graph "
-                         f"({header[0]},{header[1]})")
-    if len(toks) - 2 != 2 * m:
-        raise ValueError(f"expected {2 * m} endpoint tokens, "
-                         f"got {len(toks) - 2}")
-    table = {s: i for i, s in enumerate(map(str, range(min(n, 2 * m))))}
-    try:
-        firsts = list(map(table.__getitem__, islice(toks, 2, None, 2)))
-        seconds = list(map(table.__getitem__, islice(toks, 3, None, 2)))
-    except KeyError:
-        ints = list(map(int, islice(toks, 2, None)))
-        firsts, seconds = ints[0::2], ints[1::2]
-    return n, m, firsts, seconds
+    The text is split a piece at a time.  Endpoint tokens are looked up in
+    a table of the ids' plain decimal strings, sized by the smallest of n,
+    2m and the text's length; a token the table lacks (another spelling, a
+    sign, an out-of-range id, a non-number) is read with int() instead, so
+    results and errors are int()'s.  The errors come in this order: no
+    header, int()'s on n and m, a header unequal to header, a token count
+    other than 2m, then int()'s on the first bad endpoint token."""
+    pieces = (text,) if len(text) <= _PIECE else _text_pieces(text)
+    return _parse_pieces(pieces, len(text), what, header)
+
+
+def read_pairs(path, what, header=None):
+    """parse_pairs on the text of the file at path, read a piece at a time;
+    the file's size bounds the id table."""
+    with open(path, "r", encoding="utf-8") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size <= _PIECE:  # at most one piece, or not a regular file
+            return parse_pairs(fh.read(), what, header)
+        return _parse_pieces(_file_pieces(fh), size, what, header)
 
 
 def parse_graph(text) -> Graph:
@@ -328,14 +416,14 @@ def parse_graph(text) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    return format_pairs(g.n, g.lo, g.hi)
+    return "".join(format_pairs(g.n, g.m, g.lo, g.hi))
 
 
 def read_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    n, _, firsts, seconds = read_pairs(path, "graph")
+    return Graph(n, zip(firsts, seconds))
 
 
 def write_graph(g: Graph, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
+        fh.writelines(format_pairs(g.n, g.m, g.lo, g.hi))

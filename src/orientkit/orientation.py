@@ -10,7 +10,8 @@ returns passes _verified first: properness, a bound on the max indegree
 and the caller's stated property, checked also under ``python -O``.
 
 Text format: first line "n m", then m lines "u v" meaning the arc u -> v.
-Comments start with '#'.
+Comments start with '#'.  Reads and writes go a piece at a time through
+graph.py's read_pairs and format_pairs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError, PreconditionViolated
-from .graph import Graph, format_pairs, parse_pairs
+from .graph import Graph, format_pairs, parse_pairs, read_pairs
 
 
 class Orientation:
@@ -191,24 +192,34 @@ def _verified(d: Orientation, what, bound=None, *, proper=True, holds=True):
 # -- text I/O ----------------------------------------------------------
 
 
-def parse_orientation(text, graph: Graph) -> Orientation:
-    _, _, tails, heads = parse_pairs(text, "orientation", (graph.n, graph.m))
+def _oriented(graph: Graph, tails, heads) -> Orientation:
+    """The orientation of graph with the arcs tails[i] -> heads[i]."""
     if not _in_edge_order(graph, zip(tails, heads)):
         heads = _looked_up(graph, zip(tails, heads))
     return Orientation(graph, heads)
 
 
-def format_orientation(d: Orientation) -> str:
+def _pieces(d: Orientation):
+    """The pieces of d's text, its arcs in edge order."""
     g = d.graph
-    tails = [v if h == u else u for u, v, h in zip(g.lo, g.hi, d.heads)]
-    return format_pairs(g.n, tails, d.heads)
+    tails = (v if h == u else u for u, v, h in zip(g.lo, g.hi, d.heads))
+    return format_pairs(g.n, g.m, tails, d.heads)
+
+
+def parse_orientation(text, graph: Graph) -> Orientation:
+    _, _, tails, heads = parse_pairs(text, "orientation", (graph.n, graph.m))
+    return _oriented(graph, tails, heads)
+
+
+def format_orientation(d: Orientation) -> str:
+    return "".join(_pieces(d))
 
 
 def read_orientation(path, graph: Graph) -> Orientation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_orientation(fh.read(), graph)
+    _, _, tails, heads = read_pairs(path, "orientation", (graph.n, graph.m))
+    return _oriented(graph, tails, heads)
 
 
 def write_orientation(d: Orientation, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_orientation(d))
+        fh.writelines(_pieces(d))

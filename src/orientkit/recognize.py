@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .errors import ConstructionError, InvalidPEO, PreconditionViolated
@@ -240,18 +241,43 @@ def cotree_postorder(root):
 
 
 def evaluate_cotree(node, n=None) -> Graph:
-    """Rebuild the graph a cotree denotes; leaves name the vertex ids."""
+    """Rebuild the graph a cotree denotes; leaves name the vertex ids, each
+    at most once and below n.
+
+    Each vertex collects its larger neighbours: at a join, a child's
+    vertices meet every later sibling's, so both spans are sorted and each
+    vertex takes the other span's tail past it.  Sorting each vertex's list
+    then gives the canonical edge order, and the graph takes the columns
+    without a sort of its own."""
     leaves, nodes = cotree_postorder(node)
     if n is None:
         n = max(leaves) + 1 if leaves else 0
-    edges = []
+    ids = list(range(n))
+    seen = [False] * n
+    for v in leaves:
+        if not 0 <= v < n:
+            raise ValueError(f"cotree leaf {v} out of range for n={n}")
+        if seen[v]:
+            raise ValueError(f"cotree leaf {v} repeats")
+        seen[v] = True
+    up = [[] for _ in ids]
     for nd, bounds in nodes:
-        if isinstance(nd, CotreeJoin):
-            # each child meets every later sibling
-            for lo, hi in zip(bounds, bounds[1:-1]):
-                later = leaves[hi:bounds[-1]]
-                edges.extend((u, w) for u in leaves[lo:hi] for w in later)
-    return Graph(n, edges)
+        if not isinstance(nd, CotreeJoin):
+            continue
+        for i, j in zip(bounds, bounds[1:-1]):
+            a, b = sorted(leaves[i:j]), sorted(leaves[j:bounds[-1]])
+            if a and b:
+                for x in a[:bisect_left(a, b[-1])]:
+                    up[x] += b[bisect_left(b, x):]
+                for x in b[:bisect_left(b, a[-1])]:
+                    up[x] += a[bisect_left(a, x):]
+    lo, hi = [], []
+    for u, ws in zip(ids, up):
+        ws.sort()
+        lo += repeat(u, len(ws))
+        hi += map(ids.__getitem__, ws)
+        ws.clear()  # each edge held once: in up or in the columns
+    return Graph._of_columns(n, lo, hi)
 
 
 def _insert_cotree(g: Graph):

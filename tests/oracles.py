@@ -265,6 +265,32 @@ def graph_init_oracle(n, edges):
     return canon, adj
 
 
+def parse_pairs_oracle(text, what, header=None):
+    """parse_pairs on the whole text at once: one token list, and one int()
+    pass over the whole body on any miss in the id table."""
+    if "#" in text:
+        text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    toks = text.split()
+    if len(toks) < 2:
+        raise ValueError(f"{what} text needs a header 'n m'")
+    n, m = int(toks[0]), int(toks[1])
+    if header is not None and (n, m) != header:
+        raise ValueError(f"{what} header ({n},{m}) does not match graph "
+                         f"({header[0]},{header[1]})")
+    if len(toks) - 2 != 2 * m:
+        raise ValueError(f"expected {2 * m} endpoint tokens, "
+                         f"got {len(toks) - 2}")
+    table = {s: i for i, s in enumerate(map(str, range(min(n, 2 * m))))}
+    body = toks[2:]
+    try:
+        firsts = list(map(table.__getitem__, body[0::2]))
+        seconds = list(map(table.__getitem__, body[1::2]))
+    except KeyError:
+        ints = list(map(int, body))
+        firsts, seconds = ints[0::2], ints[1::2]
+    return n, m, firsts, seconds
+
+
 CLASS_KINDS = ("split", "quasi-threshold", "cograph", "uniform-block",
                "two-cut-block", "strip")
 

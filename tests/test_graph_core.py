@@ -187,8 +187,7 @@ def test_graph_text_roundtrip():
 
 def test_endpoint_tokens_parse_as_int_does():
     # only plain decimal ids below n are in the parse table; any other
-    # token sends the whole body through int(), with int()'s results and
-    # messages
+    # token is read with int(), with int()'s results and messages
     for tok, value in (("007", 7), ("+3", 3), ("1_0", 10)):
         assert parse_pairs(f"11 1\n0 {tok}\n", "graph") == (11, 1, [0],
                                                              [value])
