@@ -5,15 +5,12 @@ Reports go to standard output as key=value lines; graphs and orientations
 go only to files.  Exit codes: 0 success, 2 precondition or recognition
 failure, 3 search budget exceeded.  Reports are byte-identical across runs
 for identical inputs and flags, except the elapsed= line.
-
-The ORIENTKIT_SEED environment variable overrides --seed for generators.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 from functools import partial
@@ -208,7 +205,6 @@ def _write_roles(path, pairs):
 
 def _cmd_generate(args, report):
     roles_out = args.roles_out or args.out + ".roles"
-    seed = int(os.environ.get("ORIENTKIT_SEED", args.seed))
     if args.gadget:
         if args.gadget == "S":
             if args.k is None:
@@ -244,11 +240,12 @@ def _cmd_generate(args, report):
         if args.size is None:
             raise OrientkitError("--random needs --size")
         k = args.k if args.k is not None else 3
-        g = instances.random_class_instance(args.random, args.size, seed, k)
+        g = instances.random_class_instance(args.random, args.size,
+                                            args.seed, k)
         roles = [("kind", f"random-{args.random}"), ("size", args.size),
-                 ("seed", seed)]
+                 ("seed", args.seed)]
         report.add("kind", f"random-{args.random}")
-        report.add("seed", seed)
+        report.add("seed", args.seed)
     else:
         return _cmd_reduce_common(args.reduce_vc, args.k, args.out,
                                   roles_out, report)

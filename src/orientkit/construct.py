@@ -583,9 +583,9 @@ class _Detached:
 
     u: int
     kids: list      # (child block, its subtree's vertices minus u), in order
-    flags: list     # per child: its subtree is a path of cliques
-    paths: list     # per child: its PieceShape at u when a path, else
-                    # {child cut w: [PieceShapes hanging at w]}
+    paths: list     # per child: its PieceShape at u when its subtree is a
+                    # path of cliques, else {child cut w: [PieceShapes
+                    # hanging at w]}
 
 
 @dataclass
@@ -760,12 +760,11 @@ class _UniformReducer:
 
     def _detach(self, u):
         """Remove u's hanging subtrees; recompute flags up u's ancestors."""
-        kids, flags, paths = [], [], []
+        kids, paths = [], []
         for bi in self.child_blocks[u]:
             verts = self._subtree(bi)
             verts.discard(u)
             kids.append((bi, verts))
-            flags.append(self.path[bi])
             paths.append(PieceShape(*self._path(bi), u) if self.path[bi] else
                          {w: [PieceShape(*self._path(bb), w)
                               for bb in self.child_blocks[w]]
@@ -801,7 +800,7 @@ class _UniformReducer:
             self._set(self.nbad, c, self.nbad[c] + was_ok - ok)
             self._reclassify(c)
             b = self.parent_block[c]
-        return _Detached(u, kids, flags, paths)
+        return _Detached(u, kids, paths)
 
     def _reattach(self, det):
         """Orient u's detached structure around the oriented core.
@@ -815,7 +814,8 @@ class _UniformReducer:
         a = p.indegree[u]
         if a > k - 1:   # only the parent clique survives around u
             raise ConstructionError(f"cut vertex {u} has core indegree {a}")
-        if a == 0 and (all(det.flags) or len(det.kids) <= 3):
+        if a == 0 and (all(isinstance(shape, PieceShape)
+                           for shape in det.paths) or len(det.kids) <= 3):
             # u a source of all it holds: hanging paths, or a hanging star
             # of max degree <= 3k-3
             _grow(p, u, set().union(*(verts for _, verts in det.kids)))
@@ -830,18 +830,18 @@ class _UniformReducer:
 
     def _promote(self, det, c, total):
         """Give u indegree gains summing to `total` across all child blocks."""
-        k, flags, shapes = self.k, det.flags, det.paths
+        k = self.k
         allowed = [[b for b in range(k - 1, -1, -1)
-                    if not is_path or _piece_feasible(shape, c, b)]
-                   for is_path, shape in zip(flags, shapes)]
+                    if not isinstance(shape, PieceShape)
+                    or _piece_feasible(shape, c, b)]
+                   for shape in det.paths]
         p = self.p
         for attempt, assignment in enumerate(_splits(allowed, total)):
             if attempt >= 500:
                 break
             mark = len(self.log)
-            for (bi, _), is_path, shape, b in zip(det.kids, flags, shapes,
-                                                  assignment):
-                if is_path:
+            for (bi, _), shape, b in zip(det.kids, det.paths, assignment):
+                if isinstance(shape, PieceShape):
                     _orient_compensated(p, shape, c, b)
                 elif not _assign_crosspoint(p, k, det.u, self.blocks[bi],
                                             shape, b, c):
@@ -1212,9 +1212,6 @@ def cograph_bounds(cotree):
             folded[id(node)] = (sum(s[0] for s in subs),
                                 max((s[1] for s in subs), default=Fraction(0)))
             continue
-        if not isinstance(node, CotreeJoin):
-            raise PreconditionViolated(f"cotree node {node!r} is not a "
-                                       "leaf, union or join")
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         total_n = bounds[-1] - bounds[0]
         total_m = (sum(s[0] for s in subs)
@@ -1235,25 +1232,7 @@ def cograph_upper_bound(cotree) -> int:
     """The upper bound of cograph_bounds, in integers alone: a union's is
     its children's max, and a join's folds the one-sided cross orientation
     over its children, as cograph_orient orients them."""
-    _, nodes = cotree_postorder(cotree)
-    folded = {}   # id(node) -> upper bound
-    for node, bounds in nodes:
-        if isinstance(node, CotreeLeaf):
-            folded[id(node)] = 0
-            continue
-        subs = [folded[id(ch)] for ch in node.children]
-        if isinstance(node, CotreeUnion):
-            folded[id(node)] = max(subs, default=0)
-            continue
-        if not isinstance(node, CotreeJoin):
-            raise PreconditionViolated(f"cotree node {node!r} is not a "
-                                       "leaf, union or join")
-        upper = subs[0]
-        for i in range(1, len(subs)):
-            upper, _ = _join_step(upper, bounds[i] - bounds[0], subs[i],
-                                  bounds[i + 1] - bounds[i])
-        folded[id(node)] = upper
-    return folded[id(cotree)]
+    return _cograph_fold(cotree)[2]
 
 
 def _join_step(a, n_a, b, n_b):
@@ -1266,31 +1245,12 @@ def _join_step(a, n_a, b, n_b):
     return min(b + n_a, a + n_b), b + n_a <= a + n_b
 
 
-def cograph_orient(g: Graph, cotree) -> Orientation:
-    """Proper orientation of a cograph from its cotree, children first.
-
-    Each join is realized as a chain over its children: the vertices of
-    the children already folded in form one side, the next child the
-    other, and every cross edge between them goes one way.  The fold is
-    acyclic, so it is read off one vertex rank: each join lays its
-    children out, the incoming child behind the folded ones when the cross
-    edges go into it and in front otherwise, and every edge points to the
-    endpoint laid out later.  One post-order pass gives each node's max
-    indegree and layout, and one pass over the edges gives the heads.
-
-    On a quasi-threshold cotree every join is Join((Leaf(v), rest)) and
-    rest's max indegree is below |rest|, so every cross edge leaves v.  An
-    indegree then counts the joins above a vertex: optimal, omega - 1.
-
-    The cotree must have the leaves 0..n-1 and as many cross pairs as g has
-    edges; PreconditionViolated otherwise.
-    """
+def _cograph_fold(cotree):
+    """cograph_orient's fold, children first: (leaves, shift, the root's
+    max indegree, cross pairs).  A leaf's rank is its position plus the
+    prefix sum of shift up to it."""
     leaves, nodes = cotree_postorder(cotree)
-    n = g.n
-    if len(leaves) != n or set(leaves) != set(range(n)):
-        raise PreconditionViolated("cotree leaves are not the vertices "
-                                   f"0..{n - 1} of the graph")
-    shift = [0] * (n + 1)   # rank minus leaf position, as differences
+    shift = [0] * (len(leaves) + 1)   # rank minus leaf position
     maxin = []              # max indegree of each child of an open node
     pairs = 0
     for node, bounds in nodes:
@@ -1316,11 +1276,35 @@ def cograph_orient(g: Graph, cotree) -> Orientation:
                 shift[lo] += at - lo
                 shift[hi] -= at - lo
                 at += hi - lo
-        elif isinstance(node, (CotreeUnion, CotreeJoin)):
-            maxin.append(max(subs, default=0))
         else:
-            raise PreconditionViolated(f"cotree node {node!r} is not a "
-                                       "leaf, union or join")
+            maxin.append(max(subs, default=0))
+    return leaves, shift, maxin[0], pairs
+
+
+def cograph_orient(g: Graph, cotree) -> Orientation:
+    """Proper orientation of a cograph from its cotree, children first.
+
+    Each join is realized as a chain over its children: the vertices of
+    the children already folded in form one side, the next child the
+    other, and every cross edge between them goes one way.  The fold is
+    acyclic, so it is read off one vertex rank: each join lays its
+    children out, the incoming child behind the folded ones when the cross
+    edges go into it and in front otherwise, and every edge points to the
+    endpoint laid out later.  One post-order pass gives each node's max
+    indegree and layout, and one pass over the edges gives the heads.
+
+    On a quasi-threshold cotree every join is Join((Leaf(v), rest)) and
+    rest's max indegree is below |rest|, so every cross edge leaves v.  An
+    indegree then counts the joins above a vertex: optimal, omega - 1.
+
+    The cotree must have the leaves 0..n-1 and as many cross pairs as g has
+    edges; PreconditionViolated otherwise.
+    """
+    leaves, shift, _, pairs = _cograph_fold(cotree)
+    n = g.n
+    if len(leaves) != n or set(leaves) != set(range(n)):
+        raise PreconditionViolated("cotree leaves are not the vertices "
+                                   f"0..{n - 1} of the graph")
     if pairs != g.m:
         raise PreconditionViolated(f"cotree has {pairs} cross pairs, the "
                                    f"graph {g.m} edges")

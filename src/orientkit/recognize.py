@@ -85,42 +85,48 @@ def _verify_peo(g: Graph, peo):
     return None
 
 
-def find_chordless_cycle(g: Graph):
-    """Some chordless cycle of length >= 4, or None if chordal."""
-    adjset = [set(a) for a in g.adj]
-    for v in range(g.n):
-        nb = g.adj[v]
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                x, y = nb[i], nb[j]
-                if y in adjset[x]:
-                    continue
-                # shortest x-y path avoiding N[v] (except the ends themselves)
-                allowed = [True] * g.n
-                for w in nb:
-                    allowed[w] = False
-                allowed[v] = False
-                allowed[x] = allowed[y] = True
-                parent = {x: -1}
-                queue = deque([x])
-                found = False
-                while queue and not found:
-                    a = queue.popleft()
-                    for b in g.adj[a]:
-                        if not allowed[b] or b in parent:
-                            continue
-                        parent[b] = a
-                        if b == y:
-                            found = True
-                            break
-                        queue.append(b)
-                if found:
-                    path = [y]
-                    while path[-1] != x:
-                        path.append(parent[path[-1]])
-                    path.append(v)  # cycle: v, x, ..., y
-                    return list(reversed(path))
-    return None
+def _chordless_cycle(g: Graph, peo, v, p, w):
+    """v followed by a shortest p-w path through the vertices visited
+    before w and outside N(v): a chordless cycle.  None would mean the
+    argument below is wrong.
+
+    Write x < y when Lex-BFS visits x before y, and x ~ y for adjacency.
+    (v, p, w) is _verify_peo's violation of the reversed visit order:
+    w < p < v, p ~ v, w ~ v and not p ~ w.  Lex-BFS has this property: if
+    x < y < z, x ~ z and not x ~ y, the first-visited vertex t of
+    N(y) sym-diff N(z) visited before y is in N(y) minus N(z), t < x, and
+    every u < t is adjacent to y iff to z (when y was picked, its label
+    was at least z's).
+
+    Set q0 = v, q1 = p, q2 = w.  While not q_i ~ q_(i-1), let q_(i+1) be
+    that t for (q_i, q_(i-1), q_(i-2)).  Visits fall strictly, so the chain
+    stops.  Each q_(j+2) ~ q_j, so the odd-indexed vertices give a path
+    from p, the even-indexed ones a path from w, and the last edge joins
+    them.  Every q_j with j >= 3 is visited before w.  q3 is not adjacent
+    to v; for j >= 4, the clauses "adjacent to q_(i-1) iff to q_(i-2)" of
+    the steps before chain q_j ~ v iff q_j ~ q_(j-3), and its own step has
+    q_j not adjacent to q_(j-3).  So no q_j with j >= 3 is adjacent to v,
+    such a p-w path exists, a shortest one is induced, and with v it is a
+    chordless cycle of length >= 4 (Tarjan & Yannakakis 1984).  One BFS,
+    O(n + m).
+    """
+    allowed = set(peo[peo.index(w) + 1:]).difference(g.adj[v])
+    allowed.add(w)
+    parent = {p: p}
+    queue = deque([p])
+    while queue and w not in parent:
+        a = queue.popleft()
+        for b in g.adj[a]:
+            if b in allowed:
+                allowed.remove(b)
+                parent[b] = a
+                queue.append(b)
+    if w not in parent:
+        return None
+    path = [w]
+    while path[-1] != p:
+        path.append(parent[path[-1]])
+    return [v] + path[::-1]
 
 
 class ChordalCheck(NamedTuple):
@@ -130,14 +136,19 @@ class ChordalCheck(NamedTuple):
 
 def chordal_peo(g: Graph) -> ChordalCheck:
     """A perfect elimination ordering, or a chordless cycle witness."""
-    order = lex_bfs(g)
-    peo = list(reversed(order))
-    if _verify_peo(g, peo) is None:
+    peo = lex_bfs(g)[::-1]
+    violation = _verify_peo(g, peo)
+    if violation is None:
         return ChordalCheck(peo, None)
-    cycle = find_chordless_cycle(g)
+    cycle = _chordless_cycle(g, peo, *violation)
     if cycle is None:
         raise ConstructionError("a failed PEO check left no chordless cycle")
     return ChordalCheck(None, cycle)
+
+
+def find_chordless_cycle(g: Graph):
+    """Some chordless cycle of length >= 4, or None if chordal."""
+    return chordal_peo(g).chordless_cycle
 
 
 def clique_number_chordal(g: Graph, peo) -> int:
@@ -218,7 +229,8 @@ def cotree_postorder(root):
     nodes holds a (node, bounds) pair per node in post-order: the vertices
     under the node's i-th child are leaves[bounds[i]:bounds[i + 1]], so the
     node itself covers leaves[bounds[0]:bounds[-1]].  The walk keeps its own
-    stack, so cotrees of any depth are fine.
+    stack, so cotrees of any depth are fine.  A node that is not a leaf,
+    union or join raises PreconditionViolated.
     """
     leaves, nodes = [], []
     stack = [(root, None)]
@@ -231,6 +243,9 @@ def cotree_postorder(root):
         elif isinstance(node, CotreeLeaf):
             nodes.append((node, [len(leaves), len(leaves) + 1]))
             leaves.append(node.vertex)
+        elif not isinstance(node, (CotreeUnion, CotreeJoin)):
+            raise PreconditionViolated(f"cotree node {node!r} is not a "
+                                       "leaf, union or join")
         else:
             bounds = [len(leaves)]
             stack.append((node, bounds))

@@ -1320,6 +1320,31 @@ def graphs_with_edges(n, m):
         yield Graph(n, list(chosen))
 
 
+def graphs_up_to_isomorphism(max_n):
+    """At least one labelled graph per isomorphism class with at most max_n
+    vertices.  Deleting vertex n - 1 from a graph on n vertices leaves one
+    on n - 1, so every class on n vertices has a member that is a class
+    representative on n - 1 vertices plus vertex n - 1 with some
+    neighbours; representatives are picked by their least relabelled edge
+    set."""
+    reps = [()]
+    for n in range(1, max_n + 1):
+        grown = [edges + tuple((u, n - 1) for u in range(n - 1)
+                               if mask >> u & 1)
+                 for edges in reps for mask in range(1 << (n - 1))]
+        for edges in grown:
+            yield Graph(n, list(edges))
+        if n == max_n:
+            break
+        canon = {}
+        for edges in grown:
+            key = min(sorted((min(p[u], p[v]), max(p[u], p[v]))
+                             for u, v in edges)
+                      for p in itertools.permutations(range(n)))
+            canon.setdefault(tuple(key), edges)
+        reps = list(canon.values())
+
+
 def moved_edges(g, rng, moves):
     """g with up to moves edges each replaced by a random non-edge."""
     edges = set(g.edges)

@@ -108,14 +108,15 @@ def test_generate_random_and_tight(tmp_path):
     assert code == 0 and rep["n"] == "12"
 
 
-def test_generate_seed_env_override(tmp_path, monkeypatch):
+def test_generate_seed_is_the_flag_alone(tmp_path, monkeypatch):
+    # no environment variable overrides --seed
     out1 = tmp_path / "a.graph"
     out2 = tmp_path / "b.graph"
     monkeypatch.setenv("ORIENTKIT_SEED", "99")
     run(["generate", "--random", "cograph", "--size", "9", "--seed", "1",
          "--out", str(out1)])
     monkeypatch.delenv("ORIENTKIT_SEED")
-    run(["generate", "--random", "cograph", "--size", "9", "--seed", "99",
+    run(["generate", "--random", "cograph", "--size", "9", "--seed", "1",
          "--out", str(out2)])
     assert out1.read_text() == out2.read_text()
 

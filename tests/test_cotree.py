@@ -8,6 +8,7 @@ import contextlib
 import io
 import random
 import tracemalloc
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,9 @@ import pytest
 
 from orientkit import recognize
 from orientkit.cli import dispatch
+from orientkit.construct import (cograph_bounds, cograph_orient,
+                                 cograph_upper_bound)
+from orientkit.errors import PreconditionViolated
 from orientkit.graph import Graph, read_graph, write_graph
 from orientkit.instances import RANDOM_CLASSES, random_class_instance
 from orientkit.orientation import read_orientation
@@ -114,6 +118,23 @@ def test_small_examples():
     assert quasi_threshold_cotree(Graph.cycle_graph(4)) is None
     assert encode(cograph_cotree(Graph.cycle_graph(4)).cotree) == [
         ("join", 2), ("union", 2), 0, 2, ("union", 2), 1, 3]
+
+
+def test_every_cotree_reader_rejects_a_foreign_node():
+    # a node with children that is neither union nor join, nor a leaf
+    @dataclass(frozen=True)
+    class Foo:
+        children: tuple
+
+    bad = CotreeJoin((CotreeLeaf(0), Foo((CotreeLeaf(1), CotreeLeaf(2)))))
+    g = Graph(3, [(0, 1), (0, 2)])
+    readers = [recognize.cotree_postorder, evaluate_cotree, cograph_bounds,
+               cograph_upper_bound, lambda cotree: cograph_orient(g, cotree)]
+    for read in readers:
+        with pytest.raises(PreconditionViolated, match="is not a leaf"):
+            read(bad)
+    with pytest.raises(PreconditionViolated):
+        evaluate_cotree(CotreeJoin((CotreeLeaf(0), object())))
 
 
 @settings(max_examples=300, deadline=None)

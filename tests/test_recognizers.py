@@ -1,5 +1,6 @@
 import random
 import time
+from collections import deque
 
 import pytest
 
@@ -11,15 +12,16 @@ from orientkit.instances import (block_tight_example, ladder_gadget,
                                  random_class_instance)
 from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  clique_number_chordal, cograph_cotree,
-                                 evaluate_cotree, find_induced_p4,
-                                 is_claw_free, is_k_uniform,
+                                 evaluate_cotree, find_chordless_cycle,
+                                 find_induced_p4, is_claw_free, is_k_uniform,
                                  max_cut_vertices_per_block,
                                  outerplanar_strip, quasi_threshold_cotree,
                                  split_partition, twin_partition)
 from oracles import (brute_clique_number, brute_has_chordless_cycle,
                      brute_is_quasi_threshold, brute_is_split,
-                     graphs_with_edges, lex_bfs_oracle, moved_edges,
-                     outerplanar_strip_oracle, random_gnp,
+                     graphs_up_to_isomorphism, graphs_with_edges,
+                     lex_bfs_oracle, moved_edges, outerplanar_strip_oracle,
+                     random_gnp,
                      recognizer_corpus, relabeled, run_optimized)
 
 
@@ -37,23 +39,98 @@ def test_chordal_examples():
     assert chordal_peo(s4).peo is not None
 
 
+def assert_chordal_verdict(g, check):
+    """The PEO's later neighbours form cliques, or the cycle is chordless
+    and of length >= 4: either certifies the verdict."""
+    if check.peo is not None:
+        assert check.chordless_cycle is None
+        assert sorted(check.peo) == list(range(g.n))
+        pos = {v: i for i, v in enumerate(check.peo)}
+        for v in range(g.n):
+            assert g.is_clique([w for w in g.adj[v] if pos[w] > pos[v]])
+        return
+    cyc = check.chordless_cycle
+    assert len(cyc) >= 4 and len(set(cyc)) == len(cyc)
+    adj = [set(a) for a in g.adj]
+    for i in range(len(cyc)):
+        assert cyc[(i + 1) % len(cyc)] in adj[cyc[i]]
+    for i in range(len(cyc)):
+        for j in range(i + 2, len(cyc)):
+            if i == 0 and j == len(cyc) - 1:
+                continue
+            assert cyc[j] not in adj[cyc[i]]
+
+
 def test_chordal_matches_bruteforce_cycle_search():
     rng = random.Random(1)
     for _ in range(40):
         g = random_gnp(rng, rng.randint(2, 8), rng.uniform(0.2, 0.9))
         check = chordal_peo(g)
         assert (check.peo is None) == brute_has_chordless_cycle(g)
-        if check.peo is None:
-            cyc = check.chordless_cycle
-            assert len(cyc) >= 4
-            adj = [set(a) for a in g.adj]
-            for i in range(len(cyc)):
-                assert cyc[(i + 1) % len(cyc)] in adj[cyc[i]]
-            for i in range(len(cyc)):
-                for j in range(i + 2, len(cyc)):
-                    if i == 0 and j == len(cyc) - 1:
-                        continue
-                    assert cyc[j] not in adj[cyc[i]]
+        assert_chordal_verdict(g, check)
+
+
+def test_chordless_cycle_on_every_graph_up_to_6_vertices():
+    cases = cycles = 0
+    for g in graphs_up_to_isomorphism(6):
+        for h in (g, relabeled(g, cases)):
+            check = chordal_peo(h)
+            assert (check.peo is None) == brute_has_chordless_cycle(h)
+            assert_chordal_verdict(h, check)
+            assert find_chordless_cycle(h) == check.chordless_cycle
+            cycles += check.peo is None
+        cases += 1
+    assert cases == 1307 and cycles == 906
+
+
+def test_chordless_cycle_on_random_graphs_up_to_40_vertices():
+    rng = random.Random(7)
+    cycles = 0
+    for _ in range(2000):
+        g = random_gnp(rng, rng.randint(4, 40), rng.uniform(0.03, 0.9))
+        check = chordal_peo(g)
+        assert_chordal_verdict(g, check)
+        cycles += check.peo is None
+    assert 300 < cycles < 1900
+
+
+def path_with_c4(n):
+    """A path on n vertices whose last vertex lies on a C4: n + 3 vertices."""
+    return Graph(n + 3, [(i, i + 1) for i in range(n - 1)]
+                 + [(n - 1, n), (n, n + 1), (n + 1, n + 2), (n + 2, n - 1)])
+
+
+def test_chordless_cycle_is_linear_on_a_long_path():
+    # the all-pairs search ran one BFS per vertex (1.75 s at 4,003)
+    g = path_with_c4(40000)
+    started = time.perf_counter()
+    check = chordal_peo(g)
+    assert time.perf_counter() - started < 1.0
+    assert sorted(check.chordless_cycle) == [39999, 40000, 40001, 40002]
+    assert_chordal_verdict(g, check)
+
+
+def test_chordless_cycle_work_grows_linearly(monkeypatch):
+    pops = [0]
+
+    class CountingDeque(deque):
+        def popleft(self):
+            pops[0] += 1
+            return super().popleft()
+
+    monkeypatch.setattr(recognize, "deque", CountingDeque)
+    families = [path_with_c4, Graph.cycle_graph,
+                lambda n: Graph(2 * n, [(i, i + 1) for i in range(2 * n - 1)]
+                                + [(0, 2 * n - 1), (n, n + 2)])]
+    for family in families:
+        work = []
+        for n in (500, 4000):
+            g = family(n)
+            pops[0] = 0
+            assert chordal_peo(g).peo is None
+            assert pops[0] <= g.n + g.m
+            work.append(pops[0])
+        assert work[1] <= 10 * max(work[0], 1)
 
 
 def test_lex_bfs_matches_the_min_scan_order():
@@ -293,14 +370,14 @@ def test_twin_partition_rejects_dependent_set_under_optimize():
 def check_chordal_peo_raises_without_a_cycle():
     """chordal_peo must raise when the PEO fails and no chordless cycle is
     found.  Uses no assert, so it also checks under -O."""
-    real = recognize.find_chordless_cycle
-    recognize.find_chordless_cycle = lambda g: None
+    real = recognize._chordless_cycle
+    recognize._chordless_cycle = lambda g, peo, v, p, w: None
     try:
         chordal_peo(Graph.cycle_graph(4))
     except ConstructionError:
         return
     finally:
-        recognize.find_chordless_cycle = real
+        recognize._chordless_cycle = real
     raise RuntimeError("C4 was reported without a chordless cycle")
 
 
