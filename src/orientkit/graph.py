@@ -186,6 +186,8 @@ class Graph:
         total degree, not the size of the whole graph.
         """
         old = sorted(set(vertices))
+        if old and not (0 <= old[0] and old[-1] < self.n):
+            raise ValueError(f"vertices must lie in 0..n-1 for n={self.n}")
         new = list(range(len(old)))
         pos = dict(zip(old, new))
         lo, hi = [], []

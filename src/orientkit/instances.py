@@ -275,6 +275,8 @@ def build_vc_certificate(red: ReductionOutput, cover) -> Orientation:
 
 def split_kernel(g: Graph, k: int):
     """Twin-class truncation kernel for split graphs; preserves the answer."""
+    if k < 0:
+        raise BadK("k must be non-negative")
     part = split_partition(g)
     if part is None:
         raise NotSplit("input is not a split graph")
@@ -298,6 +300,8 @@ def split_kernel(g: Graph, k: int):
 
 def cobipartite_kernel(g: Graph, k: int):
     """Either the trivial No instance K_{k+2} or the input (already linear)."""
+    if k < 0:
+        raise BadK("k must be non-negative")
     comp = g.complement()
     color = [-1] * g.n
     for s in range(g.n):
@@ -387,6 +391,8 @@ def random_class_instance(kind: str, size: int, seed: int, k: int = 3) -> Graph:
     size means vertices for split/quasi-threshold/cograph, blocks for the
     block-graph kinds, and triangles for strips.
     """
+    if size < 0:
+        raise BadParams("size must be non-negative")
     rng = random.Random(seed)
     if kind == "split":
         return _random_split(rng, size)
@@ -426,7 +432,7 @@ def _random_cotree_graph(rng, n, single_vertex_joins):
 def _random_cotree_edges(rng, single_vertex_joins, ids, base, sz, lo, hi):
     """Append to the columns lo, hi the edges of a random cotree graph on
     ids[base:base + sz]."""
-    if sz == 1:
+    if sz <= 1:
         return
     if single_vertex_joins and rng.random() < 0.6:
         _random_cotree_edges(rng, single_vertex_joins, ids, base + 1, sz - 1,

@@ -296,18 +296,19 @@ def evaluate_cotree(node, n=None) -> Graph:
 
 
 def _insert_cotree(g: Graph):
-    """Cotree of g by vertex insertion, or None when g has an induced P4.
+    """(tree, None) for a cograph g, else (None, an induced P4 of g).
 
     Corneil, Perl & Stewart (1985).  Vertices are added in id order.  For
     the new vertex x, a node is full when x is adjacent to all its leaves,
-    partial when to some.  G + x is a cograph exactly when the partial
-    nodes form a path from the root on which no union has a full child
-    beside the next partial node and no join has an empty one.  x then
-    goes in at the end of the path.  On that path every join has a full
-    child, so a cograph has at most 2 deg(x) partial nodes; marking stops
-    past that bound, and each insertion costs O(1 + deg x).
+    empty when to none, partial otherwise.  G + x is a cograph exactly
+    when the partial nodes form a path from the root on which no union
+    has a full child beside the next partial node and no join has an
+    empty one.  x then goes in at the end of the path.  On that path every
+    join has a full child, so a cograph insertion marks at most 2 deg(x)
+    partial nodes and costs O(1 + deg x).  The first insertion that fails
+    marks at most every node and hands its violation to _p4: O(n), once.
 
-    Returns (root, kids, is_join).  Node ids 0..n-1 are the leaves, with
+    tree is (root, kids, is_join).  Node ids 0..n-1 are the leaves, with
     kids None; internal nodes have a set of children and alternate between
     union and join, each with at least two children.
     """
@@ -367,7 +368,6 @@ def _insert_cotree(g: Graph):
             continue
         # partial nodes: the non-full ancestors of full nodes
         full_kids, partial_kids, partial = {}, {}, set()
-        limit = 2 * len(nbrs)
         for c in full:
             u = parent[c]
             if full_count.get(u, 0) == len(kids[u]):
@@ -375,8 +375,6 @@ def _insert_cotree(g: Graph):
             full_kids.setdefault(u, []).append(c)
             while u >= 0 and u not in partial:
                 partial.add(u)
-                if len(partial) > limit:
-                    return None
                 above = parent[u]
                 if above >= 0:
                     partial_kids.setdefault(above, []).append(u)
@@ -386,14 +384,15 @@ def _insert_cotree(g: Graph):
         while True:
             pk = partial_kids.get(u, ())
             fk = full_kids.get(u, ())
-            if len(pk) > 1:
-                return None
+            if pk:
+                # pk[0] must be u's only partial child, and beside it a
+                # join may have only full children, a union only empty ones
+                if len(pk) > 1 or (len(kids[u]) > len(fk) + 1
+                                   if is_join[u] else fk):
+                    return None, _p4(kids, is_join, nbrs, x, u, pk[0])
+                u = pk[0]
+                continue
             if is_join[u]:
-                if pk:
-                    if len(kids[u]) > len(fk) + 1:   # an empty child too
-                        return None
-                    u = pk[0]
-                    continue
                 empty = kids[u].difference(fk)
                 if len(empty) == 1:
                     attach(empty.pop(), False, x)
@@ -406,26 +405,59 @@ def _insert_cotree(g: Graph):
                     swap(u, top)
                     adopt(top, make(False, (u, x)))
             else:
-                if pk:
-                    if fk:
-                        return None
-                    u = pk[0]
-                    continue
                 if len(fk) == 1:
                     attach(fk[0], True, x)
                 else:
                     kids[u].difference_update(fk)
                     adopt(u, make(True, (x, make(False, fk))))
             break
-    return root, kids, is_join
+    return (root, kids, is_join), None
+
+
+def _p4(kids, is_join, nbrs, x, u, px):
+    """An induced P4 through x, at the partial node u whose partial child
+    px _insert_cotree could not descend past.
+
+    Children of a union are joins or leaves, and vice versa.  px is
+    partial, so some leaf a under it is in N(x) and some leaf b is not.
+    They can be taken under two different children of px: were every
+    such pair under one child, px's other children would have no leaves.
+    So a ~ b exactly when px is a join, which is exactly when u is a
+    union.  Beside px, u has a second partial child, or is a join with an
+    empty child or a union with a full child; so u has another child
+    holding a leaf y in N(x) when u is a union, and outside N(x) when u is
+    a join.  At a union, y - x - a - b is induced: x misses b, and y
+    misses a and b, which lie under another child of the union.  At a
+    join, x - a - y - b is induced: the join makes y adjacent to a and b,
+    x misses y and b, and a misses b.  O(n).
+    """
+    inside = set(nbrs)
+
+    def leaf(node, in_nbrs):
+        """A leaf under node that is in N(x) iff in_nbrs, or None."""
+        stack = [node]
+        while stack:
+            v = stack.pop()
+            if kids[v] is not None:
+                stack.extend(kids[v])
+            elif (v in inside) == in_nbrs:
+                return v
+        return None
+
+    found = [(c, leaf(c, True), leaf(c, False)) for c in kids[px]]
+    a, b = next((a, b) for ca, a, _ in found if a is not None
+                for cb, _, b in found if cb != ca and b is not None)
+    ys = (leaf(c, not is_join[u]) for c in kids[u] if c != px)
+    y = next(y for y in ys if y is not None)
+    return (x, a, y, b) if is_join[u] else (y, x, a, b)
 
 
 def _graph_cotree(g: Graph):
     """_insert_cotree(g), built once per graph: g holds the result, so the
     quasi-threshold and cograph recognizers share it and it dies with g."""
     if g._cotree is None:
-        g._cotree = (_insert_cotree(g),)   # boxed: None is a result
-    return g._cotree[0]
+        g._cotree = _insert_cotree(g)
+    return g._cotree
 
 
 def _assemble(tree, quasi_threshold=False):
@@ -473,7 +505,7 @@ def quasi_threshold_cotree(g: Graph):
     """
     if g.n == 0:
         return CotreeUnion(())
-    tree = _graph_cotree(g)
+    tree, _ = _graph_cotree(g)
     return None if tree is None else _assemble(tree, quasi_threshold=True)
 
 
@@ -483,33 +515,25 @@ class CographCheck(NamedTuple):
 
 
 def find_induced_p4(g: Graph):
-    """Vertices (a, b, c, d) of an induced path, or None."""
-    adjset = [set(x) for x in g.adj]
-    for b, c in zip(g.lo, g.hi):
-        for b_, c_ in ((b, c), (c, b)):
-            for a in g.adj[b_]:
-                if a == c_ or a in adjset[c_]:
-                    continue
-                for d in g.adj[c_]:
-                    if d == b_ or d == a or d in adjset[b_] or d in adjset[a]:
-                        continue
-                    return (a, b_, c_, d)
-    return None
+    """Vertices (a, b, c, d) of an induced path, or None if a cograph."""
+    return cograph_cotree(g).p4
 
 
 def cograph_cotree(g: Graph) -> CographCheck:
     """Union/join cotree for a cograph, or an induced-P4 witness.
 
     The cotree is canonical: unions and joins alternate and children are
-    ordered by their smallest vertex.  O(n + m) time for the cotree.
+    ordered by their smallest vertex.  The P4 is read off the insertion
+    that failed and recounted here.  O(n + m) time either way.
     """
     if g.n == 0:
         return CographCheck(CotreeUnion(()), None)
-    tree = _graph_cotree(g)
+    tree, p4 = _graph_cotree(g)
     if tree is not None:
         return CographCheck(_assemble(tree), None)
-    p4 = find_induced_p4(g)
-    if p4 is None:
+    a, b, c, d = p4
+    if ([g.has_edge(*e) for e in ((a, b), (b, c), (c, d), (a, c), (b, d),
+                                  (a, d))] != [True] * 3 + [False] * 3):
         raise ConstructionError("a failed cotree left no induced P4")
     return CographCheck(None, p4)
 

@@ -220,6 +220,22 @@ def cograph_cotree_oracle(g):
     return build(list(range(g.n)))
 
 
+def find_induced_p4_oracle(g):
+    """Vertices (a, b, c, d) of an induced path, or None: every edge (b, c)
+    against both endpoints' neighbour lists."""
+    adjset = [set(x) for x in g.adj]
+    for b, c in zip(g.lo, g.hi):
+        for b_, c_ in ((b, c), (c, b)):
+            for a in g.adj[b_]:
+                if a == c_ or a in adjset[c_]:
+                    continue
+                for d in g.adj[c_]:
+                    if d == b_ or d == a or d in adjset[b_] or d in adjset[a]:
+                        continue
+                    return (a, b_, c_, d)
+    return None
+
+
 def random_gnp(rng, n, p):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]

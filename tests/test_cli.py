@@ -129,6 +129,29 @@ def test_kernelize(tmp_path):
     assert code == 0 and rep["kernel_n"] == "4" and rep["changed"] == "true"
 
 
+def test_kernelize_rejects_a_negative_k(tmp_path):
+    # k = -1 used to return K_1 as the No instance
+    gpath = tmp_path / "g.graph"
+    write_graph(Graph.path_graph(3), gpath)
+    for kind in ("split", "cobipartite"):
+        for k in ("-1", "-3"):
+            code, rep, _ = run(["kernelize", str(gpath), "--k", k, "--kind",
+                                kind, "--out", str(tmp_path / "k.graph")])
+            assert code == 2 and rep["error"] == "k must be non-negative"
+
+
+def test_generate_random_cotree_graphs_of_size_0(tmp_path):
+    for kind in ("quasi-threshold", "cograph", "split"):
+        out = tmp_path / f"{kind}.graph"
+        code, rep, _ = run(["generate", "--random", kind, "--size", "0",
+                            "--out", str(out)])
+        assert code == 0 and rep["n"] == "0" and rep["m"] == "0"
+        assert read_graph(out) == Graph(0)
+        code, rep, _ = run(["generate", "--random", kind, "--size", "-1",
+                            "--out", str(out)])
+        assert code == 2 and rep["error"] == "size must be non-negative"
+
+
 def test_reduce(tmp_path):
     gpath = tmp_path / "g.graph"
     write_graph(Graph.complete(4), gpath)

@@ -25,8 +25,8 @@ from orientkit.instances import RANDOM_CLASSES, random_class_instance
 from orientkit.orientation import read_orientation
 from orientkit.recognize import (CotreeJoin, CotreeLeaf, cograph_cotree,
                                  evaluate_cotree, quasi_threshold_cotree)
-from oracles import (cograph_cotree_oracle, quasi_threshold_cotree_oracle,
-                     threshold_graph)
+from oracles import (cograph_cotree_oracle, find_induced_p4_oracle,
+                     quasi_threshold_cotree_oracle, threshold_graph)
 
 
 def encode(node):
@@ -103,6 +103,29 @@ def test_relabelled_cographs_match_oracles():
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert_matches_oracles(g.relabeled(perm))
+
+
+def flipped(g, rng):
+    """g with one vertex pair's adjacency flipped, randomly relabelled."""
+    u, v = sorted(rng.sample(range(g.n), 2))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, sorted(set(g.edges) ^ {(u, v)})).relabeled(perm)
+
+
+def test_near_cographs_match_oracles():
+    rng = random.Random(29)
+    p4s = 0
+    for kind in ("quasi-threshold", "cograph"):
+        for seed in range(500):
+            g = random_class_instance(kind, rng.randint(4, 40), seed)
+            h = flipped(g, rng)
+            assert_matches_oracles(h)
+            check = cograph_cotree(h)
+            assert ((check.cotree is None)
+                    == (find_induced_p4_oracle(h) is not None))
+            p4s += check.cotree is None
+    assert 550 < p4s < 850
 
 
 def test_small_examples():

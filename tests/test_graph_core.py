@@ -276,6 +276,15 @@ def test_induced_subgraph_keeps_exactly_the_inner_edges():
         assert [(old[a], old[b]) for a, b in sub.edges] == inner
 
 
+def test_induced_rejects_ids_outside_the_graph():
+    # -1 once read vertex 2's neighbour list and kept its edge
+    g = Graph(3, [(0, 2)])
+    for verts in ([-1, 0], [0, 3], [5]):
+        with pytest.raises(ValueError, match="0..n-1"):
+            g.induced(verts)
+    assert g.induced([]) == (Graph(0), [])
+
+
 def test_reversal_indegree_formula_and_nonproperty():
     rng = random.Random(3)
     for _ in range(25):

@@ -19,6 +19,7 @@ from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  split_partition, twin_partition)
 from oracles import (brute_clique_number, brute_has_chordless_cycle,
                      brute_is_quasi_threshold, brute_is_split,
+                     find_induced_p4_oracle,
                      graphs_up_to_isomorphism, graphs_with_edges,
                      lex_bfs_oracle, moved_edges, outerplanar_strip_oracle,
                      random_gnp,
@@ -328,9 +329,111 @@ def test_cograph_cotree_roundtrip():
     for _ in range(50):
         g = random_gnp(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
         check = cograph_cotree(g)
-        assert (check.cotree is None) == (find_induced_p4(g) is not None)
+        assert ((check.cotree is None)
+                == (find_induced_p4_oracle(g) is not None))
         if check.cotree is not None:
             assert evaluate_cotree(check.cotree, g.n) == g
+
+
+def assert_cograph_verdict(g, check):
+    """A cotree that rebuilds g, or a P4 recounted as induced: either
+    certifies the verdict."""
+    if check.cotree is not None:
+        assert check.p4 is None
+        assert evaluate_cotree(check.cotree, g.n) == g
+        return
+    a, b, c, d = check.p4
+    assert len({a, b, c, d}) == 4
+    assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
+    assert not (g.has_edge(a, c) or g.has_edge(b, d) or g.has_edge(a, d))
+
+
+def test_induced_p4_on_every_graph_up_to_6_vertices():
+    cases = p4s = 0
+    for g in graphs_up_to_isomorphism(6):
+        for h in (g, relabeled(g, cases)):
+            check = cograph_cotree(h)
+            assert ((check.cotree is None)
+                    == (find_induced_p4_oracle(h) is not None))
+            assert_cograph_verdict(h, check)
+            assert find_induced_p4(h) == check.p4
+            p4s += check.cotree is None
+        cases += 1
+    assert cases == 1307 and p4s == 1640
+
+
+def test_induced_p4_on_random_graphs_up_to_40_vertices():
+    rng = random.Random(29)
+    p4s = 0
+    for _ in range(2000):
+        g = random_gnp(rng, rng.randint(4, 40), rng.uniform(0.03, 0.9))
+        check = cograph_cotree(g)
+        assert ((check.cotree is None)
+                == (find_induced_p4_oracle(g) is not None))
+        assert_cograph_verdict(g, check)
+        p4s += check.cotree is None
+    assert 1500 < p4s < 1950
+
+
+def violations(g, monkeypatch):
+    """The kinds of violation _insert_cotree hands to _p4 on g."""
+    seen = []
+    real = recognize._p4
+
+    def spy(kids, is_join, nbrs, x, u, px):
+        def leaves(node):
+            stack, out = [node], set()
+            while stack:
+                v = stack.pop()
+                if kids[v] is None:
+                    out.add(v)
+                else:
+                    stack.extend(kids[v])
+            return out
+
+        others = [leaves(c) for c in kids[u] if c != px]
+        if any(ls & set(nbrs) and ls - set(nbrs) for ls in others):
+            seen.append("two partial children")
+        elif is_join[u]:
+            seen.append("join with an empty child")
+        else:
+            seen.append("union with a full child")
+        return real(kids, is_join, nbrs, x, u, px)
+
+    monkeypatch.setattr(recognize, "_p4", spy)
+    assert_cograph_verdict(g, cograph_cotree(g))
+    return seen
+
+
+def test_p4_at_a_join_with_an_empty_child(monkeypatch):
+    g = Graph(4, [(0, 1), (0, 3), (1, 2)])
+    assert violations(g, monkeypatch) == ["join with an empty child"]
+
+
+def test_p4_at_a_union_with_a_full_child(monkeypatch):
+    g = Graph(4, [(0, 2), (0, 3), (1, 3)])
+    assert violations(g, monkeypatch) == ["union with a full child"]
+
+
+def test_p4_at_two_partial_children(monkeypatch):
+    g = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 4)])
+    assert violations(g, monkeypatch) == ["two partial children"]
+
+
+def clique_with_pendant_path(n):
+    """K_n plus a path of 3 edges hanging off vertex n - 1."""
+    return Graph(n + 3, [(u, v) for v in range(n) for u in range(v)]
+                 + [(n - 1, n), (n, n + 1), (n + 1, n + 2)])
+
+
+def test_induced_p4_is_read_off_the_failed_insertion():
+    # the edge search this replaced took 17-19.5 s at n = 800
+    g = clique_with_pendant_path(800)
+    started = time.perf_counter()
+    check = cograph_cotree(g)
+    assert time.perf_counter() - started < 1.0
+    assert_cograph_verdict(g, check)
+    assert check.cotree is None
 
 
 def test_claw_free():
@@ -379,6 +482,29 @@ def check_chordal_peo_raises_without_a_cycle():
     finally:
         recognize._chordless_cycle = real
     raise RuntimeError("C4 was reported without a chordless cycle")
+
+
+def check_cograph_cotree_raises_without_a_p4():
+    """cograph_cotree must raise when the failed insertion's path is not
+    induced.  Uses no assert, so it also checks under -O."""
+    real = recognize._p4
+    recognize._p4 = lambda kids, is_join, nbrs, x, u, px: (0, 1, 3, 2)
+    try:
+        cograph_cotree(Graph.path_graph(4))
+    except ConstructionError:
+        return
+    finally:
+        recognize._p4 = real
+    raise RuntimeError("P4 was reported with a path that is not induced")
+
+
+def test_cograph_cotree_raises_without_a_p4():
+    check_cograph_cotree_raises_without_a_p4()
+
+
+def test_cograph_cotree_raises_without_a_p4_under_optimize():
+    run_optimized("test_recognizers",
+                  "check_cograph_cotree_raises_without_a_p4")
 
 
 def test_chordal_peo_raises_without_a_cycle():
