@@ -317,6 +317,11 @@ def dispatch(argv) -> int:
     except (OrientkitError, ValueError, OSError) as exc:
         report.add("error", str(exc))
         code = EXIT_PRECONDITION
+    except (MemoryError, RecursionError) as exc:
+        # a MemoryError's own message is often empty: name what ran out
+        report.add("error", str(exc) if isinstance(exc, RecursionError)
+                   else "out of memory")
+        code = EXIT_PRECONDITION
     return report.emit(code)
 
 

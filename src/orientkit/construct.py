@@ -1198,34 +1198,39 @@ def cograph_bounds(cotree):
     """(lower, upper) sandwich on the orientation number of a cograph.
 
     The lower bound is exact at unions and uses the edge-density argument
-    at joins; the upper bound is cograph_upper_bound.  Lower is an exact
-    rational, upper an integer.
+    at joins; the upper bound is cograph_upper_bound, folded in the same
+    walk.  Lower is an exact rational, upper an integer.
     """
     _, nodes = cotree_postorder(cotree)
-    folded = {}   # id(node) -> (edge count, lower)
+    folded = {}   # id(node) -> (edge count, lower, upper)
     for node, bounds in nodes:
         if isinstance(node, CotreeLeaf):
-            folded[id(node)] = (0, Fraction(0))
+            folded[id(node)] = (0, Fraction(0), 0)
             continue
         subs = [folded[id(ch)] for ch in node.children]
         if isinstance(node, CotreeUnion):
             folded[id(node)] = (sum(s[0] for s in subs),
-                                max((s[1] for s in subs), default=Fraction(0)))
+                                max((s[1] for s in subs), default=Fraction(0)),
+                                max((s[2] for s in subs), default=0))
             continue
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         total_n = bounds[-1] - bounds[0]
         total_m = (sum(s[0] for s in subs)
                    + (total_n * total_n - sum(ni * ni for ni in sizes)) // 2)
         lower = Fraction(0)
-        for ni, (mi, _) in zip(sizes, subs):
+        # the first child joins an empty side, which leaves its max indegree
+        upper, n_a = 0, 0
+        for ni, (mi, _, b) in zip(sizes, subs):
             rest_n = total_n - ni
             rest_m = total_m - mi - ni * rest_n
             ad_i = Fraction(mi, ni)
             ad_rest = Fraction(rest_m, rest_n)
             lower = max(lower, min(ad_i + Fraction(rest_n, 2),
                                    ad_rest + Fraction(ni, 2)))
-        folded[id(node)] = (total_m, lower)
-    return folded[id(cotree)][1], cograph_upper_bound(cotree)
+            upper = _join_step(upper, n_a, b, ni)[0]
+            n_a += ni
+        folded[id(node)] = (total_m, lower, upper)
+    return folded[id(cotree)][1:]
 
 
 def cograph_upper_bound(cotree) -> int:
@@ -1377,8 +1382,9 @@ class OrientClass(NamedTuple):
     recognize(g, c) returns a certificate, or None when g is not in the
     class; only the degree condition reads c, its threshold (None picks the
     least that holds).  orient(g, certificate) returns the orientation and
-    bound(certificate, orientation) the bound; only quasi-threshold reads
-    the orientation, whose max indegree is the optimum omega - 1.
+    bound(certificate, orientation) the bound.  Quasi-threshold and cograph
+    read the orientation: its max indegree is the optimum omega - 1 on a
+    quasi-threshold graph and cograph_upper_bound on a cograph.
     """
 
     name: str
@@ -1431,7 +1437,7 @@ ORIENT_CLASSES = (
     OrientClass("outerplanar-strip", lambda g, c: outerplanar_strip(g),
                 outerplanar_strip_orient, lambda strip, d: 13),
     OrientClass("cograph", lambda g, c: cograph_cotree(g).cotree,
-                cograph_orient, lambda cotree, d: cograph_upper_bound(cotree)),
+                cograph_orient, lambda cotree, d: max_indegree(d)),
     OrientClass("low-degree", _degree_threshold, low_degree_orient,
                 lambda c, d: c),
 )

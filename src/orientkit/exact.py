@@ -16,12 +16,14 @@ The search state is incremental, so a node costs O(1) plus the degree of
 an endpoint whose last edge it orients:
 - only the tail's capacity term can change, and it drops by at most one;
 - each vertex keeps a bitmask of its decided neighbors' indegrees, backed
-  by per-value counts so it can be taken back, and the interval test is
-  one mask operation.  When a vertex is decided, only the neighbors whose
-  mask gained a value are rechecked: every other undecided vertex passed
-  the test before and its state has not changed;
-- one undo step takes back a depth, whether its head was rejected, led to
-  a complete orientation, or was exhausted further down.
+  by per-value counts so it can be taken back, and a bitmask of its
+  interval, so the interval test is one mask operation;
+- a head is judged from reads alone: both ends' intervals, the twin
+  order, and the neighbors of an end it decides, tested against their
+  masks plus the new values.  Only an accepted head is applied and its
+  decided ends published, so a rejected head changes no state;
+- one undo step takes back an applied head, whether it led to a complete
+  orientation or was exhausted further down.
 
 A split graph with an edge between its clique K and its independent side
 I is decided by a DP instead.  It fixes a target indegree for each clique
@@ -118,6 +120,9 @@ def _search(g: Graph, k, budget, symmetry_breaking):
     w = min(k, max(rem)) + 1
     cnt = [0] * (n * w)
     fmask = [0] * n
+    # win[y]: the bits of y's window [indeg, min(indeg + rem, k)]
+    win = [(2 << min(d, k)) - 1 for d in rem]
+    mark = [-1] * n  # mark[y] == x only when y is a neighbour of x
     # twin order (a, b): indeg[a] + rem[a] >= indeg[b].  Twins are never
     # adjacent, so a pair can only break when a is the tail or b the head.
     twin_next = [-1] * n
@@ -127,35 +132,10 @@ def _search(g: Graph, k, budget, symmetry_breaking):
             twin_next[a] = b
             twin_prev[b] = a
 
-    def decide(x):
-        """Publish decided x's indegree to its neighbours; False when an
-        undecided neighbour that gained a value has no free value left.
-        Publishing both ends of an edge in turn decides the same: a mask
-        only grows, and a neighbour of both is rechecked on each new value."""
-        d = indeg[x]
-        bit = 1 << d
-        ok = True
-        for y in adj[x]:
-            i = y * w + d
-            c = cnt[i]
-            cnt[i] = c + 1
-            if not c:
-                f = fmask[y] | bit
-                fmask[y] = f
-                r = rem[y]
-                if r and ok:
-                    lo = indeg[y]
-                    hi = lo + r
-                    if hi > k:
-                        hi = k
-                    if not ((2 << hi) - (1 << lo)) & ~f:
-                        ok = False
-        return ok
-
     at = [0] * m  # at[e]: the depth at which edge e is oriented
     for p, e in enumerate(order):
         at[e] = p
-    hd = [-1] * m  # hd[pos]: the head chosen at depth pos
+    hd = [-1] * m  # hd[pos]: the head applied at depth pos
     # tried[pos]: head choices tried at depth pos, v first, then u.  A depth
     # reading 2 is finished: the loop steps back and undoes the depth above
     # it.  tried[m] stays 2, so a complete orientation is undone the same way.
@@ -165,7 +145,7 @@ def _search(g: Graph, k, budget, symmetry_breaking):
     while True:
         t = tried[pos]
         if t == 2:
-            # the one undo step: take back the head chosen at depth pos - 1
+            # the one undo step: take back the head applied at depth pos - 1
             pos -= 1
             if pos < 0:
                 break
@@ -181,12 +161,16 @@ def _search(g: Graph, k, budget, symmetry_breaking):
                         cnt[i] = c
                         if not c:
                             fmask[y] ^= bit
-            indeg[head] -= 1
+            d = indeg[head] - 1
+            indeg[head] = d
             rem[head] += 1
+            win[head] ^= 1 << d
             r = rem[tail]
             rem[tail] = r + 1
-            if indeg[tail] + r < k:
+            d = indeg[tail] + r
+            if d < k:
                 capacity += 1
+                win[tail] ^= 2 << d
             continue
         tried[pos] = t + 1
         left -= 1
@@ -200,43 +184,76 @@ def _search(g: Graph, k, budget, symmetry_breaking):
             head, tail = eu[pos], ev[pos]
         else:
             head, tail = ev[pos], eu[pos]
+        # judge the head from reads only: a rejected one changes nothing
         dh = indeg[head] + 1
+        rh = rem[head] - 1
         dt = indeg[tail]
         rt = rem[tail] - 1
-        if dh > k:
-            continue
-        if dt + rt < k:  # the tail's min(indeg + rem, k) drops by one
+        # the head's window loses its lowest value, and is empty when
+        # dh > k; the tail's loses its highest when min(dt + rt, k) drops,
+        # and so does the capacity
+        wh = win[head] ^ (1 << (dh - 1))
+        wt = win[tail]
+        drop = dt + rt < k
+        if drop:
             if capacity == m:
                 continue
+            wt ^= 2 << (dt + rt)
+        bh = 0 if rh else 1 << dh  # the value a decided end publishes
+        bt = 0 if rt else 1 << dt
+        if not (wh & ~(fmask[head] | bt) and wt & ~(fmask[tail] | bh)):
+            continue
+        # a twin is never adjacent to its pair, so b and a are not ends
+        b = twin_next[tail]
+        a = twin_prev[head]
+        if ((b >= 0 and dt + rt < indeg[b])
+                or (a >= 0 and indeg[a] + rem[a] < dh)):
+            continue
+        # a neighbour of a decided end needs a free value beside that end's
+        # value, and beside both values when it neighbours both ends.
+        # Testing every neighbour gives the verdict of testing only those
+        # whose mask grows: an unchanged one passed before; a decided one's
+        # window is its own value, which the ends' tests kept apart from
+        # theirs; the other end still has its wider window from before this
+        # edge, which passes when its new one did.
+        ok = True
+        if bt:
+            for y in adj[tail]:
+                mark[y] = tail
+                if not win[y] & ~(fmask[y] | bt):
+                    ok = False
+                    break
+        if bh and ok:
+            for y in adj[head]:
+                f = fmask[y] | bh
+                if mark[y] == tail:
+                    f |= bt
+                if not win[y] & ~f:
+                    ok = False
+                    break
+        if not ok:
+            continue
+        # accepted: apply the head, then publish each decided end's value
+        if drop:
             capacity -= 1
         indeg[head] = dh
-        rh = rem[head] - 1
         rem[head] = rh
         rem[tail] = rt
+        win[head] = wh
+        win[tail] = wt
         hd[pos] = head
-        ok = decide(head) if not rh else True
-        if not rt:
-            ok = decide(tail) and ok
-        if ok:
-            # a free value at both ends, then the twin order at both ends
-            hi = dh + rh
-            if hi > k:
-                hi = k
-            ok = ((2 << hi) - (1 << dh)) & ~fmask[head]
-            if ok:
-                hi = dt + rt
-                if hi > k:
-                    hi = k
-                ok = ((2 << hi) - (1 << dt)) & ~fmask[tail]
-            if ok:
-                b = twin_next[tail]
-                a = twin_prev[head]
-                ok = ((b < 0 or dt + rt >= indeg[b])
-                      and (a < 0 or indeg[a] + rem[a] >= dh))
+        for x in (head, tail):
+            if not rem[x]:
+                d = indeg[x]
+                bit = 1 << d
+                for y in adj[x]:
+                    i = y * w + d
+                    c = cnt[i]
+                    cnt[i] = c + 1
+                    if not c:
+                        fmask[y] |= bit
         pos += 1
-        if not ok:
-            tried[pos] = 2  # rejected: undone on the next pass
-        elif pos < m:
+        if pos < m:
             tried[pos] = 0
         else:
             if budget is not None:

@@ -1,5 +1,10 @@
 import io
 import contextlib
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 from orientkit.cli import dispatch
 from orientkit.graph import Graph, read_graph, write_graph
@@ -198,3 +203,20 @@ def test_bad_input_is_precondition_failure(tmp_path):
     gpath.write_text("2 1\n0 5\n")
     code, rep, _ = run(["solve", str(gpath), "--k", "1"])
     assert code == 2 and "error" in rep
+
+
+def test_out_of_memory_is_a_precondition_failure(tmp_path):
+    # a 12-byte header asks for 300 million vertices; under a 1.5 GB
+    # address-space cap the read runs out of memory
+    gpath = tmp_path / "huge.graph"
+    gpath.write_text("300000000 0\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    cap = 1536 << 20
+    child = subprocess.run(
+        [sys.executable, "-m", "orientkit.cli", "recognize", str(gpath)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=120, preexec_fn=lambda: resource.setrlimit(
+            resource.RLIMIT_AS, (cap, cap)))
+    assert child.returncode == 2, child.stderr
+    assert "error=out of memory" in child.stdout.splitlines()
+    assert "Traceback" not in child.stderr

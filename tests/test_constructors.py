@@ -620,7 +620,7 @@ def test_cograph_bounds_upper_is_the_orient_max_indegree():
 
 
 def test_cograph_upper_bound_is_the_bounds_upper():
-    # the orient table's bound: cograph_bounds' upper, without its rationals
+    # cograph_orient's own fold against cograph_bounds' walk
     cases = 0
     for _, cotree in cograph_orient_corpus():
         assert cograph_upper_bound(cotree) == cograph_bounds(cotree)[1]

@@ -16,14 +16,15 @@ import sys
 
 import pytest
 
-from orientkit import exact
+from orientkit import construct, exact
 from orientkit.errors import BudgetExceeded, ConstructionError
 from orientkit.exact import (clique_number, decide_k_orientation,
                              enumerate_proper_k_orientations)
 from orientkit.graph import Graph
-from orientkit.instances import ladder_gadget, random_class_instance
-from oracles import (random_gnp, relabeled, run_optimized, search_oracle,
-                     threshold_graph)
+from orientkit.instances import (block_tight_example, ladder_gadget,
+                                 random_class_instance)
+from oracles import (random_gnp, random_tree, relabeled, run_optimized,
+                     search_oracle, threshold_graph)
 
 BUDGET = 20000
 
@@ -90,6 +91,43 @@ def test_same_search_on_ladder_gadgets(j):
     g, _ = ladder_gadget(j)
     for k in (j - 1, j, j + 1):
         assert_same_search(g, k)
+
+
+def test_same_search_on_the_strip_800_pieces(monkeypatch):
+    # the pieces the strip constructor searches, at its k and budget
+    pieces = []
+    real = construct.decide_k_orientation
+
+    def record(part, k, node_budget=None):
+        pieces.append(part)
+        return real(part, k, node_budget=node_budget)
+
+    monkeypatch.setattr(construct, "decide_k_orientation", record)
+    construct.outerplanar_strip_orient(random_class_instance("strip", 800, 1))
+    assert len(pieces) == 15
+    for part in pieces:
+        assert_same_search(part, part.max_degree())
+    # four pieces run out of budget before their first orientation
+    assert sum(stream(exact._search, part, part.max_degree(), BUDGET, True)
+               [0][0] == "budget" for part in pieces) == 4
+
+
+def test_same_search_on_trees_and_the_tight_block_graph():
+    rng = random.Random(32)
+    graphs = [relabeled(random_tree(rng, n), n) for n in (2, 5, 9, 14, 20)]
+    graphs.append(block_tight_example(3))
+    for g in graphs:
+        for k in range(clique_number(g) - 1, g.max_degree() + 1):
+            assert_same_search(g, k, budget=5000)
+
+
+def test_same_search_where_a_neighbour_sees_both_decided_ends():
+    # the edges go 23, 03, 12, 13, 24, 04: orienting 1-3 decides both
+    # ends, whose common neighbour 2 is still undecided.  A test that gave
+    # 2 only one of its two new values would accept heads the reference
+    # rejects.
+    g = Graph(5, [(0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (2, 4)])
+    assert_same_search(g, 2)
 
 
 def climb(search, g, box):
