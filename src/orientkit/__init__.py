@@ -21,9 +21,8 @@ from .recognize import (BlockCutTree, ChordalCheck, CographCheck, CotreeJoin,
                         CotreeLeaf, CotreeUnion, SplitPartition,
                         StripDecomposition, block_cut_tree, chordal_peo,
                         clique_number_chordal, cograph_cotree,
-                        cotree_postorder, evaluate_cotree,
-                        find_chordless_cycle, find_induced_p4, is_claw_free,
-                        is_k_uniform, max_cut_vertices_per_block,
+                        cotree_postorder, evaluate_cotree, is_block_graph,
+                        is_claw_free, is_k_uniform, max_cut_vertices_per_block,
                         outerplanar_strip, quasi_threshold_cotree,
                         split_partition, twin_partition)
 from .construct import (ORIENT_CLASSES, AlternatingMode, OrientClass,

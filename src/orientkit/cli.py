@@ -181,7 +181,7 @@ def _cmd_recognize(args, report):
     qt = recognize.quasi_threshold_cotree(g)
     report.add("quasi_threshold", str(qt is not None).lower())
     bct = recognize.block_cut_tree(g)
-    blockish = all(g.is_clique(blk) for blk in bct.blocks)
+    blockish = recognize.is_block_graph(bct)
     report.add("block_graph", str(blockish).lower())
     if blockish and bct.blocks:
         sizes = {len(blk) for blk in bct.blocks}

@@ -941,7 +941,7 @@ def two_cut_block_orient(g: Graph, bct: BlockCutTree = None,
     """
     bct, k = _block_input(g, bct, k)
     cuts = bct.cut_vertices
-    if any(sum(1 for v in blk if v in cuts) > 2 for blk in bct.blocks):
+    if max_cut_vertices_per_block(bct) > 2:
         raise NotUniformBlock("a block has more than two cut vertices")
     p = PartialOrientation(g)
     if not cuts:
@@ -1198,45 +1198,40 @@ def cograph_bounds(cotree):
     """(lower, upper) sandwich on the orientation number of a cograph.
 
     The lower bound is exact at unions and uses the edge-density argument
-    at joins; the upper bound is cograph_upper_bound, folded in the same
-    walk.  Lower is an exact rational, upper an integer.
+    at joins; the upper bound is cograph_upper_bound.  Lower is an exact
+    rational, upper an integer.
     """
     _, nodes = cotree_postorder(cotree)
-    folded = {}   # id(node) -> (edge count, lower, upper)
+    folded = {}   # id(node) -> (edge count, lower)
     for node, bounds in nodes:
         if isinstance(node, CotreeLeaf):
-            folded[id(node)] = (0, Fraction(0), 0)
+            folded[id(node)] = (0, Fraction(0))
             continue
         subs = [folded[id(ch)] for ch in node.children]
         if isinstance(node, CotreeUnion):
             folded[id(node)] = (sum(s[0] for s in subs),
-                                max((s[1] for s in subs), default=Fraction(0)),
-                                max((s[2] for s in subs), default=0))
+                                max((s[1] for s in subs), default=Fraction(0)))
             continue
         sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         total_n = bounds[-1] - bounds[0]
         total_m = (sum(s[0] for s in subs)
                    + (total_n * total_n - sum(ni * ni for ni in sizes)) // 2)
         lower = Fraction(0)
-        # the first child joins an empty side, which leaves its max indegree
-        upper, n_a = 0, 0
-        for ni, (mi, _, b) in zip(sizes, subs):
+        for ni, (mi, _) in zip(sizes, subs):
             rest_n = total_n - ni
             rest_m = total_m - mi - ni * rest_n
             ad_i = Fraction(mi, ni)
             ad_rest = Fraction(rest_m, rest_n)
             lower = max(lower, min(ad_i + Fraction(rest_n, 2),
                                    ad_rest + Fraction(ni, 2)))
-            upper = _join_step(upper, n_a, b, ni)[0]
-            n_a += ni
-        folded[id(node)] = (total_m, lower, upper)
-    return folded[id(cotree)][1:]
+        folded[id(node)] = (total_m, lower)
+    return folded[id(cotree)][1], cograph_upper_bound(cotree)
 
 
 def cograph_upper_bound(cotree) -> int:
-    """The upper bound of cograph_bounds, in integers alone: a union's is
-    its children's max, and a join's folds the one-sided cross orientation
-    over its children, as cograph_orient orients them."""
+    """The upper bound of cograph_bounds: a union's is its children's max,
+    and a join's folds the one-sided cross orientation over its children,
+    as cograph_orient orients them."""
     return _cograph_fold(cotree)[2]
 
 
@@ -1396,14 +1391,13 @@ class OrientClass(NamedTuple):
 def _uniform_blocks(g: Graph, c=None):
     """(block-cut tree, k) when g is a connected k-uniform block graph with
     k >= 3, else None.  Such a graph has 2m = k(n - 1), so the counts rule
-    most graphs out before the block-cut tree is built."""
+    most graphs out before the block-cut tree is built.  The count also
+    makes g connected once its b blocks are k-cliques: b(k - 1) = n - 1."""
     twice_m, rest = 2 * g.m, g.n - 1
     if rest < 1 or twice_m % rest or twice_m < 3 * rest:
         return None
-    try:
-        return _block_input(g, None, None)
-    except (UnsupportedK, NotUniformBlock):
-        return None
+    bct, k = block_cut_tree(g), twice_m // rest
+    return (bct, k) if is_k_uniform(bct, k) else None
 
 
 def _two_cut_blocks(g: Graph, c=None):

@@ -617,21 +617,19 @@ def enumerate_proper_k_orientations(g: Graph, k: int, node_budget=None):
 
 
 def fpt_chordal(g: Graph, k: int, node_budget=None):
-    """Decision for chordal g: immediate No when omega >= k+2, else
-    decide_k_orientation under the capacity floor taken on the chordal
-    omega; it hands a split graph with an edge between its sides to the
-    split DP and any other graph to the edge search.
+    """Decision for chordal g: decide_k_orientation under the capacity
+    floor taken on the chordal omega, which answers No below omega - 1
+    without spending budget; it hands a split graph with an edge between
+    its sides to the split DP and any other graph to the edge search.
 
-    Returns a witness Orientation or None, like decide_k_orientation.
-    Raises NotChordal for non-chordal input.
+    Returns a witness Orientation or None, like decide_k_orientation, and
+    raises as it does.  Raises NotChordal for non-chordal input.
     """
     budget = _budget_box(node_budget)
     check = chordal_peo(g)
     if check.peo is None:
         raise NotChordal(f"input has chordless cycle {check.chordless_cycle}")
     omega = clique_number_chordal(g, check.peo)
-    if omega >= k + 2:
-        return None
     return decide_k_orientation(g, k, _budget=budget,
                                 _floor=_capacity_floor(g, omega))
 

@@ -398,8 +398,7 @@ def parse_pairs(text, what, header=None):
     results and errors are int()'s.  The errors come in this order: no
     header, int()'s on n and m, a header unequal to header, a token count
     other than 2m, then int()'s on the first bad endpoint token."""
-    pieces = (text,) if len(text) <= _PIECE else _text_pieces(text)
-    return _parse_pieces(pieces, len(text), what, header)
+    return _parse_pieces(_text_pieces(text), len(text), what, header)
 
 
 def read_pairs(path, what, header=None):

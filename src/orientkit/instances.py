@@ -182,15 +182,17 @@ def reduce_vertex_cover(g: Graph, k: int) -> ReductionOutput:
     has a vertex cover of size k exactly when the output admits a proper
     k'-orientation.  The paper states diameter at most 9; this construction
     measures 11 (a side-clique vertex sits 4 hops from its host, and two
-    hosts can be 3 apart).
+    hosts can be 3 apart).  The head gadgets take i = k - 1 and k + 1,
+    which must lie in 2..k', so BadK unless 3 <= k <= n + 1.
     """
     if any(g.degree(v) != 3 for v in range(g.n)):
         raise NotCubic("every vertex must have degree 3")
     if not g.is_connected():
         raise NotCubic("input must be connected")
-    if k < 2:
-        raise BadK("cover budget must be at least 2")
     n = g.n
+    if not 3 <= k <= n + 1:
+        raise BadK(f"cover budget must satisfy 3 <= k <= n + 1 = {n + 1}, "
+                   f"got k={k}")
     kp = n + 2
     b = _Builder(n + g.m)
     clique = tuple(range(n))

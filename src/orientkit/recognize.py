@@ -2,8 +2,10 @@
 
 Each recognizer either produces the decomposition its constructor consumes
 (perfect elimination ordering, split partition, cotree, block-cut tree,
-triangle strip) or a failure value, with a witness where one is cheap to
-extract.  All functions are pure and deterministic.
+triangle strip) or a failure value.  chordal_peo and cograph_cotree carry
+their witness, a chordless cycle or an induced P4, in the same result.
+Block-graph status is a count on the block-cut tree, whose blocks
+partition the edges.  All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -144,11 +146,6 @@ def chordal_peo(g: Graph) -> ChordalCheck:
     if cycle is None:
         raise ConstructionError("a failed PEO check left no chordless cycle")
     return ChordalCheck(None, cycle)
-
-
-def find_chordless_cycle(g: Graph):
-    """Some chordless cycle of length >= 4, or None if chordal."""
-    return chordal_peo(g).chordless_cycle
 
 
 def clique_number_chordal(g: Graph, peo) -> int:
@@ -514,11 +511,6 @@ class CographCheck(NamedTuple):
     p4: Optional[tuple]
 
 
-def find_induced_p4(g: Graph):
-    """Vertices (a, b, c, d) of an induced path, or None if a cograph."""
-    return cograph_cotree(g).p4
-
-
 def cograph_cotree(g: Graph) -> CographCheck:
     """Union/join cotree for a cograph, or an induced-P4 witness.
 
@@ -689,10 +681,16 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     return BlockCutTree(g, blocks, cuts)
 
 
+def is_block_graph(bct: BlockCutTree) -> bool:
+    """Every block is a clique.  The blocks partition the edges, and a
+    block on b vertices holds at most b(b - 1)/2 of them, so the edge
+    count reaches that sum over the blocks exactly when each is full."""
+    return 2 * bct.graph.m == sum(len(b) * (len(b) - 1) for b in bct.blocks)
+
+
 def is_k_uniform(bct: BlockCutTree, k: int) -> bool:
     """Every block is a clique of size exactly k."""
-    g = bct.graph
-    return all(len(blk) == k and g.is_clique(blk) for blk in bct.blocks)
+    return all(len(blk) == k for blk in bct.blocks) and is_block_graph(bct)
 
 
 def max_cut_vertices_per_block(bct: BlockCutTree) -> int:

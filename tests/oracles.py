@@ -17,14 +17,14 @@ from orientkit.construct import (_clique_order, _end_feasible,
                                  path_block_sequence)
 from orientkit.errors import (BadCompensation, BadShape, BudgetExceeded,
                               ConstructionError)
-from orientkit.graph import Graph
+from orientkit.graph import Graph, disjoint_union
 from orientkit.instances import (GadgetMeta, ReductionOutput,
-                                 double_clique_gadget, head_gadget,
-                                 random_class_instance)
+                                 block_tight_example, double_clique_gadget,
+                                 head_gadget, random_class_instance)
 from orientkit.orientation import (CompensationSpec, PartialOrientation,
                                    _verified, is_compensated_proper)
 from orientkit.recognize import (CotreeJoin, CotreeLeaf, CotreeUnion,
-                                 StripDecomposition)
+                                 StripDecomposition, block_cut_tree)
 
 
 def all_orientation_indegrees(g):
@@ -1061,6 +1061,80 @@ def random_uniform_block_oracle(rng, blocks, k, two_cut):
         block_list.append(blk)
         cut_count[len(block_list) - 1] = 1
     return Graph(nxt, edges)
+
+
+# -- block-graph status by the per-block checks the edge count replaced ----
+
+
+def block_graph_oracle(bct):
+    """Every block a clique, checked pair by pair."""
+    return all(bct.graph.is_clique(blk) for blk in bct.blocks)
+
+
+def k_uniform_oracle(bct, k):
+    """Every block a clique of exactly k vertices, checked pair by pair."""
+    return all(len(blk) == k and bct.graph.is_clique(blk)
+               for blk in bct.blocks)
+
+
+def uniform_blocks_oracle(g):
+    """(block-cut tree, k), or None, by the count pre-check and then the
+    constructor's input check: k from the first block, at least 3, g
+    connected, every block a k-clique."""
+    twice_m, rest = 2 * g.m, g.n - 1
+    if rest < 1 or twice_m % rest or twice_m < 3 * rest:
+        return None
+    bct = block_cut_tree(g)
+    k = len(bct.blocks[0]) if bct.blocks else 0
+    if k < 3 or not g.is_connected() or not k_uniform_oracle(bct, k):
+        return None
+    return bct, k
+
+
+def two_cut_blocks_oracle(g):
+    """uniform_blocks_oracle(g) when no block has three cut vertices."""
+    got = uniform_blocks_oracle(g)
+    if got is None:
+        return None
+    bct = got[0]
+    cuts = [sum(v in bct.cut_vertices for v in blk) for blk in bct.blocks]
+    return got if max(cuts) <= 2 else None
+
+
+def recognize_block_keys_oracle(g):
+    """The block_graph and k_uniform keys of the recognize report."""
+    bct = block_cut_tree(g)
+    keys = {"block_graph": str(block_graph_oracle(bct)).lower()}
+    if block_graph_oracle(bct) and bct.blocks:
+        sizes = {len(blk) for blk in bct.blocks}
+        keys["k_uniform"] = str(sizes.pop()) if len(sizes) == 1 else "none"
+    return keys
+
+
+def block_status_corpus():
+    """Every graph on at most 6 vertices up to isomorphism; 3,000 seeded
+    G(n, p) with n <= 25; the six class kinds at sizes up to 200 with block
+    size k = 2..5, each also relabelled, doubled and with one edge removed;
+    block_tight_example(2..4); and 200 seeded random trees."""
+    yield from graphs_up_to_isomorphism(6)
+    rng = random.Random(34)
+    for _ in range(3000):
+        yield random_gnp(rng, rng.randint(0, 25), rng.uniform(0.05, 0.95))
+    for kind in CLASS_KINDS:
+        for size in (1, 2, 3, 7, 20, 60, 200):
+            for k in range(2, 6):
+                g = random_class_instance(kind, size, size + k, k)
+                yield g
+                yield relabeled(g, k)
+                yield disjoint_union(g, g)
+                edges = g.edges
+                if edges:
+                    del edges[rng.randrange(len(edges))]
+                    yield Graph(g.n, edges)
+    for k in (2, 3, 4):
+        yield block_tight_example(k)
+    for _ in range(200):
+        yield random_tree(rng, rng.randint(1, 60))
 
 
 # -- cotree constructions that cograph_orient has replaced ----------------

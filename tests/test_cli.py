@@ -173,6 +173,17 @@ def test_reduce(tmp_path):
            (tmp_path / "r2.graph").read_text()
 
 
+def test_reduce_names_the_cover_budget_range(tmp_path):
+    gpath = tmp_path / "g.graph"
+    write_graph(Graph.complete(4), gpath)
+    code, rep, _ = run(["generate", "--reduce-vc", str(gpath), "--k", "2",
+                        "--out", str(tmp_path / "r.graph")])
+    assert code == 2
+    assert rep["error"] == ("cover budget must satisfy 3 <= k <= n + 1 = 5, "
+                            "got k=2")
+    assert not (tmp_path / "r.graph").exists()
+
+
 def test_budget_exit_code(tmp_path):
     gpath = tmp_path / "g.graph"
     write_graph(Graph.complete(6), gpath)

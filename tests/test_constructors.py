@@ -620,10 +620,12 @@ def test_cograph_bounds_upper_is_the_orient_max_indegree():
 
 
 def test_cograph_upper_bound_is_the_bounds_upper():
-    # cograph_orient's own fold against cograph_bounds' walk
+    # the fold against the max indegree of the oracle's join-by-join
+    # orientation
     cases = 0
-    for _, cotree in cograph_orient_corpus():
-        assert cograph_upper_bound(cotree) == cograph_bounds(cotree)[1]
+    for g, cotree in cograph_orient_corpus():
+        assert cograph_upper_bound(cotree) == max_indegree(
+            cograph_orient_oracle(g, cotree))
         cases += 1
     assert cases > 400
     node = SimpleNamespace(children=(CotreeLeaf(0), CotreeLeaf(1)))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orientkit import exact
 from orientkit.errors import BudgetExceeded, NotChordal
 from orientkit.exact import (clique_number, decide_k_orientation,
                              enumerate_proper_k_orientations, fpt_chordal,
@@ -11,7 +12,8 @@ from orientkit.instances import (block_tight_example, ladder_gadget,
                                  split_tight_example)
 from orientkit.orientation import is_proper, max_indegree
 from oracles import (brute_clique_number, brute_count, brute_feasible,
-                     brute_orientation_number, random_gnp)
+                     brute_orientation_number, criterion_3_graphs, random_gnp,
+                     random_tree)
 
 
 def test_decide_examples():
@@ -116,6 +118,43 @@ def test_fpt_chordal():
     assert fpt_chordal(s3, 3) is not None
     with pytest.raises(NotChordal):
         fpt_chordal(Graph.cycle_graph(4), 2)
+
+
+def test_fpt_chordal_rejects_a_negative_k_as_the_decision_does():
+    for g in (Graph(0), Graph.complete(3)):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            fpt_chordal(g, -1)
+
+
+def decision(call, *args, **kwargs):
+    """("yes", the witness heads), ("no",) or ("budget", its message)."""
+    try:
+        d = call(*args, **kwargs)
+    except BudgetExceeded as exc:
+        return "budget", str(exc)
+    return ("no",) if d is None else ("yes", d.heads)
+
+
+def test_fpt_chordal_is_the_decision_under_a_budget(monkeypatch):
+    # same answer, same witness, same budget left, at every k up to the
+    # max degree: the floor on the chordal omega is the decision's own
+    boxes = []
+    box_of = exact._budget_box
+    monkeypatch.setattr(exact, "_budget_box",
+                        lambda nb: boxes.append(box_of(nb)) or boxes[-1])
+    rng = random.Random(34)
+    graphs = list(criterion_3_graphs())
+    graphs += [random_tree(rng, rng.randint(1, 30)) for _ in range(40)]
+    outcomes = set()
+    for g in graphs:
+        for k in range(g.max_degree() + 1):
+            got = decision(fpt_chordal, g, k, node_budget=400)
+            box = [400, 400]
+            assert got == decision(decide_k_orientation, g, k, None,
+                                   _budget=box)
+            assert boxes.pop() == box
+            outcomes.add(got[0])
+    assert outcomes == {"yes", "no", "budget"}
 
 
 def test_clique_number():

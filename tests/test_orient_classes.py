@@ -70,6 +70,30 @@ def test_block_recognizers_rule_out_by_counts(monkeypatch):
             assert cls.recognize(g, None) is None, (cls.name, g)
 
 
+@pytest.mark.parametrize("kind", ["uniform-block", "two-cut-block"])
+def test_block_status_is_counted_not_checked_block_by_block(
+        kind, monkeypatch, tmp_path):
+    # the edges fill the blocks exactly when every block is a clique, and
+    # the count that gives k also makes the graph connected; only the
+    # constructor's own input check walks the graph
+    gpath = tmp_path / "g.graph"
+    write_graph(random_class_instance(kind, 800, 1), gpath)
+    calls = dict.fromkeys(("is_clique", "is_connected"), 0)
+    for name in calls:
+        def counting(self, *args, _name=name, _real=getattr(Graph, name)):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(Graph, name, counting)
+    for argv, want in ((["orient", str(gpath), "--class", "auto"], 1),
+                       (["recognize", str(gpath)], 0)):
+        calls.update(is_clique=0, is_connected=0)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert dispatch(argv) == 0
+        assert calls == {"is_clique": 0, "is_connected": want}, argv
+    assert "block_graph=true" in buf.getvalue().splitlines()
+
+
 @pytest.mark.parametrize("cls", ["auto", "quasi-threshold"])
 def test_quasi_threshold_orient_builds_no_graph_from_its_cotree(
         cls, monkeypatch, tmp_path):

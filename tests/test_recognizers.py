@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 import time
 from collections import deque
@@ -5,25 +7,30 @@ from collections import deque
 import pytest
 
 from orientkit import recognize
+from orientkit.cli import dispatch
+from orientkit.construct import _two_cut_blocks, _uniform_blocks
 from orientkit.errors import (ConstructionError, InvalidPEO,
                               PreconditionViolated)
-from orientkit.graph import Graph, disjoint_union
+from orientkit.graph import Graph, disjoint_union, write_graph
 from orientkit.instances import (block_tight_example, ladder_gadget,
                                  random_class_instance)
 from orientkit.recognize import (block_cut_tree, chordal_peo,
                                  clique_number_chordal, cograph_cotree,
-                                 evaluate_cotree, find_chordless_cycle,
-                                 find_induced_p4, is_claw_free, is_k_uniform,
+                                 evaluate_cotree, is_block_graph,
+                                 is_claw_free, is_k_uniform,
                                  max_cut_vertices_per_block,
                                  outerplanar_strip, quasi_threshold_cotree,
                                  split_partition, twin_partition)
-from oracles import (brute_clique_number, brute_has_chordless_cycle,
+from oracles import (block_graph_oracle, block_status_corpus,
+                     brute_clique_number, brute_has_chordless_cycle,
                      brute_is_quasi_threshold, brute_is_split,
                      find_induced_p4_oracle,
                      graphs_up_to_isomorphism, graphs_with_edges,
-                     lex_bfs_oracle, moved_edges, outerplanar_strip_oracle,
-                     random_gnp,
-                     recognizer_corpus, relabeled, run_optimized)
+                     k_uniform_oracle, lex_bfs_oracle, moved_edges,
+                     outerplanar_strip_oracle, random_gnp,
+                     recognize_block_keys_oracle, recognizer_corpus,
+                     relabeled, run_optimized, two_cut_blocks_oracle,
+                     uniform_blocks_oracle)
 
 
 def fan(n):
@@ -78,7 +85,7 @@ def test_chordless_cycle_on_every_graph_up_to_6_vertices():
             check = chordal_peo(h)
             assert (check.peo is None) == brute_has_chordless_cycle(h)
             assert_chordal_verdict(h, check)
-            assert find_chordless_cycle(h) == check.chordless_cycle
+            assert chordal_peo(h).chordless_cycle == check.chordless_cycle
             cycles += check.peo is None
         cases += 1
     assert cases == 1307 and cycles == 906
@@ -255,6 +262,35 @@ def test_blocks_cover_edges_exactly_once():
         assert union == set(range(g.n))
 
 
+def test_block_status_matches_the_per_block_checks(tmp_path):
+    # edge counts on the block-cut tree against pair-by-pair clique checks,
+    # in the library and in the recognize report
+    gpath = tmp_path / "g.graph"
+    cases = uniform = 0
+    for g in block_status_corpus():
+        bct = block_cut_tree(g)
+        assert is_block_graph(bct) == block_graph_oracle(bct)
+        for k in range(7):
+            assert is_k_uniform(bct, k) == k_uniform_oracle(bct, k)
+        # the blocks of a component on c vertices add up to c - 1 here
+        assert (len(g.connected_components())
+                == g.n - sum(len(blk) - 1 for blk in bct.blocks))
+        got = _uniform_blocks(g)
+        assert got == uniform_blocks_oracle(g)
+        assert _two_cut_blocks(g) == two_cut_blocks_oracle(g)
+        write_graph(g, gpath)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            dispatch(["recognize", str(gpath)])
+        report = dict(line.partition("=")[::2]
+                      for line in buf.getvalue().splitlines())
+        assert ({key: report.get(key) for key in ("block_graph", "k_uniform")}
+                == {"k_uniform": None, **recognize_block_keys_oracle(g)})
+        cases += 1
+        uniform += got is not None
+    assert cases > 4900 and uniform > 100
+
+
 def test_outerplanar_strip_examples():
     strip = outerplanar_strip(fan(5))
     assert strip is not None and len(strip.triangles) == 4
@@ -318,7 +354,7 @@ def test_cograph_examples():
     g = Graph.path_graph(4)
     assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(c, d)
     assert not g.has_edge(a, c) and not g.has_edge(a, d) and not g.has_edge(b, d)
-    assert find_induced_p4(Graph.complete(4)) is None
+    assert cograph_cotree(Graph.complete(4)).p4 is None
     check = cograph_cotree(Graph.cycle_graph(4))
     assert check.cotree is not None
     assert evaluate_cotree(check.cotree, 4) == Graph.cycle_graph(4)
@@ -356,7 +392,7 @@ def test_induced_p4_on_every_graph_up_to_6_vertices():
             assert ((check.cotree is None)
                     == (find_induced_p4_oracle(h) is not None))
             assert_cograph_verdict(h, check)
-            assert find_induced_p4(h) == check.p4
+            assert cograph_cotree(h).p4 == check.p4
             p4s += check.cotree is None
         cases += 1
     assert cases == 1307 and p4s == 1640

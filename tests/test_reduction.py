@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from orientkit.errors import BadParams
+from orientkit.errors import BadK
 from orientkit.graph import Graph, format_graph, read_graph, write_graph
 from orientkit.instances import (build_vc_certificate, ladder_gadget,
                                  reduce_vertex_cover)
@@ -30,8 +30,16 @@ def test_reduction_matches_oracle_at_every_k(name, g):
         assert reduce_vertex_cover(g, k) == reduce_vertex_cover_oracle(g, k)
     # k - 1 below 2 and k + 1 above k' name no head gadget
     for k in (2, g.n + 2):
-        with pytest.raises(BadParams):
+        with pytest.raises(BadK):
             reduce_vertex_cover(g, k)
+
+
+def test_cover_budget_outside_3_to_n_plus_1_is_named():
+    for k in (1, 2, 12):
+        with pytest.raises(BadK) as err:
+            reduce_vertex_cover(petersen_graph(), k)
+        assert str(err.value) == ("cover budget must satisfy "
+                                  f"3 <= k <= n + 1 = 11, got k={k}")
 
 
 @pytest.mark.parametrize("g, k, digest", [

@@ -95,7 +95,9 @@ MALFORMED = [
 ]
 
 
-@pytest.mark.parametrize("piece", [1, 2, 3, 5, 8, 13])
+# the default piece holds each of these texts whole, and the empty text
+# as no piece at all
+@pytest.mark.parametrize("piece", [1, 2, 3, 5, 8, 13, graph_module._PIECE])
 def test_malformed_and_odd_texts_parse_as_the_oracle(monkeypatch, tmp_path,
                                                      piece):
     monkeypatch.setattr(graph_module, "_PIECE", piece)
