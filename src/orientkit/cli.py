@@ -175,7 +175,7 @@ def _cmd_recognize(args, report):
     check = recognize.chordal_peo(g)
     report.add("chordal", str(check.peo is not None).lower())
     if check.peo is not None:
-        report.add("omega", recognize.clique_number_chordal(g, check.peo))
+        report.add("omega", check.omega)
     part = recognize.split_partition(g)
     report.add("split", str(part is not None).lower())
     qt = recognize.quasi_threshold_cotree(g)

@@ -55,11 +55,10 @@ from .orientation import (Orientation, PartialOrientation, _verified,
                           max_indegree)
 from .recognize import (BlockCutTree, CotreeJoin, CotreeLeaf, CotreeUnion,
                         SplitPartition, StripDecomposition, block_cut_tree,
-                        chordal_peo, clique_number_chordal, cograph_cotree,
-                        cotree_postorder, evaluate_cotree, is_claw_free,
-                        is_k_uniform, max_cut_vertices_per_block,
-                        outerplanar_strip, quasi_threshold_cotree,
-                        split_partition)
+                        chordal_peo, cograph_cotree, cotree_postorder,
+                        evaluate_cotree, is_claw_free, is_k_uniform,
+                        max_cut_vertices_per_block, outerplanar_strip,
+                        quasi_threshold_cotree, split_partition)
 
 
 # -- greedy extension of a partial orientation ----------------------------
@@ -906,15 +905,20 @@ def _exhausted(frame):
 
 def _block_input(g: Graph, bct, k):
     """(bct, k) for a connected k-uniform block graph with k >= 3; each is
-    worked out from g when None.  Raises when g is not such a graph."""
+    worked out from g when None.  Raises when g is not such a graph, or
+    bct is the block-cut tree of another graph."""
     if bct is None:
         bct = block_cut_tree(g)
+    elif bct.graph is not g and bct.graph != g:
+        raise PreconditionViolated("block-cut tree is of another graph")
     if k is None:
         k = len(bct.blocks[0]) if bct.blocks else 0
     if k < 3:
         raise UnsupportedK("block size must be at least 3 "
                            "(use low_degree_orient or the exact solver for trees)")
-    if not g.is_connected():
+    # the blocks cover V and meet at cut vertices in a forest, so g has
+    # n - sum(|B| - 1) components
+    if sum(len(blk) - 1 for blk in bct.blocks) != g.n - 1:
         raise NotUniformBlock("graph must be connected")
     if not is_k_uniform(bct, k):
         raise NotUniformBlock(f"not every block is a {k}-clique")
@@ -1345,7 +1349,7 @@ def claw_free_chordal_bound(g: Graph) -> int:
         raise NotApplicable("graph is not chordal")
     if not is_claw_free(g):
         raise NotApplicable("graph has an induced claw")
-    omega = clique_number_chordal(g, check.peo) if g.n else 0
+    omega = check.omega
     adjset = [set(a) for a in g.adj]
 
     def covered(nb):

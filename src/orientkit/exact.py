@@ -31,7 +31,12 @@ vertex, folds over I keeping the arcs each clique vertex has received so
 far, and accepts when the rest is the score sequence of a tournament on K
 (Landau 1953).  One DP state counts as one node against node_budget.
 Cliques, with or without isolated vertices, stay on the edge search,
-which decides them in about m nodes.
+which decides them in about m nodes.  One switch, _decide, picks the
+engine and checks its result.
+
+Each engine counts down a budget box [remaining, allowance]; an unlimited
+box holds inf, which never runs out.  Either engine stops the same way
+when the box is spent: it reads -1, and BudgetExceeded names the allowance.
 
 Both engines sit behind a capacity floor.  The vertices of a clique take
 pairwise distinct indegrees, each at most min(k, deg v), and all indegrees
@@ -57,7 +62,7 @@ from math import inf
 from .errors import BudgetExceeded, NotChordal
 from .graph import Graph
 from .orientation import Orientation, _verified
-from .recognize import chordal_peo, clique_number_chordal, split_partition
+from .recognize import chordal_peo, split_partition
 
 
 def _edge_order(g: Graph):
@@ -84,17 +89,12 @@ def _stable_twin_pairs(g: Graph):
     return pairs
 
 
-# an unlimited search counts nodes down from here and refills at zero, so
-# the counter stays a small int
-_REFILL = (1 << 30) - 1
-
-
 def _search(g: Graph, k, budget, symmetry_breaking):
     """Yield every proper k-orientation of g as a heads list (edge-id indexed).
 
-    budget is a box [remaining, allowance], or None for unlimited.  Its
-    first entry is decremented once per node tried, is current at every
-    yield and exit, and reads -1 when BudgetExceeded is raised.
+    budget: a box [remaining, allowance] from _budget_box.  Its first
+    entry is decremented once per node tried, is current at every yield
+    and exit, and reads -1 when BudgetExceeded is raised.
     With symmetry_breaking the yielded set is a complete system of
     representatives for the decision problem only.
     """
@@ -140,7 +140,7 @@ def _search(g: Graph, k, budget, symmetry_breaking):
     # reading 2 is finished: the loop steps back and undoes the depth above
     # it.  tried[m] stays 2, so a complete orientation is undone the same way.
     tried = [0] * m + [2]
-    left = budget[0] if budget is not None else _REFILL
+    left = budget[0]
     pos = 0
     while True:
         t = tried[pos]
@@ -175,11 +175,7 @@ def _search(g: Graph, k, budget, symmetry_breaking):
         tried[pos] = t + 1
         left -= 1
         if left < 0:
-            if budget is None:
-                left = _REFILL
-            else:
-                budget[0] = left
-                raise BudgetExceeded(_spent(budget))
+            _exhausted(budget)
         if t:
             head, tail = eu[pos], ev[pos]
         else:
@@ -256,23 +252,16 @@ def _search(g: Graph, k, budget, symmetry_breaking):
         if pos < m:
             tried[pos] = 0
         else:
-            if budget is not None:
-                budget[0] = left
+            budget[0] = left
             yield [hd[p] for p in at]
-            if budget is not None:
-                left = budget[0]
-    if budget is not None:
-        budget[0] = left
-
-
-def _spent(budget):
-    # budget[0] went negative exactly once; report the configured allowance
-    return budget[1]
+            left = budget[0]
+    budget[0] = left
 
 
 def _budget_box(node_budget):
+    """[remaining, allowance], both inf when unlimited."""
     if node_budget is None:
-        return None
+        return [inf, inf]
     if node_budget < 0:
         raise ValueError("node_budget must be non-negative")
     return [node_budget, node_budget]
@@ -366,9 +355,9 @@ def _split_decide(g: Graph, k, part, budget):
     vertex c keeps t[c] - (|K| - 1) - (neighbours in I still to come) <=
     arcs received <= t[c], so that a tournament on K can make up the rest,
     and the arcs into K must total sum(t) - C(|K|, 2).  A final state is
-    accepted when t - state is a tournament's score sequence.  budget is a
-    box as for _search; every state created, the empty state of each
-    target included, costs one unit.
+    accepted when t - state is a tournament's score sequence.  The budget
+    box counts down as in _search; every state created, the empty state of
+    each target included, costs one unit.
     """
     clique = sorted(part.clique)
     w = len(clique)
@@ -392,7 +381,7 @@ def _split_decide(g: Graph, k, part, budget):
     above = w * b
     units = [[(1 << shift[p]) + (1 << above) for p in ps] for ps in nbrs]
     pairs = w * (w - 1) // 2
-    left = budget[0] if budget is not None else inf
+    left = budget[0]
     for t in _targets(top, twin_prev):
         left -= 1
         if left < 0:
@@ -469,8 +458,7 @@ def _split_decide(g: Graph, k, part, budget):
                     break
             else:
                 continue
-            if budget is not None:
-                budget[0] = left
+            budget[0] = left
             # follow the back-pointers: the clique vertices each i sends to
             into = {}
             for j in range(len(ind) - 1, -1, -1):
@@ -479,40 +467,22 @@ def _split_decide(g: Graph, k, part, budget):
                                 if (state - prev) >> shift[p] & field}
                 state = prev
             return _split_witness(g, clique, into, scores)
-    if budget is not None:
-        budget[0] = left
+    budget[0] = left
     return None
 
 
 def _exhausted(budget):
-    # the DP's allowance just ran out: the box reads -1, as _search leaves it
+    # the one way out of either engine when its allowance runs out: the box
+    # reads -1, and the message names the allowance
     budget[0] = -1
-    raise BudgetExceeded(_spent(budget))
+    raise BudgetExceeded(budget[1])
 
 
-def decide_k_orientation(g: Graph, k: int, node_budget=None,
-                         _budget=None, _floor=None):
-    """A verified proper k-orientation of g, or None if none exists.
-
-    Answers No outright, spending no budget, below the capacity floor: the
-    clique floor omega - 1 (any clique of size w needs indegrees 0..w-1),
-    raised where a clique cover cannot hold m arcs with distinct capped
-    indegrees in each clique.  The floor is not computed at k >= the max
-    degree, where the answer is always Yes.  A split graph with an edge
-    between its sides goes to the split DP, any other graph to the edge
-    search.  Raises BudgetExceeded when node_budget (search nodes, or DP
-    states) runs out before an answer.  _floor, when given, is g's
-    capacity floor.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    budget = _budget if _budget is not None else _budget_box(node_budget)
-    part = split_partition(g)
-    if _floor is None:
-        _floor = (0 if k >= g.max_degree()
-                  else _capacity_floor(g, _clique_floor(g, part)))
-    if k < _floor:
-        return None
+def _decide(g: Graph, k, part, budget):
+    """The one engine switch: a verified proper k-orientation of g, or
+    None.  part is split_partition(g); a split graph with an edge between
+    its sides goes to the split DP, any other graph to the edge search,
+    and either counts down the budget box."""
     if part is not None and any(g.adj[v] for v in part.independent):
         heads = _split_decide(g, k, part, budget)
     else:
@@ -522,7 +492,27 @@ def decide_k_orientation(g: Graph, k: int, node_budget=None,
     return _verified(Orientation(g, heads), "the search", k)
 
 
-def _clique_floor(g: Graph, part):
+def decide_k_orientation(g: Graph, k: int, node_budget=None, _budget=None):
+    """A verified proper k-orientation of g, or None if none exists.
+
+    Answers No outright, spending no budget, below the capacity floor: the
+    clique floor omega - 1 (any clique of size w needs indegrees 0..w-1),
+    raised where a clique cover cannot hold m arcs with distinct capped
+    indegrees in each clique.  The floor is not computed at k >= the max
+    degree, where the answer is always Yes.  Raises BudgetExceeded when
+    node_budget (search nodes, or DP states) runs out before an answer.
+    _budget, when given, is a box from _budget_box to count down instead.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    budget = _budget or _budget_box(node_budget)
+    part = split_partition(g)
+    if k < g.max_degree() and k < _capacity_floor(g, _omega(g, part)):
+        return None
+    return _decide(g, k, part, budget)
+
+
+def _omega(g: Graph, part):
     """The clique number: |K| for a split partition, else branch and bound."""
     return len(part.clique) if part is not None else clique_number(g)
 
@@ -592,14 +582,14 @@ def _capacity_floor(g: Graph, omega):
 def proper_orientation_number(g: Graph, node_budget=None):
     """Exact minimum k admitting a proper k-orientation, with a witness.
 
-    Climbs k from the capacity floor (computed once, on the exact omega)
-    up to the max degree; the first Yes is optimal.  The node budget, when
-    set, is shared across the whole climb.
+    Climbs k from the capacity floor (computed once, on the exact omega,
+    from one split partition) up to the max degree; the first Yes is
+    optimal.  The node budget, when set, is shared across the whole climb.
     """
     budget = _budget_box(node_budget)
-    floor = _capacity_floor(g, _clique_floor(g, split_partition(g)))
-    for k in range(floor, g.max_degree() + 1):
-        witness = decide_k_orientation(g, k, _budget=budget, _floor=floor)
+    part = split_partition(g)
+    for k in range(_capacity_floor(g, _omega(g, part)), g.max_degree() + 1):
+        witness = _decide(g, k, part, budget)
         if witness is not None:
             return k, witness
     raise AssertionError("a proper max-degree orientation always exists")
@@ -617,10 +607,9 @@ def enumerate_proper_k_orientations(g: Graph, k: int, node_budget=None):
 
 
 def fpt_chordal(g: Graph, k: int, node_budget=None):
-    """Decision for chordal g: decide_k_orientation under the capacity
-    floor taken on the chordal omega, which answers No below omega - 1
-    without spending budget; it hands a split graph with an edge between
-    its sides to the split DP and any other graph to the edge search.
+    """Decision for chordal g: the capacity floor taken on the omega of
+    the elimination check, which answers No below omega - 1 without
+    spending budget, then the engine switch of decide_k_orientation.
 
     Returns a witness Orientation or None, like decide_k_orientation, and
     raises as it does.  Raises NotChordal for non-chordal input.
@@ -629,9 +618,11 @@ def fpt_chordal(g: Graph, k: int, node_budget=None):
     check = chordal_peo(g)
     if check.peo is None:
         raise NotChordal(f"input has chordless cycle {check.chordless_cycle}")
-    omega = clique_number_chordal(g, check.peo)
-    return decide_k_orientation(g, k, _budget=budget,
-                                _floor=_capacity_floor(g, omega))
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if k < _capacity_floor(g, check.omega):
+        return None
+    return _decide(g, k, split_partition(g), budget)
 
 
 # -- exact clique number (plumbing for the optimizer's lower bound) -----

@@ -173,12 +173,12 @@ def is_compensated_proper(d: Orientation, spec: CompensationSpec) -> bool:
     return all(color[u] != color[v] for u, v in zip(g.lo, g.hi))
 
 
-def _verified(d: Orientation, what, bound=None, *, proper=True, holds=True):
+def _verified(d: Orientation, what, bound=None, *, holds=True):
     """d, once an explicit check that also runs under ``python -O`` passes:
-    d is proper (skipped when proper is False), its max indegree is at most
-    bound (when given), and holds, the caller's own condition on d, is true.
-    Raises ConstructionError naming what otherwise."""
-    if proper and not is_proper(d):
+    d is proper, its max indegree is at most bound (when given), and holds,
+    the caller's own condition on d, is true.  Raises ConstructionError
+    naming what otherwise."""
+    if not is_proper(d):
         why = "is improper"
     elif bound is not None and max_indegree(d) > bound:
         why = f"exceeds indegree {bound}"

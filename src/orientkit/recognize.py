@@ -3,7 +3,8 @@
 Each recognizer either produces the decomposition its constructor consumes
 (perfect elimination ordering, split partition, cotree, block-cut tree,
 triangle strip) or a failure value.  chordal_peo and cograph_cotree carry
-their witness, a chordless cycle or an induced P4, in the same result.
+their witness, a chordless cycle or an induced P4, in the same result, and
+chordal_peo the clique number of a chordal graph.
 Block-graph status is a count on the block-cut tree, whose blocks
 partition the edges.  All functions are pure and deterministic.
 """
@@ -71,20 +72,25 @@ def lex_bfs(g: Graph):
 
 
 def _verify_peo(g: Graph, peo):
-    """None if peo is perfect elimination; else a violating (v, p, w)."""
+    """(None, omega) if peo is perfect elimination, else (a violating
+    (v, p, w), None).  A clique lies in its first vertex's later
+    neighbourhood, a clique here: omega is 1 + the most later neighbours."""
     pos = [0] * g.n
     for i, v in enumerate(peo):
         pos[v] = i
     adjset = [set(a) for a in g.adj]
+    widest = 0
     for v in peo:
         later = [w for w in g.adj[v] if pos[w] > pos[v]]
         if not later:
             continue
+        if len(later) > widest:
+            widest = len(later)
         p = min(later, key=lambda w: pos[w])
         for w in later:
             if w != p and w not in adjset[p]:
-                return v, p, w
-    return None
+                return (v, p, w), None
+    return None, widest + 1 if g.n else 0
 
 
 def _chordless_cycle(g: Graph, peo, v, p, w):
@@ -134,14 +140,16 @@ def _chordless_cycle(g: Graph, peo, v, p, w):
 class ChordalCheck(NamedTuple):
     peo: Optional[list]
     chordless_cycle: Optional[list]
+    omega: Optional[int] = None  # the clique number, when g is chordal
 
 
 def chordal_peo(g: Graph) -> ChordalCheck:
-    """A perfect elimination ordering, or a chordless cycle witness."""
+    """A perfect elimination ordering and the clique number, or a
+    chordless cycle witness."""
     peo = lex_bfs(g)[::-1]
-    violation = _verify_peo(g, peo)
+    violation, omega = _verify_peo(g, peo)
     if violation is None:
-        return ChordalCheck(peo, None)
+        return ChordalCheck(peo, None, omega)
     cycle = _chordless_cycle(g, peo, *violation)
     if cycle is None:
         raise ConstructionError("a failed PEO check left no chordless cycle")
@@ -149,21 +157,14 @@ def chordal_peo(g: Graph) -> ChordalCheck:
 
 
 def clique_number_chordal(g: Graph, peo) -> int:
-    """Exact clique number from a perfect elimination ordering."""
+    """Exact clique number from a caller's perfect elimination ordering;
+    chordal_peo(g).omega gives it without one."""
     if sorted(peo) != list(range(g.n)):
         raise InvalidPEO("ordering is not a permutation of the vertices")
-    if _verify_peo(g, peo) is not None:
+    violation, omega = _verify_peo(g, peo)
+    if violation is not None:
         raise InvalidPEO("ordering is not a perfect elimination ordering")
-    if g.n == 0:
-        return 0
-    pos = [0] * g.n
-    for i, v in enumerate(peo):
-        pos[v] = i
-    best = 1
-    for v in range(g.n):
-        later = sum(1 for w in g.adj[v] if pos[w] > pos[v])
-        best = max(best, later + 1)
-    return best
+    return omega
 
 
 # -- split graphs --------------------------------------------------------

@@ -22,7 +22,7 @@ from orientkit.instances import (GadgetMeta, ReductionOutput,
                                  block_tight_example, double_clique_gadget,
                                  head_gadget, random_class_instance)
 from orientkit.orientation import (CompensationSpec, PartialOrientation,
-                                   _verified, is_compensated_proper)
+                                   is_compensated_proper, max_indegree)
 from orientkit.recognize import (CotreeJoin, CotreeLeaf, CotreeUnion,
                                  StripDecomposition, block_cut_tree)
 
@@ -596,10 +596,15 @@ def _orient_compensated(shape, c, d):
 def _checked_compensated(shape, c, d, out):
     """out, once verified: indegree d at the target, proper when the target
     is recolored c, and max indegree at most max(c, 2k-2)."""
-    return _verified(out, f"the piece for (c={c}, d={d})",
-                     max(c, 2 * shape.k - 2), proper=False,
-                     holds=is_compensated_proper(
-                         out, CompensationSpec(shape.target, c, d)))
+    bound = max(c, 2 * shape.k - 2)
+    if max_indegree(out) > bound:
+        why = f"exceeds indegree {bound}"
+    elif not is_compensated_proper(out, CompensationSpec(shape.target, c, d)):
+        why = "breaks its stated property"
+    else:
+        return out
+    raise ConstructionError(f"the piece for (c={c}, d={d}) built an "
+                            f"orientation that {why}")
 
 
 def _orient_end(g, k, blocks, target, c, d):

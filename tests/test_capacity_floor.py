@@ -41,7 +41,8 @@ COBIPARTITE_ANSWERS = "nyyynyynnnyynnnnynnnnnynnnnnnnnnnnynynyynnnnynynyn"
 def edge_search_value(g):
     """The least k at which the unbudgeted edge search finds an orientation."""
     k = 0
-    while next(exact._search(g, k, None, True), None) is None:
+    while next(exact._search(g, k, exact._budget_box(None), True),
+               None) is None:
         k += 1
     return k
 
@@ -141,8 +142,10 @@ def test_criterion_3_climbs_within_budget():
         value, d = proper_orientation_number(g, node_budget=BUDGET)
         assert is_proper(d) and max_indegree(d) == value
         part = exact.split_partition(g)
-        assert exact._split_decide(g, value, part, None) is not None
-        assert exact._split_decide(g, value - 1, part, None) is None
+        assert exact._split_decide(g, value, part,
+                                   exact._budget_box(None)) is not None
+        assert exact._split_decide(g, value - 1, part,
+                                   exact._budget_box(None)) is None
         values.append(value)
     assert values == SPLIT_VALUES
 

@@ -348,6 +348,26 @@ def test_uniform_block_rejects_trees():
         uniform_block_orient(Graph.path_graph(4), None, 2)
 
 
+@pytest.mark.parametrize("kind, orient", [
+    ("uniform-block", uniform_block_orient),
+    ("two-cut-block", two_cut_block_orient)])
+def test_block_constructors_reject_a_foreign_tree(kind, orient):
+    # taken as g's own, another graph's blocks need not be g's, and the
+    # reduction over them need not end
+    g = random_class_instance(kind, 30, 1)
+    for h in (relabeled(g, 0), random_class_instance(kind, 30, 2),
+              random_class_instance(kind, 60, 1)):
+        assert h != g
+        for constructor in (uniform_block_orient, two_cut_block_orient):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionViolated, match="another graph"):
+                constructor(g, block_cut_tree(h), 3)
+            assert time.perf_counter() - start < 1
+    # the tree of an equal graph is g's tree
+    d = orient(g, block_cut_tree(Graph(g.n, g.edges)), 3)
+    assert is_proper(d)
+
+
 def test_two_cut_block_examples():
     two = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     d = two_cut_block_orient(two, None, 3)
@@ -810,7 +830,7 @@ def _guard_cases():
             cograph, cograph_cotree(cograph).cotree)),
         # a clique number of 1 leaves K_5's degree 4 above 3 * omega
         "claw_free_chordal_bound": (
-            {"clique_number_chordal": lambda g, peo: 1},
+            {"chordal_peo": lambda g: chordal_peo(g)._replace(omega=1)},
             lambda: claw_free_chordal_bound(Graph.complete(5))),
     }
 

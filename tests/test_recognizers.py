@@ -11,6 +11,7 @@ from orientkit.cli import dispatch
 from orientkit.construct import _two_cut_blocks, _uniform_blocks
 from orientkit.errors import (ConstructionError, InvalidPEO,
                               PreconditionViolated)
+from orientkit.exact import clique_number
 from orientkit.graph import Graph, disjoint_union, write_graph
 from orientkit.instances import (block_tight_example, ladder_gadget,
                                  random_class_instance)
@@ -172,6 +173,33 @@ def test_clique_number_chordal():
     c4 = Graph.cycle_graph(4)
     with pytest.raises(InvalidPEO):
         clique_number_chordal(c4, [0, 1, 2, 3])
+
+
+def test_chordal_omega_is_the_clique_number():
+    chordal = 0
+    for g in list(graphs_up_to_isomorphism(6)) + list(recognizer_corpus()):
+        check = chordal_peo(g)
+        if check.peo is None:
+            assert check.omega is None
+        else:
+            assert check.omega == clique_number(g), g.edges
+            chordal += 1
+    assert chordal > 1000
+
+
+def test_recognize_walks_the_elimination_order_once(monkeypatch, tmp_path):
+    # omega comes from chordal_peo's own check, not from a second walk
+    calls = []
+    real = recognize._verify_peo
+    monkeypatch.setattr(recognize, "_verify_peo",
+                        lambda g, peo: calls.append(1) or real(g, peo))
+    gpath = tmp_path / "g.graph"
+    write_graph(random_class_instance("quasi-threshold", 200, 1), gpath)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert dispatch(["recognize", str(gpath)]) == 0
+    assert "chordal=true" in buf.getvalue().splitlines()
+    assert len(calls) == 1
 
 
 def test_split_partition_examples():

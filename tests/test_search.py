@@ -5,14 +5,15 @@ its state incrementally (capacity, decided-neighbour masks, one undo step).
 Both must explore the same tree: the same stream of heads lists, and the
 same budget-box value after every yield and at every exit, including a
 ``BudgetExceeded`` exit, with symmetry breaking on and off.  Further tests
-cover the result check on the witness and on every enumerated orientation,
-which must hold under ``python -O``, and
-``clique_number`` on cliques deeper than the recursion limit.
+cover the unlimited budget, a box of inf; the result check on the witness
+and on every enumerated orientation, which must hold under ``python -O``;
+and ``clique_number`` on cliques deeper than the recursion limit.
 """
 
 import inspect
 import random
 import sys
+from math import inf
 
 import pytest
 
@@ -32,12 +33,12 @@ BUDGET = 20000
 def stream(search, g, k, budget, symmetry_breaking):
     """Every yielded heads list with the box value at that yield, then how
     the search ended and the box value at the end."""
-    box = None if budget is None else [budget, budget]
+    box = exact._budget_box(budget)
     events = []
     try:
         for heads in search(g, k, box, symmetry_breaking):
-            events.append((heads, None if box is None else box[0]))
-        events.append(("done", None if box is None else box[0]))
+            events.append((heads, box[0]))
+        events.append(("done", box[0]))
     except BudgetExceeded as exc:
         events.append(("budget", str(exc), box[0]))
     return events
@@ -147,6 +148,31 @@ def test_same_climb_over_a_shared_budget():
         g = random_class_instance("split", 6 + s % 9, s)
         got = climb(exact._search, g, [BUDGET, BUDGET])
         assert got == climb(search_oracle, g, [BUDGET, BUDGET])
+
+
+# -- every budget is a box -----------------------------------------------------
+
+
+def test_an_unlimited_budget_is_a_box_of_inf():
+    assert exact._budget_box(None) == [inf, inf]
+    assert exact._budget_box(7) == [7, 7]
+
+
+def test_an_inf_box_gives_the_unbudgeted_witness():
+    # split graphs go to the DP, the random graphs to the edge search
+    rng = random.Random(36)
+    graphs = ([random_class_instance("split", 6 + s % 9, s)
+               for s in range(0, 100, 5)]
+              + [random_gnp(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
+                 for _ in range(40)])
+    for g in graphs:
+        for k in range(g.max_degree() + 1):
+            box = [inf, inf]
+            d = decide_k_orientation(g, k)
+            same = decide_k_orientation(g, k, _budget=box)
+            assert box == [inf, inf]
+            assert (d is None) == (same is None), (g.edges, k)
+            assert d is None or d.heads == same.heads, (g.edges, k)
 
 
 # -- the witness check survives python -O -------------------------------------

@@ -40,7 +40,7 @@ def assert_dp_matches_edge_search(g):
     omega = len(split_partition(g).clique)
     for k in range(omega - 1, g.max_degree() + 1):
         d = decide_k_orientation(g, k)
-        edge = next(exact._search(g, k, None, True), None)
+        edge = next(exact._search(g, k, exact._budget_box(None), True), None)
         assert (d is not None) == (edge is not None), (g.edges, k)
         if d is not None:
             assert is_proper(d) and max_indegree(d) <= k
@@ -111,6 +111,16 @@ def test_criterion_3_climbs_finish_within_budget():
             assert is_proper(d) and max_indegree(d) == value
             values.add(value)
         assert len(values) == 1, g.edges
+
+
+def test_the_climb_takes_one_split_partition(monkeypatch):
+    # the floor is 2 and the optimum 4: three k share one partition
+    calls = []
+    monkeypatch.setattr(exact, "split_partition",
+                        lambda g: calls.append(1) or split_partition(g))
+    value, d = proper_orientation_number(random_class_instance("split", 40, 3))
+    assert value == 4 and is_proper(d)
+    assert len(calls) == 1
 
 
 def test_cliques_stay_on_the_edge_search():
