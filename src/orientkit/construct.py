@@ -27,8 +27,9 @@ attachment vertex and is proper when that vertex wears a prescribed color
 equal to the vertex's eventual global indegree.  The block-cut tree is
 built once, each detached piece's clique path is read off it, and each
 piece is oriented in place on the graph's own ids.  The reductions form an
-explicit stack over one undo log, so a failed re-attachment backtracks to
-its level's next candidate without recursion.  Local extensions are found
+explicit stack over one undo log of reduction state (never of arcs), so a
+failed re-attachment backtracks to its level's next candidate without
+recursion.  Local extensions are found
 by a small deterministic assignment search over clique positions, colors,
 and per-piece indegree splits, the splits from one iterative enumerator.
 Each re-attached piece is re-checked in the same way.
@@ -74,9 +75,11 @@ def extend_partial(g: Graph, s, ds) -> Orientation:
 
     The completion repeatedly picks the vertex outside S maximizing
     current indegree + unoriented incident edges (ties to the smallest id)
-    and orients all its remaining edges inward.
+    and orients all its remaining edges inward.  S must lie in 0..n-1.
     """
     sset = frozenset(s)
+    if any(not 0 <= v < g.n for v in sset):
+        raise PreconditionViolated(f"S must lie in 0..{g.n - 1}")
     heads = {}
     for (a, b), h in ds.items():
         e = (a, b) if a < b else (b, a)
@@ -186,13 +189,19 @@ def quasi_threshold_orient(cotree) -> Orientation:
 
 
 def split_orient(g: Graph, part: SplitPartition) -> Orientation:
-    """Proper (2*omega - 2)-orientation of a split graph."""
+    """Proper (2*omega - 2)-orientation of a split graph; the partition's
+    clique must be maximum, as split_partition's is."""
     kv = sorted(part.clique)
     iv = frozenset(part.independent)
     if not g.is_clique(kv) or any(g.has_edge(u, v)
                                   for u in iv for v in g.adj[u] if v in iv):
         raise NotSplit("partition is not a split partition")
     omega = len(kv)
+    kset = set(kv)
+    full = sorted(u for u in iv if len(kset.intersection(g.adj[u])) == omega)
+    if full:
+        raise PreconditionViolated(f"independent vertex {full[0]} sees the "
+                                   "whole clique, which is not maximum")
     bound = max(2 * omega - 2, 0)
     p = PartialOrientation(g)
     heavy = [v for v in kv if g.degree(v) >= bound]
@@ -461,14 +470,14 @@ def path_block_compensated(seq: PathBlockSequence, u, c, d) -> Orientation:
 # -- k-uniform block graphs: the general 3k-2 construction -----------------
 
 
-def _assign_crosspoint(p: PartialOrientation, k, u, block_verts, cut_pieces,
-                       u_pos, u_final):
-    """Orient one clique plus the path pieces hanging from its cut vertices.
+def _plan_crosspoint(k, u, block_verts, cut_pieces, u_pos, u_final):
+    """Plan one clique plus the path pieces hanging from its cut vertices.
 
     cut_pieces: cut vertex -> list of PieceShape (its hanging pieces).
     u sits at position u_pos of the transitive clique; u_final is u's
-    eventual global indegree.  Returns True and writes the arcs on
-    success, False when no assignment exists.
+    eventual global indegree.  Returns the clique's order and a (shape,
+    color, indegree) triple per hanging piece, or None when no assignment
+    exists.  Writes nothing.
     """
     cuts = sorted(cut_pieces)
     slots = sorted(set(range(k)) - {u_pos})
@@ -506,12 +515,10 @@ def _assign_crosspoint(p: PartialOrientation, k, u, block_verts, cut_pieces,
         placed = {u: u_pos}
         for w, _, pos, _ in chosen:
             placed[w] = pos
-        _transitive(p, _clique_order(block_verts, placed))
-        for w, cw, _, split in chosen:
-            for shape, dd in zip(cut_pieces[w], split):
-                _orient_compensated(p, shape, cw, dd)
-        return True
-    return False
+        return (_clique_order(block_verts, placed),
+                [(shape, cw, dd) for w, cw, _, split in chosen
+                 for shape, dd in zip(cut_pieces[w], split)])
+    return None
 
 
 def _feasible_split(shapes, k, c, total):
@@ -556,20 +563,6 @@ def _splits(allowed, total):
             s -= t.pop()
 
 
-class _LoggedOrientation(PartialOrientation):
-    """A PartialOrientation that records each arc on an undo log."""
-
-    __slots__ = ("log",)
-
-    def __init__(self, graph: Graph, log: list):
-        super().__init__(graph)
-        self.log = log
-
-    def orient(self, u, v, head):
-        super().orient(u, v, head)
-        self.log.append((None, self.graph.edge_id(u, v), head))
-
-
 # candidate classes of a cut vertex, in the order reductions try them:
 # path connectors with >= 3 hanging paths (so later crossroad reductions
 # meet only small connectors), crossroad cut vertices, other reducible cuts
@@ -592,7 +585,7 @@ class _Frame:
     """One reduction level: its undo-log mark and its candidate cursor."""
 
     mark: int
-    cursor: tuple = (_RULE_A, -1)   # (class, rank of the last candidate)
+    cursor: int = -1   # the key of the last candidate taken
     detached: _Detached = None
     failure: Exception = None
 
@@ -605,12 +598,13 @@ class _UniformReducer:
     vertices below it stop being cut vertices, and the other blocks, the
     root, the depths and the child orders stay as they were.  Only the
     flags of u's ancestors can change, so only they are recomputed.  Every
-    state change and every arc goes on one undo log; a failed attempt is
-    taken back by unwinding the log to the attempt's mark.
+    change to this state goes on one undo log, which a failed re-attachment
+    unwinds to its frame's mark.  Arcs come after the last descent, so each
+    greedy core starts a fresh orientation instead of logging them.
     """
 
     def __init__(self, g: Graph, bct: BlockCutTree, k: int):
-        self.k, self.bound = k, 3 * k - 2
+        self.g, self.k, self.bound = g, k, 3 * k - 2
         self.blocks = bct.blocks
         root = min(range(len(bct.blocks)), key=lambda i: bct.blocks[i])
         rooted = bct.rooted(root)
@@ -619,7 +613,7 @@ class _UniformReducer:
         self.parent_block = rooted.cut_parent_block
         self.parent_cut = rooted.block_parent_cut
         self.log = []
-        self.p = _LoggedOrientation(g, self.log)
+        self.p = None   # the orientation under construction, per greedy core
         self.deg = g.degrees()   # degree among live vertices, 0 when dead
         self.over = [sum(d > self.bound for d in self.deg)]
         self.is_cut = [False] * g.n
@@ -638,16 +632,16 @@ class _UniformReducer:
                 self.npath[w] = sum(not self.path[c] for c in kids)
                 self.nbad[w] = sum(not self.ok[c] for c in kids)
             self.chain[bi], self.path[bi], self.ok[bi] = self._block_flags(bi)
-        # one sorted list of ranks per candidate class; deepest cuts first
+        # the candidates as one sorted list of keys class * |order| + rank:
+        # by class, then deepest cuts first
         self.order = sorted(bct.cut_vertices,
                             key=lambda v: (-rooted.cut_depth[v], v))
         self.rank = {v: r for r, v in enumerate(self.order)}
         self.cls = [_NOT_CUT] * g.n
-        self.lists = ([], [], [])
-        for r, v in enumerate(self.order):
+        for v in self.order:
             self.cls[v] = self._class_of(v)
-            if self.cls[v] < _IRREDUCIBLE:
-                self.lists[self.cls[v]].append(r)
+        self.keys = sorted(self._key(v, self.cls[v]) for v in self.order
+                           if self.cls[v] < _IRREDUCIBLE)
 
     # -- state with undo ------------------------------------------------
 
@@ -656,13 +650,15 @@ class _UniformReducer:
             self.log.append((arr, i, arr[i]))
             arr[i] = value
 
+    def _key(self, v, cls):
+        return cls * len(self.order) + self.rank[v]
+
     def _move(self, v, new):
-        old, r = self.cls[v], self.rank[v]
+        old, keys = self.cls[v], self.keys
         if old < _IRREDUCIBLE:
-            lst = self.lists[old]
-            del lst[bisect.bisect_left(lst, r)]
+            del keys[bisect.bisect_left(keys, self._key(v, old))]
         if new < _IRREDUCIBLE:
-            bisect.insort(self.lists[new], r)
+            bisect.insort(keys, self._key(v, new))
         self.cls[v] = new
 
     def _reclassify(self, v):
@@ -672,14 +668,10 @@ class _UniformReducer:
             self._move(v, new)
 
     def _undo_to(self, mark):
-        log, p = self.log, self.p
+        log = self.log
         while len(log) > mark:
             arr, i, old = log.pop()
-            if arr is None:            # an arc: i is the edge, old its head
-                p.heads[i] = -1
-                p.indegree[old] -= 1
-                p.unoriented += 1
-            elif arr is self.cls:
+            if arr is self.cls:
                 self._move(i, old)
             else:
                 arr[i] = old
@@ -743,19 +735,6 @@ class _UniformReducer:
         return out
 
     # -- one reduction ----------------------------------------------------
-
-    def _next_candidate(self, frame):
-        """The frame's next cut vertex in rule order, or None."""
-        cls, last = frame.cursor
-        while cls < _IRREDUCIBLE:
-            lst = self.lists[cls]
-            i = bisect.bisect_right(lst, last)
-            if i < len(lst):
-                frame.cursor = (cls, lst[i])
-                return self.order[lst[i]]
-            cls, last = cls + 1, -1
-        frame.cursor = (cls, last)
-        return None
 
     def _detach(self, u):
         """Remove u's hanging subtrees; recompute flags up u's ancestors."""
@@ -828,36 +807,44 @@ class _UniformReducer:
         raise ConstructionError(f"no admissible extension at cut vertex {u}")
 
     def _promote(self, det, c, total):
-        """Give u indegree gains summing to `total` across all child blocks."""
+        """Give u indegree gains summing to `total` across all child blocks.
+        Only a complete plan is written: child by child, a crosspoint's
+        clique before its pieces."""
         k = self.k
         allowed = [[b for b in range(k - 1, -1, -1)
                     if not isinstance(shape, PieceShape)
                     or _piece_feasible(shape, c, b)]
                    for shape in det.paths]
-        p = self.p
         for attempt, assignment in enumerate(_splits(allowed, total)):
             if attempt >= 500:
                 break
-            mark = len(self.log)
+            plan = []
             for (bi, _), shape, b in zip(det.kids, det.paths, assignment):
-                if isinstance(shape, PieceShape):
-                    _orient_compensated(p, shape, c, b)
-                elif not _assign_crosspoint(p, k, det.u, self.blocks[bi],
-                                            shape, b, c):
-                    self._undo_to(mark)
+                step = (((), [(shape, c, b)]) if isinstance(shape, PieceShape)
+                        else _plan_crosspoint(k, det.u, self.blocks[bi],
+                                              shape, b, c))
+                if step is None:
                     break
+                plan.append(step)
             else:
+                for order, pieces in plan:
+                    _transitive(self.p, order)
+                    for piece in pieces:
+                        _orient_compensated(self.p, *piece)
                 return True
         return False
 
     # -- the whole construction -----------------------------------------
 
     def _advance(self, frame):
-        """Detach the frame's next candidate; False when none is left."""
-        u = self._next_candidate(frame)
-        if u is None:
+        """Detach the frame's next cut vertex in rule order, the first key
+        after its cursor; False when none is left."""
+        i = bisect.bisect_right(self.keys, frame.cursor)
+        if i == len(self.keys):
             return False
-        frame.detached = self._detach(u)
+        frame.cursor = self.keys[i]
+        frame.detached = self._detach(
+            self.order[frame.cursor % len(self.order)])
         return True
 
     def run(self) -> Orientation:
@@ -874,6 +861,7 @@ class _UniformReducer:
                 else:
                     error = _exhausted(frame)
             if error is None:
+                self.p = PartialOrientation(self.g)
                 _greedy_inward(self.p, dict(enumerate(self.deg)))
             while frames:
                 frame = frames[-1]

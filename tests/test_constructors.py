@@ -32,11 +32,11 @@ from orientkit.instances import (block_tight_example, random_class_instance,
 from orientkit.orientation import (CompensationSpec, Orientation,
                                    PartialOrientation, is_compensated_proper,
                                    is_proper, max_indegree)
-from orientkit.recognize import (CotreeLeaf, CotreeUnion, block_cut_tree,
-                                 chordal_peo, clique_number_chordal,
-                                 cograph_cotree, is_claw_free,
-                                 outerplanar_strip, quasi_threshold_cotree,
-                                 split_partition)
+from orientkit.recognize import (CotreeLeaf, CotreeUnion, SplitPartition,
+                                 block_cut_tree, chordal_peo,
+                                 clique_number_chordal, cograph_cotree,
+                                 is_claw_free, outerplanar_strip,
+                                 quasi_threshold_cotree, split_partition)
 from oracles import (cograph_orient_oracle, criterion_3_graphs,
                      extend_partial_oracle, is_acyclic,
                      path_block_compensated_oracle,
@@ -77,6 +77,13 @@ def test_extend_partial_precondition_violation():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(PreconditionViolated):
         extend_partial(g, {0, 1}, {(0, 1): 1})
+
+
+@pytest.mark.parametrize("outside", [-1, 5])
+def test_extend_partial_rejects_ids_outside_the_graph(outside):
+    # -1 would read vertex 2's neighbours, 5 run off the adjacency list
+    with pytest.raises(PreconditionViolated, match=r"0\.\.2"):
+        extend_partial(Graph.path_graph(3), {outside}, {})
 
 
 def test_extend_partial_never_exceeds_degree():
@@ -202,6 +209,13 @@ def test_split_orient_seeded():
         d = split_orient(g, part)
         omega = len(part.clique)
         assert is_proper(d) and max_indegree(d) <= max(2 * omega - 2, 0)
+
+
+def test_split_orient_rejects_a_clique_that_is_not_maximum():
+    # vertex 0 of I sees all of K = {1}, so K + {0} is a larger clique
+    with pytest.raises(PreconditionViolated, match="vertex 0 sees"):
+        split_orient(Graph.path_graph(3),
+                     SplitPartition(frozenset({1}), frozenset({0, 2})))
 
 
 def assert_split_matches_oracle(g):

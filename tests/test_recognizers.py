@@ -516,6 +516,13 @@ def test_twin_partition():
     assert twin_partition(g2, [2, 3]) == [(2,), (3,)]
 
 
+@pytest.mark.parametrize("outside", [-1, 5])
+def test_twin_partition_rejects_ids_outside_the_graph(outside):
+    # -1 would be classed by vertex 2's neighbours, 5 run off the lists
+    with pytest.raises(PreconditionViolated, match=r"0\.\.2"):
+        twin_partition(Graph.path_graph(3), [outside])
+
+
 def check_twin_partition_rejects_dependent_set():
     """Uses no assert, so it also checks under -O."""
     try:
