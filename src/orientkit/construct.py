@@ -102,26 +102,15 @@ def extend_partial(g: Graph, s, ds) -> Orientation:
             raise PreconditionViolated(
                 f"ds is not proper on G[S]: {u} and {v} both have "
                 f"indegree {p.indegree[u]}")
-    for v in range(g.n):
-        if v in sset:
-            continue
+    rest = set(range(g.n)) - sset
+    for v in sorted(rest):
         ns = [u for u in g.adj[v] if u in sset]
         for u in ns:
             if len(ns) <= p.indegree[u]:
                 raise PreconditionViolated(
                     f"vertex {v} has only {len(ns)} neighbors in S but "
                     f"{u} has indegree {p.indegree[u]}")
-    for v in sorted(sset):
-        for w in g.adj[v]:
-            if w not in sset:
-                p.orient(v, w, w)
-
-    pending = dict.fromkeys(range(g.n), 0)
-    for u, v in zip(g.lo, g.hi):
-        if u not in sset and v not in sset:
-            pending[u] += 1
-            pending[v] += 1
-    _greedy_inward(p, pending)
+    _extend(p, sset, rest)
     return _verified(p.to_orientation(), "extend_partial")
 
 
@@ -150,16 +139,32 @@ def _greedy_inward(p: PartialOrientation, pending):
         pending[v] = 0
 
 
+def _extend(p: PartialOrientation, s, rest):
+    """The greedy completion the constructors share: each unoriented edge
+    from the vertex set s into the vertex set rest points into rest, then
+    _greedy_inward orients the edges inside rest, which must all be
+    unoriented.  One pass over rest's neighbour lists does both."""
+    adj = p.graph.adj
+    pending = {}
+    for v in rest:
+        c = 0
+        for w in adj[v]:
+            if w in rest:
+                c += 1
+            elif w in s and not p.is_oriented(v, w):
+                p.orient(w, v, v)
+        pending[v] = c
+    _greedy_inward(p, pending)
+
+
 def _grow(p: PartialOrientation, source, rest):
-    """extend_partial(G[rest | {source}], {source}, {}) written into p,
-    without scanning the source's neighbour list.  Raises ConstructionError
-    unless the piece comes out proper under p's indegrees: extend_partial's
-    check, as long as no vertex of the piece has an arc in from outside."""
-    g, indeg = p.graph, p.indegree
-    for w in sorted(w for w in rest if g.has_edge(w, source)):
-        p.orient(source, w, w)
-    _greedy_inward(p, {v: sum(w in rest for w in g.adj[v]) for v in rest})
-    if any(indeg[v] == indeg[w] for v in rest for w in g.adj[v]
+    """Grow the piece rest from the source with _extend.  Raises
+    ConstructionError unless the piece comes out proper under p's
+    indegrees: extend_partial's check, as long as no vertex of the piece
+    has an arc in from outside."""
+    indeg, adj = p.indegree, p.graph.adj
+    _extend(p, {source}, rest)
+    if any(indeg[v] == indeg[w] for v in rest for w in adj[v]
            if w in rest or w == source):
         raise ConstructionError(f"the piece grown from {source} built an "
                                 "orientation that is improper")
@@ -193,6 +198,9 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
     clique must be maximum, as split_partition's is."""
     kv = sorted(part.clique)
     iv = frozenset(part.independent)
+    if sorted([*kv, *iv]) != list(range(g.n)):
+        raise PreconditionViolated("the partition's two sides must cover "
+                                   f"0..{g.n - 1} once each")
     if not g.is_clique(kv) or any(g.has_edge(u, v)
                                   for u in iv for v in g.adj[u] if v in iv):
         raise NotSplit("partition is not a split partition")
@@ -217,32 +225,15 @@ def split_orient(g: Graph, part: SplitPartition) -> Orientation:
     for v in heavy:
         for u in light:
             p.orient(u, v, v)
-    for i, v in enumerate(heavy):
-        if i == 0:
-            continue
+    _transitive(p, heavy)
+    for v in heavy[1:]:
         for w in picked[v]:
             p.orient(v, w, v)
-        for j in range(i):
-            p.orient(heavy[j], v, v)
-    if h == omega and h > 0:
-        for u, v in zip(g.lo, g.hi):
-            if not p.is_oriented(u, v):
-                p.orient(u, v, v if v in iv else u)
-    else:
-        if h > 0:
-            for w in picked[heavy[0]]:
-                p.orient(w, heavy[0], heavy[0])
-        # edges left at a heavy vertex point away from it, the rest greedily
-        pending = dict.fromkeys(range(g.n), 0)
-        for u, v in zip(g.lo, g.hi):
-            if p.is_oriented(u, v):
-                continue
-            if u in heavyset or v in heavyset:
-                p.orient(u, v, u if v in heavyset else v)
-            else:
-                pending[u] += 1
-                pending[v] += 1
-        _greedy_inward(p, pending)
+    if 0 < h < omega:
+        for w in picked[heavy[0]]:
+            p.orient(w, heavy[0], heavy[0])
+    # the heavy vertices' other edges point away from them, the rest greedily
+    _extend(p, heavyset, set(range(g.n)) - heavyset)
     return _verified(p.to_orientation(), "split_orient", bound)
 
 
@@ -999,6 +990,14 @@ def orient_alternating(g: Graph, path, mode: AlternatingMode) -> PartialOrientat
         raise HypothesisViolated("sink/source-ends modes need an odd path")
     if mode not in odd_modes and n % 2 == 1:
         raise HypothesisViolated("left/right modes need an even path")
+    seen = set()
+    for j, v in enumerate(path):
+        if v in seen:
+            raise HypothesisViolated(f"vertex {v} repeats on the path")
+        seen.add(v)
+        if j and not g.has_edge(path[j - 1], v):
+            raise HypothesisViolated(f"path step ({path[j - 1]}, {v}) "
+                                     "is not an edge")
     p = PartialOrientation(g)
     _write_alternating(p, path, mode)
     return p
@@ -1149,7 +1148,9 @@ def _strip_orient(g: Graph, strip: StripDecomposition) -> Orientation:
         try:
             d = decide_k_orientation(part, part.max_degree(), node_budget=20000)
         except BudgetExceeded:
-            d = extend_partial(part, frozenset(), {})
+            # the greedy on the piece alone: no piece vertex has an arc yet
+            _extend(p, (), set(part_old))
+            continue
         for lu, lv, h in zip(part.lo, part.hi, d.heads):
             p.orient(part_old[lu], part_old[lv], part_old[h])
     # Inner fans first: a fan reads only the final indegrees of its four
@@ -1210,6 +1211,8 @@ def cograph_bounds(cotree):
                    + (total_n * total_n - sum(ni * ni for ni in sizes)) // 2)
         lower = Fraction(0)
         for ni, (mi, _) in zip(sizes, subs):
+            if not 0 < ni < total_n:
+                continue   # a child holding no vertex or every vertex
             rest_n = total_n - ni
             rest_m = total_m - mi - ni * rest_n
             ad_i = Fraction(mi, ni)

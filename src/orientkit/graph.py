@@ -153,6 +153,8 @@ class Graph:
         return self.n <= 1 or len(self.connected_components()) == 1
 
     def bfs_distances(self, source):
+        if not 0 <= source < self.n:
+            raise ValueError(f"source must lie in 0..n-1 for n={self.n}")
         dist = [-1] * self.n
         dist[source] = 0
         queue = deque([source])

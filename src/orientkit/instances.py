@@ -52,20 +52,13 @@ def ladder_gadget(k: int):
 
 
 def _ladder_arcs(meta: GadgetMeta, extras):
-    """Canonical proper k-orientation arcs: spine transitive, sides inward."""
+    """Canonical proper k-orientation arcs: spine transitive, spine[0..j]
+    into side j, side j transitive."""
     spine = meta.spine
-    arcs = []
-    for i in range(len(spine)):
-        for j in range(i + 1, len(spine)):
-            arcs.append((spine[i], spine[j]))
+    arcs = list(itertools.combinations(spine, 2))
     for j, side in enumerate(extras):
-        for x in side:
-            arcs.append((spine[j], x))
-        for jp in range(j):
-            for x in side:
-                arcs.append((spine[jp], x))
-        for a, b in itertools.combinations(sorted(side), 2):
-            arcs.append((a, b))
+        arcs += [(a, x) for a in spine[:j + 1] for x in side]
+        arcs += itertools.combinations(side, 2)
     return arcs
 
 
@@ -243,25 +236,14 @@ def build_vc_certificate(red: ReductionOutput, cover) -> Orientation:
             arcs.append((meta.spine[j], meta.head))
         arcs.append((host, meta.head))
     for host, meta in red.zgadgets:
-        s = meta.shared
-        size = meta.params["size"]
-        first = list(range(s + 1, s + size))
-        second = list(range(s + size, s + 2 * size - 1))
-        for blk in (first, second):
-            for x in blk:
-                arcs.append((s, x))
-            for a, bb in itertools.combinations(blk, 2):
-                arcs.append((a, bb))
+        s, size = meta.shared, meta.params["size"]
+        for block in (range(s + 1, s + size),
+                      range(s + size, s + 2 * size - 1)):
+            arcs += itertools.combinations((s, *block), 2)
         arcs.append((s, host))
-    sorted_cover = sorted(cover)
-    outside = [v for v in red.clique_vertices if v not in cover]
-    for a, bb in itertools.combinations(sorted_cover, 2):
-        arcs.append((a, bb))
-    for a, bb in itertools.combinations(outside, 2):
-        arcs.append((a, bb))
-    for x in sorted_cover:
-        for y in outside:
-            arcs.append((x, y))
+    # the original clique is one transitive order: the cover, then the rest
+    arcs += itertools.combinations(
+        sorted(cover) + [v for v in red.clique_vertices if v not in cover], 2)
     for ev, (u, v) in red.iset_edge.items():
         for w in (u, v):
             if w in cover:

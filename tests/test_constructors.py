@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import io
 import itertools
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -32,8 +34,8 @@ from orientkit.instances import (block_tight_example, random_class_instance,
 from orientkit.orientation import (CompensationSpec, Orientation,
                                    PartialOrientation, is_compensated_proper,
                                    is_proper, max_indegree)
-from orientkit.recognize import (CotreeLeaf, CotreeUnion, SplitPartition,
-                                 block_cut_tree, chordal_peo,
+from orientkit.recognize import (CotreeJoin, CotreeLeaf, CotreeUnion,
+                                 SplitPartition, block_cut_tree, chordal_peo,
                                  clique_number_chordal, cograph_cotree,
                                  is_claw_free, outerplanar_strip,
                                  quasi_threshold_cotree, split_partition)
@@ -51,6 +53,20 @@ def fan(n):
 
 
 # -- extend_partial ----------------------------------------------------------
+
+
+def test_greedy_completion_has_two_callers():
+    # every constructor ends in _extend, except the 3k-2 reducer's core,
+    # whose pending counts are the live degrees it already keeps
+    tree = ast.parse(Path(construct.__file__).read_text(encoding="utf-8"))
+    defs = [(d.name, d) for d in tree.body if isinstance(d, ast.FunctionDef)]
+    defs += [(f"{c.name}.{d.name}", d) for c in tree.body
+             if isinstance(c, ast.ClassDef)
+             for d in c.body if isinstance(d, ast.FunctionDef)]
+    callers = sorted(name for name, d in defs for node in ast.walk(d)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_greedy_inward")
+    assert callers == ["_UniformReducer.run", "_extend"]
 
 
 def test_extend_partial_source():
@@ -216,6 +232,15 @@ def test_split_orient_rejects_a_clique_that_is_not_maximum():
     with pytest.raises(PreconditionViolated, match="vertex 0 sees"):
         split_orient(Graph.path_graph(3),
                      SplitPartition(frozenset({1}), frozenset({0, 2})))
+
+
+def test_split_orient_rejects_a_partition_that_is_not_of_0_to_n():
+    # these once raised an internal ConstructionError and an IndexError
+    for part in (SplitPartition(frozenset({1, 2}), frozenset({0})),
+                 SplitPartition(frozenset({1, 2}), frozenset({0, 3, 7})),
+                 SplitPartition(frozenset({1, 2}), frozenset({0, 2, 3}))):
+        with pytest.raises(PreconditionViolated, match="cover 0..3 once"):
+            split_orient(Graph.path_graph(4), part)
 
 
 def assert_split_matches_oracle(g):
@@ -430,6 +455,16 @@ def test_orient_alternating_modes():
         orient_alternating(g6, list(range(6)), AlternatingMode.SINK_ENDS)
 
 
+def test_orient_alternating_rejects_a_walk_that_is_not_a_path():
+    # these once raised a raw KeyError and a ValueError from the builder
+    with pytest.raises(HypothesisViolated, match=r"step \(0, 2\)"):
+        orient_alternating(Graph.path_graph(4), [0, 2, 1],
+                           AlternatingMode.SINK_ENDS)
+    with pytest.raises(HypothesisViolated, match="vertex 0 repeats"):
+        orient_alternating(Graph.path_graph(3), [0, 1, 0],
+                           AlternatingMode.SINK_ENDS)
+
+
 def test_no_two_consecutive_arcs_aligned():
     for n, modes in ((9, (AlternatingMode.SINK_ENDS,
                           AlternatingMode.SOURCE_ENDS)),
@@ -587,6 +622,12 @@ def test_cograph_bounds_examples():
     for n in (2, 4, 7):
         _, up = cograph_bounds(cograph_cotree(Graph.complete(n)).cotree)
         assert up == n - 1
+
+
+def test_cograph_bounds_skips_an_empty_join_child():
+    # the join's density bound once divided by the empty child's size
+    cot = CotreeJoin((CotreeUnion(()), CotreeLeaf(0)))
+    assert cograph_bounds(cot) == cograph_bounds(CotreeLeaf(0))
 
 
 def test_cograph_join_orient():

@@ -285,6 +285,15 @@ def test_induced_rejects_ids_outside_the_graph():
     assert g.induced([]) == (Graph(0), [])
 
 
+def test_bfs_distances_rejects_a_source_outside_the_graph():
+    # -1 once gave the distances from vertex 3, and 4 an IndexError
+    g = Graph.path_graph(4)
+    for source in (-1, 4):
+        with pytest.raises(ValueError, match="0..n-1 for n=4"):
+            g.bfs_distances(source)
+    assert g.bfs_distances(3) == [3, 2, 1, 0]
+
+
 def test_reversal_indegree_formula_and_nonproperty():
     rng = random.Random(3)
     for _ in range(25):

@@ -1,5 +1,6 @@
 """The vertex-cover reduction against its one-gadget-per-attachment oracle,
-its pinned output bytes, and the work it and the orientation reader do."""
+its pinned output bytes and certificate heads, and the work it and the
+orientation reader do."""
 
 import gc
 import hashlib
@@ -52,6 +53,21 @@ def test_cover_budget_outside_3_to_n_plus_1_is_named():
 def test_reduction_bytes_at_minimum_cover(g, k, digest):
     text = format_graph(reduce_vertex_cover(g, k).graph)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("g, k, cover, digest", [
+    (petersen_graph(), 6, (0, 1, 3, 7, 8, 9),
+     "f9e0eaf67a8d4d11680af1cb317220bdd84298b8a224425a374597006b3e2323"),
+    (cubic_graph(10, 10), 6, (0, 2, 3, 5, 6, 8),
+     "8fef4adbad8dea0afcbffbd07a906592612209d450a7d04bd4cdafb60f525427"),
+    (cubic_graph(12, 12), 7, (0, 1, 3, 5, 7, 9, 10),
+     "16fa8075caf465baf7472133a61c783f08ff058d6736641f3031b4a0fc7c2859")])
+def test_certificate_heads_at_minimum_cover(g, k, cover, digest):
+    # the first k-subset, in combinations order, that covers every edge
+    assert cover == next(c for c in itertools.combinations(range(g.n), k)
+                         if all(u in c or v in c for u, v in g.edges))
+    heads = build_vc_certificate(reduce_vertex_cover(g, k), cover).heads
+    assert hashlib.sha256(repr(heads).encode()).hexdigest() == digest
 
 
 def test_reduction_builds_one_graph_per_gadget_shape(monkeypatch):
