@@ -25,15 +25,14 @@ from .recognize import (BlockCutTree, ChordalCheck, CographCheck, CotreeJoin,
                         is_claw_free, is_k_uniform, max_cut_vertices_per_block,
                         outerplanar_strip, quasi_threshold_cotree,
                         split_partition, twin_partition)
-from .construct import (ORIENT_CLASSES, AlternatingMode, OrientClass,
-                        PathBlockSequence, claw_free_chordal_bound,
-                        cograph_bounds, cograph_join_orient, cograph_orient,
+from .construct import (ORIENT_CLASSES, OrientClass, PathBlockSequence,
+                        claw_free_chordal_bound, cograph_bounds,
+                        cograph_join_orient, cograph_orient,
                         cograph_upper_bound, extend_partial, extend_to_path,
-                        low_degree_orient, orient_alternating,
-                        outerplanar_strip_orient, path_block_compensated,
-                        path_block_sequence, quasi_threshold_orient,
-                        split_orient, two_cut_block_orient,
-                        uniform_block_orient)
+                        low_degree_orient, outerplanar_strip_orient,
+                        path_block_compensated, path_block_sequence,
+                        quasi_threshold_orient, split_orient,
+                        two_cut_block_orient, uniform_block_orient)
 from .instances import (GadgetMeta, ReductionOutput, block_tight_example,
                         build_vc_certificate, cobipartite_kernel,
                         double_clique_gadget, head_gadget, ladder_gadget,

@@ -42,7 +42,6 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -972,44 +971,7 @@ def two_cut_block_orient(g: Graph, bct: BlockCutTree = None,
                      holds=all(d.indegree[v] in (0, k, k + 1) for v in cuts))
 
 
-# -- alternating paths and the outerplanar strip bound ---------------------
-
-
-class AlternatingMode(Enum):
-    SINK_ENDS = "sink-ends"
-    SOURCE_ENDS = "source-ends"
-    LEFT_SOURCE_RIGHT_SINK = "left-source-right-sink"
-    LEFT_SINK_RIGHT_SOURCE = "left-sink-right-source"
-
-
-def orient_alternating(g: Graph, path, mode: AlternatingMode) -> PartialOrientation:
-    """Orient the edges of a path with no two consecutive arcs aligned."""
-    n = len(path)
-    odd_modes = (AlternatingMode.SINK_ENDS, AlternatingMode.SOURCE_ENDS)
-    if mode in odd_modes and n % 2 == 0:
-        raise HypothesisViolated("sink/source-ends modes need an odd path")
-    if mode not in odd_modes and n % 2 == 1:
-        raise HypothesisViolated("left/right modes need an even path")
-    seen = set()
-    for j, v in enumerate(path):
-        if v in seen:
-            raise HypothesisViolated(f"vertex {v} repeats on the path")
-        seen.add(v)
-        if j and not g.has_edge(path[j - 1], v):
-            raise HypothesisViolated(f"path step ({path[j - 1]}, {v}) "
-                                     "is not an edge")
-    p = PartialOrientation(g)
-    _write_alternating(p, path, mode)
-    return p
-
-
-def _write_alternating(p: PartialOrientation, path, mode: AlternatingMode):
-    toward_left = mode in (AlternatingMode.SINK_ENDS,
-                           AlternatingMode.LEFT_SINK_RIGHT_SOURCE)
-    for j in range(len(path) - 1):
-        a, b = path[j], path[j + 1]
-        head = (a if toward_left else b) if j % 2 == 0 else (b if toward_left else a)
-        p.orient(a, b, head)
+# -- fan paths and the outerplanar strip bound -----------------------------
 
 
 def extend_to_path(g: Graph, p: PartialOrientation, v, v0, path, vend) -> Orientation:
@@ -1018,8 +980,8 @@ def extend_to_path(g: Graph, p: PartialOrientation, v, v0, path, vend) -> Orient
     Hypotheses: the path has length >= 6; each path vertex's neighborhood
     is {previous, v, next}; all spokes already point at the path; the first
     path vertex has indegree 1 or 2 so far, the last exactly 2, and the hub
-    v at least 4.  The remaining path edges are chosen by a parity and
-    endpoint case analysis over the neighbors' indegrees.
+    v at least 4.  The path edges are chosen by one scan along the path,
+    which finds a proper completion whenever there is one.
     """
     if p.unoriented != len(path) - 1:
         raise HypothesisViolated("only the path edges may remain unoriented")
@@ -1050,62 +1012,28 @@ def _extend_path(g: Graph, p: PartialOrientation, v, v0, path, vend):
     if p.indegree[v] < 4:
         raise HypothesisViolated("hub must have indegree at least 4")
 
-    d0 = p.indegree[v0]
-    dl = p.indegree[vend]
-    even = ell % 2 == 0
-    M = AlternatingMode
-
-    if d1 == 2:
-        if even:
-            if d0 != 2 and dl != 3:
-                _write_alternating(p, path, M.LEFT_SOURCE_RIGHT_SINK)
-            elif d0 != 3 and dl != 2:
-                _write_alternating(p, path, M.LEFT_SINK_RIGHT_SOURCE)
-            elif d0 == 2 and dl == 2:
-                p.orient(path[0], path[1], path[0])
-                _write_alternating(p, path[1:], M.SINK_ENDS)
-            else:
-                p.orient(path[0], path[1], path[1])
-                p.orient(path[1], path[2], path[1])
-                p.orient(path[-3], path[-2], path[-2])
-                p.orient(path[-2], path[-1], path[-2])
-                _write_alternating(p, path[2:-2], M.LEFT_SOURCE_RIGHT_SINK)
-        else:
-            if d0 != 3 and dl != 3:
-                _write_alternating(p, path, M.SINK_ENDS)
-            elif d0 != 2 and dl != 2:
-                _write_alternating(p, path, M.SOURCE_ENDS)
-            elif d0 == 2:
-                p.orient(path[0], path[1], path[0])
-                _write_alternating(p, path[1:], M.LEFT_SINK_RIGHT_SOURCE)
-            else:
-                p.orient(path[-2], path[-1], path[-1])
-                _write_alternating(p, path[:-1], M.LEFT_SOURCE_RIGHT_SINK)
-    else:
-        if even:
-            if d0 != 1 and dl != 3:
-                _write_alternating(p, path, M.LEFT_SOURCE_RIGHT_SINK)
-            elif d0 != 2 and dl != 2:
-                _write_alternating(p, path, M.LEFT_SINK_RIGHT_SOURCE)
-            elif d0 == 1 and dl == 2:
-                p.orient(path[-2], path[-1], path[-1])
-                _write_alternating(p, path[:-1], M.SINK_ENDS)
-            else:
-                p.orient(path[-3], path[-2], path[-2])
-                p.orient(path[-2], path[-1], path[-2])
-                _write_alternating(p, path[:-2], M.LEFT_SOURCE_RIGHT_SINK)
-        else:
-            if d0 != 2 and dl != 3:
-                _write_alternating(p, path, M.SINK_ENDS)
-            elif d0 != 1 and dl != 2:
-                _write_alternating(p, path, M.SOURCE_ENDS)
-            elif d0 == 2 and dl == 2:
-                p.orient(path[-2], path[-1], path[-1])
-                _write_alternating(p, path[:-1], M.LEFT_SOURCE_RIGHT_SINK)
-            else:
-                p.orient(path[-3], path[-2], path[-2])
-                p.orient(path[-2], path[-1], path[-2])
-                _write_alternating(p, path[:-2], M.SINK_ENDS)
+    # A state at path[i] is (whether the edge from path[i] to path[i + 1]
+    # points on at path[i + 1], path[i]'s final indegree); steps[i] maps
+    # each state reached there to the first state at path[i - 1] that
+    # reaches it.  The last vertex has no edge on, which counts as one that
+    # points on.
+    hub, dl, last = p.indegree[v], p.indegree[vend], ell - 1
+    states, steps = {(0, p.indegree[v0]): None}, []
+    for i, w in enumerate(path):
+        reached = {}
+        for into, before in states:
+            for on in (0, 1) if i < last else (1,):
+                d = p.indegree[w] + into + 1 - on
+                if d != before and d != hub and (i < last or d != dl):
+                    reached.setdefault((on, d), (into, before))
+        steps.append(reached)
+        states = reached
+    if not states:
+        raise ConstructionError("the fan path has no proper completion")
+    state = next(iter(states))
+    for i in range(last, 0, -1):
+        state = steps[i][state]
+        p.orient(path[i - 1], path[i], path[i] if state[0] else path[i - 1])
 
 
 def _strip_orient(g: Graph, strip: StripDecomposition) -> Orientation:
@@ -1181,7 +1109,12 @@ def outerplanar_strip_orient(g: Graph, strip=None) -> Orientation:
         raise NotStrip("graph is not a triangle strip")
     if strip is not None and set(strip.triangles) != set(computed.triangles):
         raise NotStrip("supplied strip does not match the graph")
-    return _verified(_strip_orient(g, computed), "outerplanar_strip_orient", 13)
+    return _orient_strip(g, computed)
+
+
+def _orient_strip(g: Graph, strip: StripDecomposition) -> Orientation:
+    """outerplanar_strip_orient on the strip outerplanar_strip(g) returned."""
+    return _verified(_strip_orient(g, strip), "outerplanar_strip_orient", 13)
 
 
 # -- cographs ---------------------------------------------------------------
@@ -1424,7 +1357,7 @@ ORIENT_CLASSES = (
                 lambda g, bk: uniform_block_orient(g, *bk),
                 lambda bk, d: 3 * bk[1] - 2),
     OrientClass("outerplanar-strip", lambda g, c: outerplanar_strip(g),
-                outerplanar_strip_orient, lambda strip, d: 13),
+                _orient_strip, lambda strip, d: 13),
     OrientClass("cograph", lambda g, c: cograph_cotree(g).cotree,
                 cograph_orient, lambda cotree, d: max_indegree(d)),
     OrientClass("low-degree", _degree_threshold, low_degree_orient,

@@ -549,11 +549,11 @@ def is_claw_free(g: Graph) -> bool:
 
 def twin_partition(g: Graph, s):
     """Partition an independent set of ids in 0..n-1 into classes of equal
-    neighborhoods."""
-    s = sorted(s)
+    neighborhoods.  A repeated id counts once, as in Graph.induced."""
+    sset = set(s)
+    s = sorted(sset)
     if s and not (0 <= s[0] and s[-1] < g.n):
         raise PreconditionViolated(f"set must lie in 0..{g.n - 1}")
-    sset = set(s)
     if any(w in sset for v in s for w in g.adj[v]):
         raise PreconditionViolated("set is not independent")
     classes = {}

@@ -79,6 +79,19 @@ def test_criterion_2_split_tightness_omega2():
     _report(2, started)
 
 
+def test_criterion_2_split_tightness_omega3_and_4():
+    # the split DP proves these (a split graph with an edge between its
+    # sides goes to it): 39 and 172 vertices
+    started = time.time()
+    for omega in (3, 4):
+        g = split_tight_example(omega)
+        value, _ = proper_orientation_number(g)
+        assert value == 2 * omega - 2, omega
+        d = split_orient(g, split_partition(g))
+        assert is_proper(d) and max_indegree(d) == 2 * omega - 2, omega
+    _report(2, started, "omega 3 and 4 exact, by the split DP")
+
+
 def test_criterion_3_split_upper_bound():
     started = time.time()
     exact_checked = 0

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import itertools
 import random
@@ -14,12 +15,11 @@ from hypothesis import strategies as st
 
 from orientkit import construct
 from orientkit.cli import dispatch
-from orientkit.construct import (AlternatingMode, claw_free_chordal_bound,
+from orientkit.construct import (claw_free_chordal_bound,
                                  cograph_bounds, cograph_join_orient,
                                  cograph_orient, cograph_upper_bound,
                                  extend_partial, extend_to_path,
-                                 low_degree_orient,
-                                 orient_alternating, outerplanar_strip_orient,
+                                 low_degree_orient, outerplanar_strip_orient,
                                  path_block_compensated, path_block_sequence,
                                  quasi_threshold_orient, split_orient,
                                  two_cut_block_orient, uniform_block_orient)
@@ -438,46 +438,7 @@ def test_two_cut_block_seeded():
                 assert vals == list(range(k))
 
 
-# -- alternating paths and strips ----------------------------------------------
-
-
-def test_orient_alternating_modes():
-    g = Graph.path_graph(7)
-    p = orient_alternating(g, list(range(7)), AlternatingMode.SINK_ENDS)
-    assert p.indegree == [1, 0, 2, 0, 2, 0, 1]
-    p = orient_alternating(g, list(range(7)), AlternatingMode.SOURCE_ENDS)
-    assert p.indegree == [0, 2, 0, 2, 0, 2, 0]
-    g6 = Graph.path_graph(6)
-    p = orient_alternating(g6, list(range(6)),
-                           AlternatingMode.LEFT_SOURCE_RIGHT_SINK)
-    assert p.indegree == [0, 2, 0, 2, 0, 1]
-    with pytest.raises(HypothesisViolated):
-        orient_alternating(g6, list(range(6)), AlternatingMode.SINK_ENDS)
-
-
-def test_orient_alternating_rejects_a_walk_that_is_not_a_path():
-    # these once raised a raw KeyError and a ValueError from the builder
-    with pytest.raises(HypothesisViolated, match=r"step \(0, 2\)"):
-        orient_alternating(Graph.path_graph(4), [0, 2, 1],
-                           AlternatingMode.SINK_ENDS)
-    with pytest.raises(HypothesisViolated, match="vertex 0 repeats"):
-        orient_alternating(Graph.path_graph(3), [0, 1, 0],
-                           AlternatingMode.SINK_ENDS)
-
-
-def test_no_two_consecutive_arcs_aligned():
-    for n, modes in ((9, (AlternatingMode.SINK_ENDS,
-                          AlternatingMode.SOURCE_ENDS)),
-                     (8, (AlternatingMode.LEFT_SOURCE_RIGHT_SINK,
-                          AlternatingMode.LEFT_SINK_RIGHT_SOURCE))):
-        g = Graph.path_graph(n)
-        for mode in modes:
-            p = orient_alternating(g, list(range(n)), mode)
-            heads = [p.head_of(i, i + 1) for i in range(n - 1)]
-            for a, b in zip(heads, heads[1:]):
-                assert (a > b) != (b > a) or True
-            forward = [h == i + 1 for i, h in enumerate(heads)]
-            assert all(x != y for x, y in zip(forward, forward[1:]))
+# -- fan paths and strips ----------------------------------------------------
 
 
 def _fan_path_fixture(ell, first_indeg, d0, dl):
@@ -553,6 +514,16 @@ def test_strip_orient_seeded():
         d = outerplanar_strip_orient(g, strip)
         assert is_proper(d) and max_indegree(d) <= 13
     assert saw_big >= 5
+
+
+@pytest.mark.parametrize("size, digest", [
+    (200, "3ea021551321303b622d8de4ac9e18b628843031f19e2e04e15fcde62f5b3fb1"),
+    (800, "7ad7183b28d3cb1c05e89456d13273ef80fefcc7bfd3881a7f15c6ceb07f26b2")])
+def test_strip_orient_heads_are_pinned(size, digest):
+    # the benchmark's two strips, both with fans cut off; the benchmark
+    # itself pins only their max indegree
+    d = outerplanar_strip_orient(random_class_instance("strip", size, 1))
+    assert hashlib.sha256(repr(d.heads).encode()).hexdigest() == digest
 
 
 def test_strip_orient_snake_with_degree_sixteen():
@@ -809,8 +780,8 @@ def _faulty_result(fn, fault):
     return lambda *args: fault(fn(*args))
 
 
-def _one_way(p, path, mode):
-    """A faulty _write_alternating: every path arc points forward."""
+def _one_way(g, p, v, v0, path, vend):
+    """A faulty _extend_path: every path arc points forward."""
     for a, b in zip(path, path[1:]):
         p.orient(a, b, b)
 
@@ -866,14 +837,14 @@ def _guard_cases():
         "two_cut_block_orient cut indegrees": (
             {"PartialOrientation": cut_fault},
             lambda: two_cut_block_orient(chain)),
-        "extend_to_path": ({"_write_alternating": _one_way}, fan_path),
+        "extend_to_path": ({"_extend_path": _one_way}, fan_path),
         "outerplanar_strip_orient": (
             {"_strip_orient": _faulty_result(construct._strip_orient,
                                              _flip_first)},
             lambda: outerplanar_strip_orient(strip)),
         # the fan paths of the one strip pass come from a faulty writer
         "outerplanar_strip_orient fan paths": (
-            {"_write_alternating": _one_way},
+            {"_extend_path": _one_way},
             lambda: outerplanar_strip_orient(snake)),
         # the join's first side comes from a faulty extend_partial
         "cograph_join_orient": (

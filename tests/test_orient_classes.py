@@ -109,6 +109,25 @@ def test_quasi_threshold_orient_builds_no_graph_from_its_cotree(
     assert "class=quasi-threshold" in buf.getvalue().splitlines()
 
 
+@pytest.mark.parametrize("cls", ["auto", "outerplanar-strip"])
+def test_strip_is_recognized_once_per_orient(cls, monkeypatch, tmp_path):
+    # the table row orients the strip its recognizer returned; only the
+    # public outerplanar_strip_orient recomputes a strip to compare
+    calls = []
+
+    def counting(g, _real=construct.outerplanar_strip):
+        calls.append(g.n)
+        return _real(g)
+    monkeypatch.setattr(construct, "outerplanar_strip", counting)
+    gpath = tmp_path / "g.graph"
+    write_graph(random_class_instance("strip", 200, 1), gpath)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert dispatch(["orient", str(gpath), "--class", cls]) == 0
+    assert "class=outerplanar-strip" in buf.getvalue().splitlines()
+    assert len(calls) == 1
+
+
 # -- pinned orient reports ---------------------------------------------------
 
 # a 6-cycle is in none of the classes; with --c 1 the degree condition
@@ -224,7 +243,7 @@ PINS = {
     "strip-9-s4": "813f0f93 a73cafed a73cafed a73cafed a73cafed 813f0f93 a73cafed 6c9215ad",
     "strip-25-s0": "fa881cbc 24f9b690 24f9b690 24f9b690 24f9b690 fa881cbc 24f9b690 a78219b0",
     "strip-25-s1": "3840c13c 38dcd725 38dcd725 38dcd725 38dcd725 3840c13c 38dcd725 55b94e27",
-    "strip-25-s2": "1d6a042a e6fcf18d e6fcf18d e6fcf18d e6fcf18d 1d6a042a e6fcf18d 8c959b58",
+    "strip-25-s2": "81508fc4 e6fcf18d e6fcf18d e6fcf18d e6fcf18d 81508fc4 e6fcf18d 8c959b58",
     "strip-25-s3": "7d7feb41 6a73e93f 6a73e93f 6a73e93f 6a73e93f 7d7feb41 6a73e93f 70a7209a",
     "strip-25-s4": "353bc9be 53332d46 53332d46 53332d46 53332d46 353bc9be 53332d46 d3329d71",
     "cograph-4-s0": "54a1bf6c 54a1bf6c 27a3ed99 27a3ed99 27a3ed99 27a3ed99 bf4360ee b5cc560e",

@@ -516,6 +516,12 @@ def test_twin_partition():
     assert twin_partition(g2, [2, 3]) == [(2,), (3,)]
 
 
+def test_twin_partition_counts_a_repeated_id_once():
+    # a repeated id counts once: (1, 1, 2) would not be a partition
+    assert twin_partition(Graph.star(3), [1, 1, 2]) == [(1, 2)]
+    assert twin_partition(Graph.star(3), [3, 3]) == [(3,)]
+
+
 @pytest.mark.parametrize("outside", [-1, 5])
 def test_twin_partition_rejects_ids_outside_the_graph(outside):
     # -1 would be classed by vertex 2's neighbours, 5 run off the lists
