@@ -173,7 +173,7 @@ def low_degree_orient(g: Graph, c: int) -> Orientation:
     """Proper c-orientation when no two adjacent vertices have degree > c."""
     if c < 1:
         raise ValueError("the degree threshold c must be positive")
-    s = {v for v in range(g.n) if g.degree(v) >= c + 1}
+    s = {v for v, d in enumerate(g.degrees()) if d >= c + 1}
     for u, v in zip(g.lo, g.hi):
         if u in s and v in s:
             raise DegreeConditionViolated((u, v))
@@ -195,28 +195,29 @@ def quasi_threshold_orient(cotree) -> Orientation:
 def split_orient(g: Graph, part: SplitPartition) -> Orientation:
     """Proper (2*omega - 2)-orientation of a split graph; the partition's
     clique must be maximum, as split_partition's is."""
+    adj = g.adj
     kv = sorted(part.clique)
     iv = frozenset(part.independent)
     if sorted([*kv, *iv]) != list(range(g.n)):
         raise PreconditionViolated("the partition's two sides must cover "
                                    f"0..{g.n - 1} once each")
     if not g.is_clique(kv) or any(g.has_edge(u, v)
-                                  for u in iv for v in g.adj[u] if v in iv):
+                                  for u in iv for v in adj[u] if v in iv):
         raise NotSplit("partition is not a split partition")
     omega = len(kv)
     kset = set(kv)
-    full = sorted(u for u in iv if len(kset.intersection(g.adj[u])) == omega)
+    full = sorted(u for u in iv if len(kset.intersection(adj[u])) == omega)
     if full:
         raise PreconditionViolated(f"independent vertex {full[0]} sees the "
                                    "whole clique, which is not maximum")
     bound = max(2 * omega - 2, 0)
     p = PartialOrientation(g)
-    heavy = [v for v in kv if g.degree(v) >= bound]
+    heavy = [v for v in kv if len(adj[v]) >= bound]
     h, heavyset = len(heavy), set(heavy)
     light = [v for v in kv if v not in heavyset]
     picked = {}
     for v in heavy:
-        inb = [w for w in g.adj[v] if w in iv]
+        inb = [w for w in adj[v] if w in iv]
         if len(inb) < omega - 1:
             raise ConstructionError(f"heavy clique vertex {v} has only "
                                     f"{len(inb)} independent neighbors")
@@ -1339,7 +1340,8 @@ def _degree_threshold(g: Graph, c):
     of degree above c."""
     if c is not None:
         return c
-    worst = max((min(g.degree(u), g.degree(v)) for u, v in zip(g.lo, g.hi)),
+    deg = g.degrees()
+    worst = max((min(deg[u], deg[v]) for u, v in zip(g.lo, g.hi)),
                 default=0)
     return max(worst, 1)
 

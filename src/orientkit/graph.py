@@ -2,20 +2,24 @@
 
 Vertices are 0..n-1.  The edges are two int lists, lo and hi: edge e is
 (lo[e], hi[e]) with lo[e] < hi[e], and the pairs ascend, so edge ids follow
-the sorted pair order.  Each vertex keeps a sorted neighbour list in adj.
-Every entry of lo, hi and adj is its vertex's one shared int object, so an
-edge costs four list slots and no tuple or int of its own.  The edges
-property returns a new list of the pairs, for callers that want them.
+the sorted pair order.  Every entry of lo and hi is its vertex's one shared
+int object, so an edge costs two list slots and no tuple or int of its own.
+The edges property returns a new list of the pairs, for callers that want
+them.
 
-Edge (u, v), u < v, has id _off[u] + bisect_left(adj[u], v): the edges with
-smaller endpoint u are contiguous, ordered like u's larger neighbours,
-which end adj[u]; _off[u] is the first one's id minus the count of u's
-smaller neighbours.
+The neighbour lists are built from the columns on first use: the adj
+property, has_edge and edge_id fill adj (each vertex's sorted neighbour
+list, whose entries are again the shared ints) and the offsets _off
+together, so a graph that is only written, counted or walked edge by edge
+never holds them.  Edge (u, v), u < v, has id _off[u] + bisect_left(adj[u],
+v): the edges with smaller endpoint u are contiguous, ordered like u's
+larger neighbours, which end adj[u]; _off[u] is the first one's id minus
+the count of u's smaller neighbours.
 
 Instances are immutable after construction and safe to share across
-threads.  A graph holds one cache, the cotree insertion tree that
-recognize builds on first use; it is a pure function of the graph, so a
-racing fill stores an equal value.
+threads.  A graph holds two caches, the neighbour lists and the cotree
+insertion tree that recognize builds on first use; each is a pure function
+of the graph, so a racing fill stores an equal value.
 
 Text format: first line "n m", then m lines "u v" (0-based endpoints).
 Blank lines and '#' comments are ignored; token spacing is free-form.
@@ -38,7 +42,11 @@ from operator import eq, lt, sub
 
 
 class Graph:
-    __slots__ = ("n", "m", "lo", "hi", "adj", "_off", "_cotree")
+    """n vertices and the edge columns lo and hi.  The neighbour lists adj
+    and their offsets are filled from the columns by the first neighbour
+    read, and the cotree by recognize's first use."""
+
+    __slots__ = ("n", "m", "lo", "hi", "_adj", "_off", "_cotree")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -75,23 +83,35 @@ class Graph:
                 raise ValueError(f"duplicate edge {divmod(dup, n)}")
             lo = [ids[k // n] for k in keys]
             hi = [ids[k % n] for k in keys]
-            del keys  # before adj is built: one int object per edge
-        # the pairs ascend, so each vertex receives its smaller neighbours
-        # first, ascending, then its larger ones, ascending: adj is sorted
-        adj = [[] for _ in ids]
-        for u, v in zip(lo, hi):
-            adj[u].append(v)
-            adj[v].append(u)
-        below = list(map(bisect_left, adj, ids))
-        above = map(sub, map(len, adj), below)
         self.n = n
         self.m = len(lo)
         self.lo = lo
         self.hi = hi
-        self.adj = adj
+        self._adj = None
+        self._off = None
+        self._cotree = None
+
+    def _fill(self):
+        """Build adj and _off from the columns and return adj; _off is
+        stored first, so a set _adj always has its offsets."""
+        # the pairs ascend, so each vertex receives its smaller neighbours
+        # first, ascending, then its larger ones, ascending: adj is sorted
+        adj = [[] for _ in range(self.n)]
+        for u, v in zip(self.lo, self.hi):
+            adj[u].append(v)
+            adj[v].append(u)
+        below = list(map(bisect_left, adj, range(self.n)))
+        above = map(sub, map(len, adj), below)
         # an array, not a list: offsets above 256 would each be an int object
         self._off = array("q", map(sub, accumulate(above, initial=0), below))
-        self._cotree = None
+        self._adj = adj
+        return adj
+
+    @property
+    def adj(self):
+        """Each vertex's sorted neighbour list, built on the first read."""
+        adj = self._adj
+        return self._fill() if adj is None else adj
 
     @property
     def edges(self):
@@ -101,6 +121,8 @@ class Graph:
     # -- basic queries ------------------------------------------------
 
     def degree(self, v):
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex must lie in 0..n-1 for n={self.n}")
         return len(self.adj[v])
 
     def degrees(self):
@@ -110,14 +132,20 @@ class Graph:
         return max((len(a) for a in self.adj), default=0)
 
     def has_edge(self, u, v):
-        a = self.adj[u] if 0 <= u < self.n else ()  # adj[-1] would be read
+        adj = self._adj
+        if adj is None:
+            adj = self._fill()
+        a = adj[u] if 0 <= u < self.n else ()  # adj[-1] would be read
         i = bisect_left(a, v)
         return i < len(a) and a[i] == v
 
     def edge_id(self, u, v):
         if u > v:
             u, v = v, u
-        a = self.adj[u] if 0 <= u < self.n else ()
+        adj = self._adj
+        if adj is None:
+            adj = self._fill()
+        a = adj[u] if 0 <= u < self.n else ()
         i = bisect_left(a, v)
         if i < len(a) and a[i] == v:
             return self._off[u] + i
@@ -131,6 +159,7 @@ class Graph:
     # -- traversal ----------------------------------------------------
 
     def connected_components(self):
+        adj = self.adj
         seen = [False] * self.n
         comps = []
         for s in range(self.n):
@@ -141,7 +170,7 @@ class Graph:
             queue = deque([s])
             while queue:
                 x = queue.popleft()
-                for y in self.adj[x]:
+                for y in adj[x]:
                     if not seen[y]:
                         seen[y] = True
                         comp.append(y)
@@ -155,12 +184,13 @@ class Graph:
     def bfs_distances(self, source):
         if not 0 <= source < self.n:
             raise ValueError(f"source must lie in 0..n-1 for n={self.n}")
+        adj = self.adj
         dist = [-1] * self.n
         dist[source] = 0
         queue = deque([source])
         while queue:
             x = queue.popleft()
-            for y in self.adj[x]:
+            for y in adj[x]:
                 if dist[y] < 0:
                     dist[y] = dist[x] + 1
                     queue.append(y)
@@ -190,11 +220,12 @@ class Graph:
         old = sorted(set(vertices))
         if old and not (0 <= old[0] and old[-1] < self.n):
             raise ValueError(f"vertices must lie in 0..n-1 for n={self.n}")
+        adj = self.adj
         new = list(range(len(old)))
         pos = dict(zip(old, new))
         lo, hi = [], []
         for i, v in zip(new, old):
-            ws = [pos[w] for w in self.adj[v] if w > v and w in pos]
+            ws = [pos[w] for w in adj[v] if w > v and w in pos]
             lo += repeat(i, len(ws))
             hi += ws
         return Graph._of_columns(len(old), lo, hi), old

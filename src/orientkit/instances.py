@@ -178,7 +178,7 @@ def reduce_vertex_cover(g: Graph, k: int) -> ReductionOutput:
     hosts can be 3 apart).  The head gadgets take i = k - 1 and k + 1,
     which must lie in 2..k', so BadK unless 3 <= k <= n + 1.
     """
-    if any(g.degree(v) != 3 for v in range(g.n)):
+    if any(d != 3 for d in g.degrees()):
         raise NotCubic("every vertex must have degree 3")
     if not g.is_connected():
         raise NotCubic("input must be connected")

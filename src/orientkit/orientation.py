@@ -41,15 +41,27 @@ class Orientation:
         self.indegree = tuple(indeg)
 
     @classmethod
+    def _counted(cls, graph: Graph, heads, indeg):
+        """The orientation with these heads, whose indegrees indeg already
+        counts; the caller has checked every head."""
+        d = cls.__new__(cls)
+        d.graph = graph
+        d.heads = tuple(heads)
+        d.indegree = tuple(indeg)
+        return d
+
+    @classmethod
     def from_arcs(cls, graph: Graph, arcs):
         """arcs: iterable of (tail, head); must cover every edge exactly once.
 
         Arcs listed in edge-id order, as every file the library writes
-        lists them, give their heads by position after one pass of
-        endpoint checks; any other list takes the edge lookup per arc."""
+        lists them, give their heads and indegrees in one pass of endpoint
+        checks; any other list takes the edge lookup per arc."""
         arcs = list(arcs)
-        if len(arcs) == graph.m and _in_edge_order(graph, arcs):
-            return cls(graph, [h for _, h in arcs])
+        if len(arcs) == graph.m:
+            indeg = _in_order_indegrees(graph, arcs)
+            if indeg is not None:
+                return cls._counted(graph, [h for _, h in arcs], indeg)
         return cls(graph, _looked_up(graph, arcs))
 
     def arcs(self):
@@ -75,14 +87,18 @@ class Orientation:
         return self.graph == other.graph and self.heads == other.heads
 
 
-def _in_edge_order(graph: Graph, arcs):
-    """True iff arc e of arcs, (tail, head) pairs, is edge e either way
-    round, for every edge e that arcs reaches."""
+def _in_order_indegrees(graph: Graph, arcs):
+    """The indegrees of arcs, graph.m (tail, head) pairs, when arc e is
+    edge e either way round for every edge e; else None."""
+    indeg = [0] * graph.n
     try:
-        return all((t == u and h == v) or (t == v and h == u)
-                   for (t, h), u, v in zip(arcs, graph.lo, graph.hi))
+        for (t, h), u, v in zip(arcs, graph.lo, graph.hi):
+            if not ((t == u and h == v) or (t == v and h == u)):
+                return None
+            indeg[h] += 1
     except (TypeError, ValueError):
-        return False  # malformed arcs: the lookup raises as it did
+        return None  # malformed arcs: the lookup raises as it did
+    return indeg
 
 
 def _looked_up(graph: Graph, arcs):
@@ -194,9 +210,10 @@ def _verified(d: Orientation, what, bound=None, *, holds=True):
 
 def _oriented(graph: Graph, tails, heads) -> Orientation:
     """The orientation of graph with the arcs tails[i] -> heads[i]."""
-    if not _in_edge_order(graph, zip(tails, heads)):
-        heads = _looked_up(graph, zip(tails, heads))
-    return Orientation(graph, heads)
+    indeg = _in_order_indegrees(graph, zip(tails, heads))
+    if indeg is None:
+        return Orientation(graph, _looked_up(graph, zip(tails, heads)))
+    return Orientation._counted(graph, heads, indeg)
 
 
 def _pieces(d: Orientation):

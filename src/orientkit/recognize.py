@@ -181,8 +181,10 @@ def split_partition(g: Graph) -> Optional[SplitPartition]:
     n = g.n
     if n == 0:
         return SplitPartition(frozenset(), frozenset())
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
+    adj = g.adj
+    deg = g.degrees()
+    order = sorted(range(n), key=lambda v: (-deg[v], v))
+    degs = [deg[v] for v in order]
     m_star = max(i + 1 for i in range(n) if degs[i] >= i)
     lhs = sum(degs[:m_star])
     rhs = m_star * (m_star - 1) + sum(degs[m_star:])
@@ -194,9 +196,9 @@ def split_partition(g: Graph) -> Optional[SplitPartition]:
     # The degree equality makes K a clique, leaves no edge inside I, and
     # lets no vertex of I see all of K (that would extend the maximum
     # clique).  Check all three in O(n + m), also under python -O.
-    if (any(sum(x in kset for x in g.adj[c]) != m_star - 1 for c in clique)
-            or any(len(g.adj[v]) >= m_star
-                   or not all(x in kset for x in g.adj[v]) for v in rest)):
+    if (any(sum(x in kset for x in adj[c]) != m_star - 1 for c in clique)
+            or any(len(adj[v]) >= m_star
+                   or not all(x in kset for x in adj[v]) for v in rest)):
         raise ConstructionError("the degree test accepted a graph that is "
                                 "not split")
     return SplitPartition(kset, frozenset(rest))
@@ -623,7 +625,7 @@ class RootedBlockCutTree:
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
     """Biconnected decomposition; isolated vertices form singleton blocks."""
-    n = g.n
+    n, adj = g.n, g.adj
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
@@ -633,13 +635,13 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     for root in range(n):
         if disc[root] >= 0:
             continue
-        if g.degree(root) == 0:
+        if not adj[root]:
             blocks.append((root,))
             continue
         disc[root] = low[root] = timer
         timer += 1
         estack = []
-        work = [(root, iter(g.adj[root]))]
+        work = [(root, iter(adj[root]))]
         root_children = 0
         while work:
             v, it = work[-1]
@@ -650,7 +652,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                     parent[w] = v
                     disc[w] = low[w] = timer
                     timer += 1
-                    work.append((w, iter(g.adj[w])))
+                    work.append((w, iter(adj[w])))
                     pushed = True
                     break
                 if w != parent[v] and disc[w] < disc[v]:

@@ -281,6 +281,21 @@ def graph_init_oracle(n, edges):
     return canon, adj
 
 
+def eager_adjacency_oracle(g):
+    """(adj, off) as Graph built them eagerly from its ascending columns:
+    each vertex's sorted neighbour list, and the offsets that make
+    off[u] + bisect_left(adj[u], v) the id of edge (u, v), u < v."""
+    ids = list(range(g.n))
+    adj = [[] for _ in ids]
+    for u, v in zip(g.lo, g.hi):
+        adj[u].append(v)
+        adj[v].append(u)
+    below = list(map(bisect.bisect_left, adj, ids))
+    above = [len(a) - b for a, b in zip(adj, below)]
+    return adj, [s - b for s, b in zip(itertools.accumulate(above, initial=0),
+                                       below)]
+
+
 def parse_pairs_oracle(text, what, header=None):
     """parse_pairs on the whole text at once: one token list, and one int()
     pass over the whole body on any miss in the id table."""

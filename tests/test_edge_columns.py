@@ -18,6 +18,7 @@ from orientkit.instances import random_class_instance, reduce_vertex_cover
 from orientkit.orientation import Orientation, parse_orientation
 from oracles import (cubic_graph, from_arcs_oracle, orient_large_corpus,
                      recognizer_corpus, relabeled, threshold_graph)
+from test_neighbour_fill import assert_fills_like_the_eager_build
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent
                   / "src" / "orientkit").glob("*.py"))
@@ -53,17 +54,24 @@ def test_the_scan_sees_each_spelling():
 
 
 def _held(make):
-    """(result of make(), bytes it still holds once make has returned)."""
+    """(result of make(), bytes it still holds once make has returned, its
+    traced peak)."""
     gc.collect()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         got = make()
         gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return got, after - before
+    return got, after - before, peak - before
+
+
+def _filled(g):
+    """g, once its neighbour lists are built."""
+    g.adj
+    return g
 
 
 def _one_int_per_vertex(g):
@@ -87,6 +95,7 @@ def test_every_build_shares_one_int_per_vertex(tmp_path):
               random_class_instance("cograph", 800, 1),
               random_class_instance("quasi-threshold", 800, 1)]
     for h in builds:
+        assert_fills_like_the_eager_build(h)
         _one_int_per_vertex(h)
         assert h.edges == list(zip(h.lo, h.hi))
         assert all(map(int.__lt__, h.lo, h.hi))
@@ -97,27 +106,41 @@ def test_the_reduction_read_holds_under_52_bytes_per_edge(tmp_path):
     assert (red.n, red.m) == (8028, 67194)
     path = tmp_path / "red.graph"
     write_graph(red, path)
-    g, held = _held(lambda: read_graph(path))
+    g, held, _ = _held(lambda: _filled(read_graph(path)))
     assert g == red
     assert held / g.m <= 52, held / g.m
+    # unfilled, as verify reads it: the columns and the vertex ints
+    g, held, _ = _held(lambda: read_graph(path))
+    assert g == red
+    assert held / g.m <= 24, held / g.m
+
+
+def test_reading_a_cograph_800_peaks_under_4_mb(tmp_path):
+    path = tmp_path / "cograph.graph"
+    write_graph(random_class_instance("cograph", 800, 1), path)
+    g, _, peak = _held(lambda: read_graph(path))
+    assert g.m == 105997
+    assert peak <= 4e6, peak
 
 
 def test_a_cograph_800_holds_under_4_5_mb():
     # the generator's graph, and one built from pairs of fresh ints, which
     # the graph must not keep
-    g, held = _held(lambda: random_class_instance("cograph", 800, 1))
+    g, held, _ = _held(lambda: _filled(
+        random_class_instance("cograph", 800, 1)))
     assert g.m == 105997
     assert held <= 4.5e6, held
     fresh = [(int(str(u)), int(str(v))) for u, v in g.edges]
-    h, held = _held(lambda: Graph(g.n, fresh))
+    h, held, _ = _held(lambda: _filled(Graph(g.n, fresh)))
     assert h == g
     assert held <= 4.5e6, held
 
 
 def test_the_2100_vertex_threshold_graph_holds_under_40_mb():
     n = 2100
-    g, held = _held(lambda: Graph(n, ((u, v) for v in range(1, n, 2)
-                                      for u in range(v))))
+    g, held, _ = _held(lambda: _filled(Graph(n, ((u, v)
+                                                 for v in range(1, n, 2)
+                                                 for u in range(v)))))
     assert g.m == 1102500
     assert held <= 40e6, held
 

