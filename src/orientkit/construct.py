@@ -40,7 +40,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -472,42 +471,28 @@ def _plan_crosspoint(k, u, block_verts, cut_pieces, u_pos, u_final):
     """
     cuts = sorted(cut_pieces)
     slots = sorted(set(range(k)) - {u_pos})
-
-    def colors_for(shapes, pos):
-        hi = min(pos + (k - 1) * len(shapes), 3 * k - 2)
-        return range(pos, hi + 1)
-
     for pos_tuple in itertools.permutations(slots, len(cuts)):
         noncut = set(slots) - set(pos_tuple)
         if u_final in noncut:
             continue
-        chosen = []
-
-        def solve(i):
-            if i == len(cuts):
-                return True
-            w = cuts[i]
-            pos = pos_tuple[i]
+        # per cut, its (color, split) options in the order they are tried;
+        # the first product with pairwise distinct colors is the plan
+        options = []
+        for w, pos in zip(cuts, pos_tuple):
             shapes = cut_pieces[w]
-            for cw in colors_for(shapes, pos):
-                if cw == u_final or cw in noncut or cw in (x[1] for x in chosen):
-                    continue
-                split = _feasible_split(shapes, k, cw, cw - pos)
-                if split is None:
-                    continue
-                chosen.append((w, cw, pos, split))
-                if solve(i + 1):
-                    return True
-                chosen.pop()
-            return False
-
-        if not solve(0):
+            hi = min(pos + (k - 1) * len(shapes), 3 * k - 2)
+            splits = ((cw, _feasible_split(shapes, k, cw, cw - pos))
+                      for cw in range(pos, hi + 1)
+                      if cw != u_final and cw not in noncut)
+            options.append([(cw, split) for cw, split in splits
+                            if split is not None])
+        chosen = next((plan for plan in itertools.product(*options)
+                       if len({cw for cw, _ in plan}) == len(plan)), None)
+        if chosen is None:
             continue
-        placed = {u: u_pos}
-        for w, _, pos, _ in chosen:
-            placed[w] = pos
+        placed = {u: u_pos, **dict(zip(cuts, pos_tuple))}
         return (_clique_order(block_verts, placed),
-                [(shape, cw, dd) for w, cw, _, split in chosen
+                [(shape, cw, dd) for w, (cw, split) in zip(cuts, chosen)
                  for shape, dd in zip(cut_pieces[w], split)])
     return None
 
@@ -617,7 +602,7 @@ class _UniformReducer:
         self.chain, self.path, self.ok = [True] * nb, [True] * nb, [True] * nb
         # per cut vertex: children whose subtree is not a path / not ok
         self.npath, self.nbad = [0] * g.n, [0] * g.n
-        for bi in sorted(range(nb), key=lambda b: -rooted.block_depth[b]):
+        for bi in reversed(rooted.order):   # children before parents
             for w in self.child_cuts[bi]:
                 kids = self.child_blocks[w]
                 self.npath[w] = sum(not self.path[c] for c in kids)
@@ -883,13 +868,15 @@ def _exhausted(frame):
 
 
 def _block_input(g: Graph, bct, k):
-    """(bct, k) for a connected k-uniform block graph with k >= 3; each is
-    worked out from g when None.  Raises when g is not such a graph, or
-    bct is the block-cut tree of another graph."""
-    if bct is None:
-        bct = block_cut_tree(g)
-    elif bct.graph is not g and bct.graph != g:
+    """(block-cut tree of g, k) for a connected k-uniform block graph with
+    k >= 3, k worked out from g when None.  A supplied bct is only
+    compared with g's, by its blocks and cut vertices; raises when they
+    differ, or when g is not such a graph."""
+    computed = block_cut_tree(g)
+    if bct is not None and (set(map(tuple, bct.blocks)) != set(computed.blocks)
+                            or bct.cut_vertices != computed.cut_vertices):
         raise PreconditionViolated("block-cut tree is of another graph")
+    bct = computed
     if k is None:
         k = len(bct.blocks[0]) if bct.blocks else 0
     if k < 3:
@@ -907,7 +894,11 @@ def _block_input(g: Graph, bct, k):
 def uniform_block_orient(g: Graph, bct: BlockCutTree = None,
                          k: int = None) -> Orientation:
     """Proper (3k-2)-orientation of a connected k-uniform block graph."""
-    bct, k = _block_input(g, bct, k)
+    return _orient_uniform(g, *_block_input(g, bct, k))
+
+
+def _orient_uniform(g: Graph, bct: BlockCutTree, k: int) -> Orientation:
+    """uniform_block_orient on the block-cut tree block_cut_tree(g)."""
     return _verified(_UniformReducer(g, bct, k).run(),
                      "uniform_block_orient", 3 * k - 2)
 
@@ -923,9 +914,18 @@ def two_cut_block_orient(g: Graph, bct: BlockCutTree = None,
     to every clique is transitive.
     """
     bct, k = _block_input(g, bct, k)
-    cuts = bct.cut_vertices
     if max_cut_vertices_per_block(bct) > 2:
         raise NotUniformBlock("a block has more than two cut vertices")
+    return _orient_two_cut(g, bct, k)
+
+
+def _orient_two_cut(g: Graph, bct: BlockCutTree, k: int) -> Orientation:
+    """two_cut_block_orient on block_cut_tree(g), whose blocks have at most
+    two cut vertices: one transitive clique per block, in walk order from
+    the first leaf block.  A block's clique order follows from its parent
+    cut's position t in the parent's and whether it is that cut's first
+    child block."""
+    cuts = bct.cut_vertices
     p = PartialOrientation(g)
     if not cuts:
         _transitive(p, sorted(bct.blocks[0]))
@@ -933,40 +933,23 @@ def two_cut_block_orient(g: Graph, bct: BlockCutTree = None,
     leaf = min(bi for bi, blk in enumerate(bct.blocks)
                if sum(1 for v in blk if v in cuts) == 1)
     rooted = bct.rooted(leaf)
-    r = next(v for v in bct.blocks[leaf] if v in cuts)
-    pos_in = {}
-
-    def orient_block(bi, placed):
-        order = _clique_order(bct.blocks[bi], placed)
-        _transitive(p, order)
-        for i, v in enumerate(order):
-            pos_in[(bi, v)] = i
-
-    orient_block(leaf, {r: 0})
-    queue = deque([leaf])
-    while queue:
-        bi = queue.popleft()
-        for x in rooted.block_children_cuts[bi]:
-            t = pos_in[(bi, x)]
-            children = rooted.cut_children_blocks[x]
-            for idx, cb in enumerate(children):
-                other = [v for v in bct.blocks[cb]
-                         if v in cuts and v != x]
-                x2 = other[0] if other else None
-                if t == 0:
-                    placed = {x: 0}
-                    if x2 is not None:
-                        placed[x2] = 1
-                elif idx == 0:
-                    placed = {x: k - 1}
-                    if x2 is not None:
-                        placed[x2] = 0
-                else:
-                    placed = {x: 0}
-                    if x2 is not None:
-                        placed[x2] = 2 if t == 1 else 1
-                orient_block(cb, placed)
-                queue.append(cb)
+    orders = {}
+    for bi in rooted.order:
+        x = rooted.block_parent_cut.get(bi)
+        if x is None:   # the leaf root, its one cut first
+            px, pnext = None, 0
+        elif (t := orders[rooted.cut_parent_block[x]].index(x)) == 0:
+            px, pnext = 0, 1
+        elif rooted.cut_children_blocks[x][0] == bi:
+            px, pnext = k - 1, 0
+        else:
+            px, pnext = 0, 2 if t == 1 else 1
+        # the block's other cut, its child cut if any, goes at pnext
+        placed = dict.fromkeys(rooted.block_children_cuts[bi], pnext)
+        if x is not None:
+            placed[x] = px
+        orders[bi] = _clique_order(bct.blocks[bi], placed)
+        _transitive(p, orders[bi])
     d = p.to_orientation()
     return _verified(d, "two_cut_block_orient", k + 1,
                      holds=all(d.indegree[v] in (0, k, k + 1) for v in cuts))
@@ -1353,10 +1336,10 @@ ORIENT_CLASSES = (
     OrientClass("split", lambda g, c: split_partition(g), split_orient,
                 lambda part, d: max(2 * len(part.clique) - 2, 0)),
     OrientClass("two-cut-block", _two_cut_blocks,
-                lambda g, bk: two_cut_block_orient(g, *bk),
+                lambda g, bk: _orient_two_cut(g, *bk),
                 lambda bk, d: bk[1] + 1),
     OrientClass("uniform-block", _uniform_blocks,
-                lambda g, bk: uniform_block_orient(g, *bk),
+                lambda g, bk: _orient_uniform(g, *bk),
                 lambda bk, d: 3 * bk[1] - 2),
     OrientClass("outerplanar-strip", lambda g, c: outerplanar_strip(g),
                 _orient_strip, lambda strip, d: 13),

@@ -51,7 +51,7 @@ class Graph:
     def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        ids = list(range(n))  # the one int object of each vertex
+        ids = []  # one int object per vertex, up to the edges' reach
         lo, hi = [], []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -60,9 +60,13 @@ class Graph:
                 raise ValueError(f"loop at vertex {u}")
             if u > v:
                 u, v = v, u
+            try:
+                hi.append(ids[v])
+            except IndexError:  # ids at least doubles: O(log n) raises
+                ids += range(len(ids), min(max(v + 1, 2 * len(ids)), n))
+                hi.append(ids[v])
             lo.append(ids[u])
-            hi.append(ids[v])
-        self._store(ids, lo, hi)
+        self._store(n, lo, hi)
 
     @classmethod
     def _of_columns(cls, n, lo, hi):
@@ -70,12 +74,14 @@ class Graph:
         any order, one int object per vertex; duplicates raise as in
         Graph(n, edges).  The columns become the graph's own."""
         g = cls.__new__(cls)
-        g._store(list(range(n)), lo, hi)
+        g._store(n, lo, hi)
         return g
 
-    def _store(self, ids, lo, hi):
-        n = len(ids)
+    def _store(self, n, lo, hi):
         if not all(map(lt, zip(lo, hi), islice(zip(lo, hi), 1, None))):
+            # the vertex ints before the keys' ints, which are freed below:
+            # made after them, they kept orient-large's peak RSS 1-2 MB up
+            ids = list(range(max(hi) + 1))
             # sort on the int keys lo * n + hi, never on pairs
             keys = [u * n + v for u, v in zip(lo, hi)]
             keys.sort()
@@ -312,8 +318,8 @@ def join(g1: Graph, g2: Graph) -> Graph:
 
 
 def generic_bounds(g: Graph, omega: int):
-    """(omega - 1, max degree): the universal sandwich for the orientation number."""
-    return omega - 1, g.max_degree()
+    """(max(omega - 1, 0), max degree): the orientation number's sandwich."""
+    return max(omega - 1, 0), g.max_degree()
 
 
 # -- text I/O ----------------------------------------------------------

@@ -585,7 +585,10 @@ class BlockCutTree:
 
 
 class RootedBlockCutTree:
-    """Parent/children view of the block-cut tree, with ordered children."""
+    """Parent/children view of the block-cut tree from one breadth-first
+    walk, kept as order: the blocks reached, each after its parent.  A
+    block's child cuts are its cut vertices but its parent cut, sorted; a
+    cut's child blocks are its other blocks, sorted by tuple."""
 
     def __init__(self, bct: BlockCutTree, root_block: int):
         self.bct = bct
@@ -594,33 +597,26 @@ class RootedBlockCutTree:
         self.cut_parent_block = {}   # cut vertex -> block id
         self.block_children_cuts = {bi: [] for bi in range(len(bct.blocks))}
         self.cut_children_blocks = {v: [] for v in bct.cut_vertices}
-        self.block_depth = {root_block: 0}
-        self.cut_depth = {}
-        queue = deque([("b", root_block)])
-        seen_b = {root_block}
-        seen_c = set()
-        while queue:
-            kind, x = queue.popleft()
-            if kind == "b":
-                cuts = sorted(v for v in bct.blocks[x] if v in bct.cut_vertices
-                              and v != self.block_parent_cut.get(x))
-                for v in cuts:
-                    if v in seen_c:
-                        continue
-                    seen_c.add(v)
-                    self.block_children_cuts[x].append(v)
-                    self.cut_parent_block[v] = x
-                    self.cut_depth[v] = self.block_depth[x] + 1
-                    queue.append(("c", v))
-            else:
-                kids = sorted((bi for bi in bct.blocks_of[x] if bi not in seen_b),
-                              key=lambda bi: bct.blocks[bi])
-                for bi in kids:
-                    seen_b.add(bi)
-                    self.cut_children_blocks[x].append(bi)
-                    self.block_parent_cut[bi] = x
-                    self.block_depth[bi] = self.cut_depth[x] + 1
-                    queue.append(("b", bi))
+        self.cut_depth = {}   # 1 for the root block's cuts, +2 per level
+        self.order = order = [root_block]
+        blocks, cuts = bct.blocks, bct.cut_vertices
+        for bi in order:   # order grows behind the loop
+            up = self.block_parent_cut.get(bi)
+            depth = self.cut_depth.get(up, -1) + 2
+            kids = sorted(v for v in blocks[bi] if v in cuts and v != up)
+            self.block_children_cuts[bi] = kids
+            for v in kids:
+                self.cut_parent_block[v] = bi
+                self.cut_depth[v] = depth
+                below = sorted((b for b in bct.blocks_of[v] if b != bi),
+                               key=blocks.__getitem__)
+                self.cut_children_blocks[v] = below
+                self.block_parent_cut.update(dict.fromkeys(below, v))
+                order += below
+            # a block-cut tree reaches each block once; anything else is
+            # a hand-built graph of blocks with a cycle
+            if len(order) > len(blocks):
+                raise PreconditionViolated("block-cut tree is not a tree")
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:

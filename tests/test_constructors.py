@@ -25,8 +25,8 @@ from orientkit.construct import (claw_free_chordal_bound,
                                  two_cut_block_orient, uniform_block_orient)
 from orientkit.errors import (BadCompensation, BadShape, ConstructionError,
                               DegreeConditionViolated, HypothesisViolated,
-                              NotApplicable, NotStrip, PreconditionViolated,
-                              UnsupportedK)
+                              NotApplicable, NotStrip, NotUniformBlock,
+                              PreconditionViolated, UnsupportedK)
 from orientkit.exact import decide_k_orientation, proper_orientation_number
 from orientkit.graph import Graph, disjoint_union, join, write_graph
 from orientkit.instances import (block_tight_example, random_class_instance,
@@ -34,11 +34,12 @@ from orientkit.instances import (block_tight_example, random_class_instance,
 from orientkit.orientation import (CompensationSpec, Orientation,
                                    PartialOrientation, is_compensated_proper,
                                    is_proper, max_indegree)
-from orientkit.recognize import (CotreeJoin, CotreeLeaf, CotreeUnion,
-                                 SplitPartition, block_cut_tree, chordal_peo,
-                                 clique_number_chordal, cograph_cotree,
-                                 is_claw_free, outerplanar_strip,
-                                 quasi_threshold_cotree, split_partition)
+from orientkit.recognize import (BlockCutTree, CotreeJoin, CotreeLeaf,
+                                 CotreeUnion, SplitPartition, block_cut_tree,
+                                 chordal_peo, clique_number_chordal,
+                                 cograph_cotree, is_claw_free,
+                                 outerplanar_strip, quasi_threshold_cotree,
+                                 split_partition)
 from oracles import (cograph_orient_oracle, criterion_3_graphs,
                      extend_partial_oracle, is_acyclic,
                      path_block_compensated_oracle,
@@ -405,6 +406,59 @@ def test_block_constructors_reject_a_foreign_tree(kind, orient):
     # the tree of an equal graph is g's tree
     d = orient(g, block_cut_tree(Graph(g.n, g.edges)), 3)
     assert is_proper(d)
+
+
+# hand-built trees of a path of four triangles (0..8): another path's
+# blocks, and four triangles closed into a cycle, which no tree is
+HAND_BUILT_TREES = {
+    "another path": ([(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8)], {2, 4, 6}),
+    "a cycle": ([(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 0)], {0, 2, 4, 6}),
+}
+
+
+@pytest.mark.parametrize("blocks, cuts", HAND_BUILT_TREES.values(),
+                         ids=HAND_BUILT_TREES)
+@pytest.mark.parametrize("orient", [uniform_block_orient,
+                                    two_cut_block_orient])
+def test_block_constructors_compare_a_supplied_tree(orient, blocks, cuts):
+    g = random_class_instance("uniform-block", 4, 0)
+    fake = BlockCutTree(g, blocks, frozenset(cuts))
+    assert fake.blocks != block_cut_tree(g).blocks
+    with pytest.raises(PreconditionViolated, match="another graph"):
+        orient(g, fake, 3)
+
+
+def test_rooting_a_cycle_of_blocks_stops():
+    blocks, cuts = HAND_BUILT_TREES["a cycle"]
+    fake = BlockCutTree(Graph(8), blocks, frozenset(cuts))
+    with pytest.raises(PreconditionViolated, match="not a tree"):
+        fake.rooted(0)
+
+
+def _three_cut_triangle():
+    """A triangle with a triangle hanging at each of its vertices."""
+    return Graph(9, [e for blk in ((0, 1, 2), (0, 3, 4), (1, 5, 6),
+                                   (2, 7, 8))
+                     for e in itertools.combinations(blk, 2)])
+
+
+BLOCK_CASES = [
+    (lambda: uniform_block_orient(
+        disjoint_union(Graph.complete(3), Graph.complete(3)), None, 3),
+     NotUniformBlock, "graph must be connected"),
+    (lambda: two_cut_block_orient(Graph.cycle_graph(4), None, 3),
+     NotUniformBlock, "not every block is a 3-clique"),
+    (lambda: two_cut_block_orient(_three_cut_triangle(), None, 3),
+     NotUniformBlock, "more than two cut vertices"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", BLOCK_CASES,
+                         ids=[fragment for _, _, fragment in BLOCK_CASES])
+def test_block_constructor_precondition_errors(call, error, fragment):
+    with pytest.raises(error) as raised:
+        call()
+    assert fragment in str(raised.value)
 
 
 def test_two_cut_block_examples():

@@ -123,6 +123,16 @@ def test_reading_a_cograph_800_peaks_under_4_mb(tmp_path):
     assert peak <= 4e6, peak
 
 
+def test_a_header_alone_reads_under_1_mb(tmp_path):
+    # the graph holds an int for each vertex that an edge names, not for
+    # each of its n vertices
+    path = tmp_path / "header.graph"
+    path.write_text("1000000 0")
+    g, _, peak = _held(lambda: read_graph(path))
+    assert (g.n, g.m) == (1000000, 0)
+    assert peak <= 1e6, peak
+
+
 def test_a_cograph_800_holds_under_4_5_mb():
     # the generator's graph, and one built from pairs of fresh ints, which
     # the graph must not keep

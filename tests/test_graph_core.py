@@ -176,6 +176,7 @@ def test_generic_bounds():
     assert generic_bounds(Graph.complete(5), 5) == (4, 4)
     assert generic_bounds(Graph.star(4), 2) == (1, 4)
     assert generic_bounds(Graph.cycle_graph(4), 2) == (1, 2)
+    assert generic_bounds(Graph(0), 0) == (0, 0)
 
 
 def test_graph_text_roundtrip():

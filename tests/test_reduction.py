@@ -14,8 +14,8 @@ from orientkit.errors import BadK
 from orientkit.graph import Graph, format_graph, read_graph, write_graph
 from orientkit.instances import (build_vc_certificate, ladder_gadget,
                                  reduce_vertex_cover)
-from orientkit.orientation import (Orientation, read_orientation,
-                                   write_orientation)
+from orientkit.orientation import (Orientation, is_proper, max_indegree,
+                                   read_orientation, write_orientation)
 from oracles import (cubic_graph, from_arcs_oracle, petersen_graph,
                      reduce_vertex_cover_oracle)
 
@@ -68,6 +68,15 @@ def test_certificate_heads_at_minimum_cover(g, k, cover, digest):
                          if all(u in c or v in c for u, v in g.edges))
     heads = build_vc_certificate(reduce_vertex_cover(g, k), cover).heads
     assert hashlib.sha256(repr(heads).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", range(7, 12))
+def test_certificate_pads_a_smaller_cover(k):
+    # Petersen's 6-vertex cover, padded up to k with the least other ids
+    red = reduce_vertex_cover(petersen_graph(), k)
+    d = build_vc_certificate(red, (0, 1, 3, 7, 8, 9))
+    assert red.k_prime == 12
+    assert is_proper(d) and max_indegree(d) == 12
 
 
 def test_reduction_builds_one_graph_per_gadget_shape(monkeypatch):

@@ -144,6 +144,26 @@ def test_reductions_do_not_rebuild_the_graph(monkeypatch):
     assert sizes == []
 
 
+def test_two_cut_blocks_build_and_root_one_tree(monkeypatch):
+    g = random_class_instance("two-cut-block", 800, 1)
+    trees, rooted = [], []
+    real_bct, real_rooted = construct.block_cut_tree, BlockCutTree.rooted
+
+    def block_cut_tree(h):
+        trees.append(h.n)
+        return real_bct(h)
+
+    def counted_rooted(self, root_block):
+        rooted.append(root_block)
+        return real_rooted(self, root_block)
+
+    monkeypatch.setattr(construct, "block_cut_tree", block_cut_tree)
+    monkeypatch.setattr(BlockCutTree, "rooted", counted_rooted)
+    d = construct.two_cut_block_orient(g, None, 3)
+    assert trees == [g.n] and len(rooted) == 1
+    assert is_proper(d)
+
+
 @pytest.mark.parametrize("seed", [None, 14, 39])
 def test_orient_builds_only_the_graph_it_reads(monkeypatch, tmp_path, seed):
     # every piece is oriented on the host's ids: no graph of its own
@@ -153,9 +173,9 @@ def test_orient_builds_only_the_graph_it_reads(monkeypatch, tmp_path, seed):
     builds = []
     real_store = Graph._store  # every build ends here, from pairs or columns
 
-    def counted_store(self, ids, lo, hi):
-        builds.append(len(ids))
-        real_store(self, ids, lo, hi)
+    def counted_store(self, n, lo, hi):
+        builds.append(n)
+        real_store(self, n, lo, hi)
 
     monkeypatch.setattr(Graph, "_store", counted_store)
     out = io.StringIO()
